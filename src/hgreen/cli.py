@@ -21,7 +21,7 @@ import sys
 
 import mpmath
 
-from .qfield import InvalidInputError, field, is_fundamental_discriminant
+from .qfield import InvalidInputError, field
 from .mforms import parse_principal_part
 from . import greens as G
 from . import factor as FA
@@ -33,10 +33,11 @@ EXIT_INVALID = 2
 
 
 def _default_digits() -> int:
+    text = os.environ.get("HGREEN_DIGITS", "30")
     try:
-        return max(15, int(os.environ.get("HGREEN_DIGITS", "30")))
+        return int(text)
     except ValueError:
-        return 30
+        raise InvalidInputError(f"HGREEN_DIGITS={text!r} is not an integer") from None
 
 
 def _build_parser():
@@ -55,8 +56,9 @@ def _build_parser():
             p.add_argument("--pp", type=str, required=True,
                            help='principal part "m=c,m=c" with rational c like 3=-2/5')
         p.add_argument("--tol", type=float, default=1e-8, help="numeric tolerance")
-        p.add_argument("--digits", type=int, default=_default_digits(),
-                       help="working precision in decimal digits (>= 15)")
+        p.add_argument("--digits", type=int, default=None,
+                       help="working precision in decimal digits (>= 15; "
+                            "default $HGREEN_DIGITS or 30)")
         p.add_argument("--output", type=str, default=None, help="write JSON here instead of stdout")
 
     pg = sub.add_parser("greens", help="evaluate G_{k,f} at the CM cycle")
@@ -81,19 +83,6 @@ def _emit(doc, args) -> None:
         print(text)
 
 
-def _validate(args):
-    if args.k < 2 or args.k % 2 != 0:
-        raise InvalidInputError("k must be an even integer >= 2")
-    for d in (args.d1, args.d2):
-        if d >= 0 or not is_fundamental_discriminant(d):
-            raise InvalidInputError(f"{d} is not a negative fundamental discriminant")
-    from math import gcd
-    if gcd(args.d1, args.d2) != 1:
-        raise InvalidInputError("d1 and d2 must be coprime")
-    pp = parse_principal_part(args.pp)
-    return pp
-
-
 def _exponent_entries(report):
     out = []
     for (ell, b), e in sorted(report.exponents.items()):
@@ -108,20 +97,21 @@ def _exponent_entries(report):
 
 
 def _params(args):
-    return G.GreenParams(k=args.k, tol=args.tol, digits=args.digits)
+    digits = args.digits if args.digits is not None else _default_digits()
+    return G.GreenParams(k=args.k, tol=args.tol, digits=digits)
 
 
 def cmd_greens(args) -> int:
-    pp = _validate(args)
+    pp = parse_principal_part(args.pp)
     params = _params(args)
     value, diag = G.G_kf_at_cycle(args.k, pp, args.d1, args.d2, params)
     doc = {
         "command": "greens",
         "k": args.k, "d1": args.d1, "d2": args.d2,
         "pp": {str(m): str(c) for m, c in sorted(pp.items())},
-        "precision": args.digits,
+        "precision": params.digits,
         "tol": args.tol,
-        "value": mpmath.nstr(value, args.digits),
+        "value": mpmath.nstr(value, params.digits),
         "converged": diag["converged"],
         "diagnostics": {
             "pairs": diag["pairs"],
@@ -134,7 +124,7 @@ def cmd_greens(args) -> int:
 
 
 def cmd_factor(args) -> int:
-    pp = _validate(args)
+    pp = parse_principal_part(args.pp)
     report = FA.gamma_exponents(args.k, pp, args.d1, args.d2)
     doc = {
         "command": "factor",
@@ -153,19 +143,19 @@ def cmd_factor(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    pp = _validate(args)
+    pp = parse_principal_part(args.pp)
     params = _params(args)
     report = FA.gamma_exponents(args.k, pp, args.d1, args.d2)
     value, diag = G.G_kf_at_cycle(args.k, pp, args.d1, args.d2, params)
-    report = FA.reconcile(report, value, args.tol, args.digits)
+    report = FA.reconcile(report, value, args.tol, params.digits)
     doc = {
         "command": "verify",
         "k": args.k, "d1": args.d1, "d2": args.d2,
         "pp": {str(m): str(c) for m, c in sorted(pp.items())},
         "Delta": report.Delta,
-        "precision": args.digits,
+        "precision": params.digits,
         "tol": args.tol,
-        "lhs": mpmath.nstr(value, args.digits),
+        "lhs": mpmath.nstr(value, params.digits),
         "kappa": report.kappa,
         "exponents": _exponent_entries(report),
         "unit_power": report.unit_power,
@@ -344,8 +334,8 @@ def cmd_selftest(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "greens":
             return cmd_greens(args)
         if args.command == "factor":

@@ -19,24 +19,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, gcd, isqrt, lcm
+from math import comb, factorial, isqrt, lcm
 
 import mpmath
 from mpmath import mpf
-
-from sympy import factorint
 
 from .qfield import (
     FieldElem,
     FracIdeal,
     InvalidInputError,
     QuadField,
+    factorint,
     field,
     ideal_divisors,
     kronecker,
 )
 from .finquad import GenusChar, rho_KF
-from .mforms import check_principal_part
+from .mforms import check_cycle_input
 
 
 # ---------------------------------------------------------------------------
@@ -105,9 +104,9 @@ def trace_slice(m: int, Delta: int) -> TraceSlice:
         if (n - n0) % 2 or n * n >= nmax_sq:
             continue
         mu0 = F.elem(Fraction(n, 2), Fraction(m, 2))
-        assert mu0.is_integral()
         lam = mu0 / F.sqrtD
-        assert lam.is_totally_positive() and lam.trace() == m
+        if not (mu0.is_integral() and lam.is_totally_positive() and lam.trace() == m):
+            raise RuntimeError(f"{mu0} is not in the trace slice m = {m}")
         out.append(mu0)
     return TraceSlice(m, Delta, tuple(out))
 
@@ -160,16 +159,10 @@ def gamma_exponents(k: int, pp, d1: int, d2: int) -> FactorReport:
     antisymmetric under conjugation and the reported exponents clear the
     conjugate entries.  kappa is the lcm of the cleared denominators.
     """
-    if k < 2 or k % 2 != 0:
-        raise InvalidInputError("the factorization needs even k >= 2")
-    if d1 >= 0 or d2 >= 0 or gcd(d1, d2) != 1:
-        raise InvalidInputError("d1, d2 must be negative and coprime")
+    check_cycle_input(k, pp, d1, d2)
     Delta = d1 * d2
     F = field(Delta)
     chi = GenusChar(d1, d2)
-    obstruction = check_principal_part(k, pp)
-    if obstruction is not None:
-        raise InvalidInputError(f"principal part obstructed: {obstruction}")
     P = legendre_P(k - 1)
     raw = {}
     for m, cf in sorted(pp.items()):
@@ -205,7 +198,11 @@ def gamma_exponents(k: int, pp, d1: int, d2: int) -> FactorReport:
         seen.add((ell, b))
         seen.add((ell, bb))
         vc = raw.get((ell, bb), Fraction(0))
-        assert v == -vc, "slice sums are not conjugate-antisymmetric"
+        if v != -vc:
+            raise RuntimeError(
+                f"slice sums at the primes above {ell} are not conjugate-antisymmetric:"
+                f" {v} and {vc}"
+            )
         if v > 0:
             cleared[(ell, b)] = 2 * v
         elif v < 0:
@@ -289,21 +286,26 @@ def reconcile(report: FactorReport, lhs, tol: float, digits: int = 30) -> Factor
         lhs = mpf(lhs)
         target = -report.kappa * mpf(report.Delta) ** Fraction(report.k - 1, 2) * lhs
         S = mpf(0)
+        eps = F.fundamental_unit()
         gens = {}
         for (ell, b) in report.exponents:
             pr, prc = F.primes_above(ell)
             if (ell, pr.b) not in gens:
                 mu = F.generator_of(pr ** hF)
-                assert mu is not None
-                mu = mu if mu.sign() > 0 else -mu
-                mu = _normalized_generator(F, mu)
+                if mu is None:
+                    raise RuntimeError(f"{pr}^h_F is not principal, h_F = {hF}")
+                # positive generators differ by powers of eps_F and their
+                # |mu/mu'| are spaced by eps_F^2: the balanced window pins the
+                # one with the smallest coefficients, and it is (up to its
+                # boundary) conjugation-stable, so mu_l' = (mu_l)' fits it
+                mu = abs(F.unit_orbit_rep(mu, eps, eps.inverse()))
                 gens[(ell, pr.b)] = mu
                 gens[(ell, prc.b)] = mu.conj()
         for key, e in report.exponents.items():
             mu = gens[key]
             S += (mpf((report.kappa * e).numerator) / (report.kappa * e).denominator
                   / hF * _log_ratio(F, mu))
-        Leps = _log_ratio(F, F.fundamental_unit())
+        Leps = _log_ratio(F, eps)
         r = (target - S) / Leps
         max_den = 2 * hF * report.kappa
         r_rat = Fraction(float(r)).limit_denominator(max_den)
@@ -320,39 +322,3 @@ def reconcile(report: FactorReport, lhs, tol: float, digits: int = 30) -> Factor
         report.residual_threshold = threshold
     return report
 
-
-def _normalized_generator(F: QuadField, mu: FieldElem) -> FieldElem:
-    """The unique positive generator with eps_F^{-1} <= |mu/mu'| < eps_F.
-
-    Positive generators of a fixed ideal differ by powers of eps_F and their
-    |mu/mu'| ratios are spaced by eps_F^2, so the balanced window pins one;
-    it is the member of the unit orbit with the smallest coefficients, and the
-    window is (up to boundary) stable under conjugation, which makes the
-    choice compatible with mu_{l'} = (mu_l)'.
-    """
-    eps = F.fundamental_unit()
-    eps_inv = eps.inverse()
-    lo = eps_inv if eps.sign() > 0 else -eps_inv
-    lo = lo if lo.sign() > 0 else -lo
-
-    def absratio(m):
-        rr = m / m.conj()
-        return rr if rr.sign() > 0 else -rr
-
-    r = absratio(mu)
-    steps = 0
-    while r < lo:
-        mu = mu * eps
-        r = absratio(mu)
-        steps += 1
-        if steps > 10 ** 5:
-            raise RuntimeError("generator normalization loop")
-    while r >= eps:
-        mu = mu * eps_inv
-        r = absratio(mu)
-        steps += 1
-        if steps > 10 ** 5:
-            raise RuntimeError("generator normalization loop")
-    if mu.sign() < 0:
-        mu = -mu
-    return mu

@@ -15,14 +15,13 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from sympy import factorint
-
 from .qfield import (
     FieldElem,
     FracIdeal,
     InvalidInputError,
     QuadField,
     _xgcd,
+    factorint,
     field,
     ideal_divisors,
     is_fundamental_discriminant,

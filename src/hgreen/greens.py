@@ -29,7 +29,7 @@ import mpmath
 from mpmath import mpf, mpc
 
 from .qfield import InvalidInputError, is_fundamental_discriminant
-from .mforms import check_principal_part
+from .mforms import check_cycle_input
 
 
 class SingularConfigurationError(ValueError):
@@ -90,10 +90,6 @@ def cm_points(d: int):
                 a += 1
         b += 2
     return sorted(out, key=lambda P: (P.A, P.B, P.C))
-
-
-def class_number(d: int) -> int:
-    return len(cm_points(d))
 
 
 # ---------------------------------------------------------------------------
@@ -174,34 +170,25 @@ def legendre_Q(n: int, t, dps: int | None = None):
         return +(lead * t ** (-(n + 1)) * acc)
 
 
-def _q_series_ratio(n, j):
-    return ((Fraction(n, 2) + 1 + j) * (Fraction(n + 1, 2) + j)) / (
-        (Fraction(n) + Fraction(3, 2) + j) * (j + 1)
-    )
-
-
 def legendre_Q_integral(n: int, T, dps: int | None = None):
-    """Integral of Q_n over [T, infinity), T > max(2, 1); by termwise series."""
+    """Integral of Q_n over [T, infinity) for T > T_SWITCH, by termwise series."""
     ctx = mpmath.mp
     with ctx.workdps(dps or ctx.dps):
         T = mpf(T)
-        assert T > T_SWITCH
-        lead = _q_lead(n)
+        if not T > T_SWITCH:
+            raise ValueError(f"Q tail integral needs T > {T_SWITCH}, got {T}")
         eps = mpf(10) ** (-(ctx.dps + 5))
+        coeffs, lead = _q_coeffs_mpf(n, ctx.dps, 16)
         acc = mpf(0)
-        aj = Fraction(1)
-        j = 0
-        while True:
+        for j in range(10001):
+            if j == len(coeffs):
+                coeffs, lead = _q_coeffs_mpf(n, ctx.dps, 2 * j)
             p = n + 2 * j  # integral of t^{-n-1-2j} is T^{-n-2j}/(n+2j)
-            term = mpf(aj.numerator) / aj.denominator * T ** (-p) / p
+            term = coeffs[j] * T ** (-p) / p
             acc += term
             if abs(term) < eps * abs(acc):
-                break
-            aj = aj * _q_series_ratio(n, j)
-            j += 1
-            if j > 10000:
-                raise RuntimeError("Q tail integral did not converge")
-        return +(mpf(lead.numerator) / lead.denominator * acc)
+                return +(lead * acc)
+        raise RuntimeError("Q tail integral did not converge")
 
 
 def _q_float_factory(n: int, terms: int = 12):
@@ -524,16 +511,8 @@ def G_kf_at_cycle(k: int, pp, d1: int, d2: int,
     pp maps m to c_f(-m); the cycle runs over all pairs of reduced CM points of
     the coprime fundamental discriminants d1, d2 < 0.
     """
+    check_cycle_input(k, pp, d1, d2)
     params = params or GreenParams(k=k)
-    if d1 >= 0 or d2 >= 0:
-        raise InvalidInputError("discriminants must be negative")
-    if gcd(d1, d2) != 1:
-        raise InvalidInputError("discriminants must be coprime")
-    obstruction = check_principal_part(k, pp)
-    if obstruction is not None:
-        raise InvalidInputError(
-            f"principal part obstructed by S_{2*k}: {obstruction}"
-        )
     pts1 = cm_points(d1)
     pts2 = cm_points(d2)
     w1 = unit_weight(d1)

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
-from .qfield import InvalidInputError
+from .qfield import InvalidInputError, QuadField, is_fundamental_discriminant
 
 
 class QSeries:
@@ -241,3 +242,27 @@ def check_principal_part(k: int, pp):
     if any(obstruction):
         return obstruction
     return None
+
+
+def check_cycle_input(k: int, pp, d1: int, d2: int) -> None:
+    """Validate the input of a CM-cycle computation; the one check for both engines.
+
+    Raises InvalidInputError unless k is even >= 2, d1 and d2 are coprime
+    negative fundamental discriminants with Delta = d1*d2 inside the
+    supported range, and the principal part pp is unobstructed.  The range is
+    checked before anything is factored, so oversized input fails at once.
+    """
+    if k < 2 or k % 2 != 0:
+        raise InvalidInputError("k must be an even integer >= 2")
+    if d1 >= 0 or d2 >= 0:
+        raise InvalidInputError(f"d1 = {d1}, d2 = {d2}: both must be negative")
+    if d1 * d2 > QuadField.MAX_DELTA:
+        raise InvalidInputError(f"Delta = {d1 * d2} beyond supported range 1e6")
+    for d in (d1, d2):
+        if not is_fundamental_discriminant(d):
+            raise InvalidInputError(f"{d} is not a negative fundamental discriminant")
+    if gcd(d1, d2) != 1:
+        raise InvalidInputError("d1 and d2 must be coprime")
+    obstruction = check_principal_part(k, pp)
+    if obstruction is not None:
+        raise InvalidInputError(f"principal part obstructed by S_{2 * k}: {obstruction}")

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from math import gcd, isqrt
-
-from sympy import factorint, isprime, nextprime, sqrt_mod
 
 
 class InvalidInputError(ValueError):
@@ -24,6 +23,104 @@ class InvalidInputError(ValueError):
 # ---------------------------------------------------------------------------
 # elementary number theory helpers
 # ---------------------------------------------------------------------------
+
+_TRIAL_PRIMES = [p for p in range(2, 1000) if all(p % q for q in range(2, isqrt(p) + 1))]
+_MR_BASES = _TRIAL_PRIMES[:12]  # deterministic Miller-Rabin below 3.3e24
+
+
+def isprime(n: int) -> bool:
+    """Primality by Miller-Rabin on the first twelve prime bases.
+
+    Exact for n < 3.3e24, far beyond the integers this package factors.
+    """
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def nextprime(n: int) -> int:
+    """Smallest prime > n."""
+    for m in count(max(n + 1, 2)):
+        if isprime(m):
+            return m
+
+
+def _rho_divisor(n: int) -> int:
+    """A nontrivial divisor of the odd composite n (Pollard's rho, Floyd cycle)."""
+    for c in count(1):
+        x = y = 2
+        d = 1
+        while d == 1:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            d = gcd(x - y, n)
+        if d != n:
+            return d
+
+
+def factorint(n: int) -> dict:
+    """{prime: exponent} for n >= 1: trial division below 1000, then Pollard rho."""
+    out = {}
+    for p in _TRIAL_PRIMES:
+        if p * p > n:
+            break
+        while n % p == 0:
+            n //= p
+            out[p] = out.get(p, 0) + 1
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        # no prime factor below 1000 is left, so m < 1000^2 is prime
+        if m < 10 ** 6 or isprime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            d = _rho_divisor(m)
+            stack += [d, m // d]
+    return dict(sorted(out.items()))
+
+
+def sqrt_mod(a: int, p: int):
+    """Smallest r >= 0 with r^2 = a mod the prime p (Tonelli-Shanks), or None."""
+    a %= p
+    if p == 2 or a == 0:
+        return a
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, r, t = pow(z, q, p), pow(a, (q + 1) // 2, p), pow(a, q, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (s - i - 1), p)
+        r, c, t, s = r * b % p, b * b % p, t * b * b % p, i
+    return min(r, p - r)
+
 
 def kronecker(a: int, n: int) -> int:
     """Kronecker symbol (a/n), full extension to all integers."""
@@ -189,6 +286,10 @@ class FieldElem:
 
     def __neg__(self):
         return FieldElem(self.D, -self.x, -self.y)
+
+    def __abs__(self):
+        """The one of +-self that is positive under the fixed embedding."""
+        return -self if self.sign() < 0 else self
 
     def __mul__(self, o):
         o = self._coerce(o)
@@ -618,9 +719,6 @@ class QuadField:
         """The different ideal (sqrt(Delta))."""
         return FracIdeal.from_generators(self.D, [self.sqrtD])
 
-    def codifferent(self) -> FracIdeal:
-        return self.different().inverse()
-
     # fundamental unit --------------------------------------------------------
     def fundamental_unit(self) -> FieldElem:
         """eps_F > 1 generating O_F^x/{+-1}, from the CF expansion of omega."""
@@ -699,24 +797,20 @@ class QuadField:
         if typ == "inert":
             return (FracIdeal(D, p, 1, 0),)
         if typ == "ramified":
-            if p == 2:
-                b = (D // 4) % 2
-            else:
-                b = (-D * ((p + 1) // 2)) % p
-            assert (b * b + b * D + self.psi) % p == 0
-            return (FracIdeal(D, 1, p, b),)
-        if p == 2:
+            roots = [(D // 4) % 2 if p == 2 else (-D * ((p + 1) // 2)) % p]
+        elif p == 2:
             roots = [0, 1]
         else:
-            r = int(sqrt_mod(D % p, p))
+            r = sqrt_mod(D, p)
             inv2 = (p + 1) // 2
             roots = sorted({(inv2 * (-D + r)) % p, (inv2 * (-D - r)) % p})
-        out = []
-        for b in roots:
-            assert (b * b + b * D + self.psi) % p == 0
-            out.append(FracIdeal(D, 1, p, b))
-        assert len(out) == 2
-        return tuple(out)
+        # each HNF b must be a root of Nm(b + omega) = b^2 + D b + psi mod p
+        if len(roots) != (2 if typ == "split" else 1) or any(
+                (b * b + b * D + self.psi) % p for b in roots):
+            raise RuntimeError(
+                f"HNF roots {roots} above p = {p} do not solve b^2 + D b + psi = 0 mod p"
+            )
+        return tuple(FracIdeal(D, 1, p, b) for b in roots)
 
     def prime_above(self, p: int) -> FracIdeal:
         return self.primes_above(p)[0]
@@ -802,37 +896,32 @@ class QuadField:
             if eps.norm() == 1:
                 return None
             g = g * eps
-        if g.sign() < 0:
-            g = -g
-        assert g.is_totally_positive()
-        return self.normalize_tp(g)
+        g = abs(g)
+        if not g.is_totally_positive():
+            raise RuntimeError(f"generator {g} of {I} is not totally positive")
+        # totally positive generators are an <eps_F^+>-orbit whose ratios g/g'
+        # are spaced by (eps_F^+)^2 = eps_Delta: the window pins a unique one
+        return self.unit_orbit_rep(g, self.eps_plus(), self.one)
 
-    def normalize_tp(self, g: FieldElem) -> FieldElem:
-        """Scale totally positive g by totally positive units into 1 <= g/g' < eps_Delta.
+    def unit_orbit_rep(self, mu: FieldElem, unit: FieldElem, lo: FieldElem) -> FieldElem:
+        """mu * unit^j for the j that puts |mu/mu'| in the window [lo, lo*s).
 
-        Totally positive generators are an <eps_F^+>-orbit and their ratios g/g'
-        are spaced by (eps_F^+)^2 = eps_Delta, so this window pins a unique one
-        (a fortiori inside the fundamental domain 1 <= g/g' < eps_Delta^2).
+        Multiplying mu by unit multiplies |mu/mu'| by s = |unit/unit'|, so the
+        window holds exactly one member of the orbit mu * unit^Z and the
+        result is the same for all of them.
         """
-        ep = self.eps_plus()
-        ep_inv = ep.inverse()
-        bound = self.eps_Delta()
-        ratio = g / g.conj()
-        step = bound  # multiplying g by eps^+ multiplies the ratio by eps_Delta
-        steps = 0
-        while ratio < self.one:
-            g = g * ep
-            ratio = ratio * step
-            steps += 1
-            if steps > 10 ** 5:
-                raise RuntimeError("normalization loop")
-        while ratio >= bound:
-            g = g * ep_inv
-            ratio = ratio / step
-            steps += 1
-            if steps > 10 ** 5:
-                raise RuntimeError("normalization loop")
-        return g
+        inv = unit.inverse()
+        step = abs(unit / unit.conj())
+        hi = lo * step
+        ratio = abs(mu / mu.conj())
+        for _ in range(10 ** 5):
+            if ratio < lo:
+                mu, ratio = mu * unit, ratio * step
+            elif ratio >= hi:
+                mu, ratio = mu * inv, ratio / step
+            else:
+                return mu
+        raise RuntimeError(f"unit orbit of {mu} does not meet the window [{lo}, {hi})")
 
     def positive_generators_mod_epsD(self, I: FracIdeal):
         """All positive generators of I modulo <eps_Delta>.
@@ -885,7 +974,7 @@ class NarrowClassGroup:
         found = 1
         p = 1
         while found < self.h_plus:
-            p = int(nextprime(p))
+            p = nextprime(p)
             if p > self.PRIME_SEARCH_BOUND:
                 raise RuntimeError(
                     f"no prime representative below {self.PRIME_SEARCH_BOUND} "

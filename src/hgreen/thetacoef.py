@@ -55,45 +55,25 @@ def _window_height(F: QuadField, t_abs: float, den: int, margin: int) -> int:
     return int(math.exp(log_v)) + margin
 
 
-def _canonicalize_orbit(F: QuadField, mu: FieldElem) -> FieldElem:
-    """The <eps_Delta>-orbit representative with 1 <= |mu/mu'| < eps_Delta^2."""
-    epsD = F.eps_Delta()
-    epsD_inv = epsD.inverse()
-    one = F.one
-    ratio = mu / mu.conj()
-    bound = epsD * epsD
-    r = ratio if ratio.sign() > 0 else -ratio
-    steps = 0
-    while r < one:
-        mu = mu * epsD
-        r = r * bound
-        steps += 1
-        if steps > 10 ** 5:
-            raise RuntimeError("orbit canonicalization loop")
-    while r >= bound:
-        mu = mu * epsD_inv
-        r = r / bound
-        steps += 1
-        if steps > 10 ** 5:
-            raise RuntimeError("orbit canonicalization loop")
-    return mu
-
-
 def solve_norm_in_coset(F: QuadField, lattice: FracIdeal, offset: FieldElem,
-                        target: Fraction, window_margin: int = 2):
-    """All mu in (offset + lattice) with Nm(mu) = target, one per <eps_Delta>-orbit.
+                        lo: Fraction, hi: Fraction | None = None,
+                        window_margin: int = 2):
+    """All mu in (offset + lattice) with lo <= Nm(mu) <= hi, one per <eps_Delta>-orbit.
 
-    Every orbit has a representative in the balanced window |mu|, |mu'| <=
-    sqrt(|target| * eps_Delta); the returned representatives are canonicalized
-    to 1 <= |mu/mu'| < eps_Delta^2 and deduplicated.  Enumeration walks integer
-    coordinate pairs: for each admissible omega-coordinate the complementary
-    coordinate is pinned by an exact square test, so the cost is linear in the
-    window height.  target may be negative.
+    hi defaults to lo, a single target norm; the interval may be negative but
+    must not contain 0.  Every orbit of norm t has a representative in the
+    balanced window |mu|, |mu'| <= sqrt(|t| * eps_Delta); the returned
+    representatives are canonicalized to 1 <= |mu/mu'| < eps_Delta^2 and
+    deduplicated.  Enumeration walks integer coordinate pairs: for each
+    admissible omega-coordinate the norm interval pins the complementary
+    coordinate to a run of square roots (one exact square test for a single
+    target), so the cost is linear in the window height.
     """
     D = F.D
-    target = Fraction(target)
-    if target == 0:
-        raise InvalidInputError("zero target norm")
+    lo = Fraction(lo)
+    hi = lo if hi is None else Fraction(hi)
+    if lo <= 0 <= hi:
+        raise InvalidInputError("norm interval contains 0")
     # write coset elements as (U + V*omega)/den with (U, V) integral
     sa, sb = lattice.basis()
     den = 1
@@ -106,48 +86,48 @@ def solve_norm_in_coset(F: QuadField, lattice: FracIdeal, offset: FieldElem,
     (A1, A2), (B1, B2), (U0, V0) = [
         (int(u * den), int(v * den)) for (u, v) in coords
     ]
+    if A1 * B2 - A2 * B1 == 0:
+        raise InvalidInputError("degenerate lattice: basis vectors are dependent")
     # lattice rows (A1, A2), (B1, B2); HNF so that V runs in one progression
     g, p, q = _xgcd(A2, B2)
-    if g == 0:
-        raise InvalidInputError("degenerate lattice")
-    w1 = (p * A1 + q * B1, g)                      # V-step generator
-    w0 = ((B2 // g) * A1 - (A2 // g) * B1, 0)      # pure-U generator
-    stepU = abs(w0[0])
-    assert stepU > 0
-    # norm equation: Nm(U + V*omega) = U^2 + D*U*V + psi*V^2 = target * den^2
-    T4 = 4 * target * den * den
-    if T4.denominator != 1:
-        return []  # fractional target has no solutions on this integer model
-    T4 = int(T4)
+    stepU0 = p * A1 + q * B1                        # U-part of the V-step generator
+    stepU = abs((B2 // g) * A1 - (A2 // g) * B1)   # pure-U generator
+    # Nm(U + V*omega) = ((2U + D*V)^2 - D*V^2) / 4, so with s = |2U + D*V|
+    # the interval reads t_lo <= s^2 - D*V^2 <= t_hi
+    t_lo = math.ceil(4 * den * den * lo)
+    t_hi = math.floor(4 * den * den * hi)
+    if t_lo > t_hi:
+        return []  # no integer s^2 - D*V^2 in the interval
+    exact = t_lo == t_hi
     # window bound: |V| * sqrt(D) / den = |mu - mu'| <= 2 sqrt(|t| epsD)
-    vmax = _window_height(F, abs(float(target)), den, window_margin)
+    vmax = _window_height(F, float(max(abs(lo), abs(hi))), den, window_margin)
+    epsD, one = F.eps_Delta(), F.one
     out = {}
-    V = V0 % w1[1]
-    # iterate V over the progression V0 mod g covering [-vmax, vmax]
-    start_k = (-vmax - V) // w1[1]
-    end_k = (vmax - V) // w1[1]
-    for k in range(start_k, end_k + 1):
-        Vk = V + k * w1[1]
-        # U^2 + D*U*Vk + psi*Vk^2 = T4/4  ->  (2U + D*Vk)^2 = T4 + D*Vk^2
-        s2 = T4 + D * Vk * Vk
-        if s2 < 0:
+    # V runs over the progression V0 mod g covering [-vmax, vmax]
+    V_first = V0 % g + ((-vmax - V0 % g) // g) * g
+    for V in range(V_first, vmax + 1, g):
+        dv2 = D * V * V
+        top = t_hi + dv2
+        if top < 0:
             continue
-        s = isqrt(s2)
-        if s * s != s2:
-            continue
-        for sgn in ((s, -s) if s else (s,)):
-            twoU = sgn - D * Vk
-            if twoU % 2:
+        s_hi = isqrt(top)
+        if exact:
+            if s_hi * s_hi != top:
                 continue
-            Uk = twoU // 2
-            # coset membership in U: subtract offset and the V-part
-            kk = (Vk - V0) // w1[1]
-            resU = Uk - U0 - kk * w1[0]
-            if resU % stepU:
-                continue
-            mu = FieldElem.from_uv(D, Fraction(Uk, den), Fraction(Vk, den))
-            mu = _canonicalize_orbit(F, mu)
-            out[(mu.x, mu.y)] = mu
+            s_lo = s_hi
+        else:
+            bot = t_lo + dv2
+            s_lo = isqrt(bot - 1) + 1 if bot > 0 else 0
+        # coset membership in U: subtract offset and the V-part
+        U_shift = U0 + ((V - V0) // g) * stepU0
+        for s in range(s_lo, s_hi + 1):
+            for sgn in ((s, -s) if s else (s,)):
+                twoU = sgn - D * V
+                if twoU % 2 or (twoU // 2 - U_shift) % stepU:
+                    continue
+                mu = FieldElem.from_uv(D, Fraction(twoU // 2, den), Fraction(V, den))
+                mu = F.unit_orbit_rep(mu, epsD, one)
+                out[(mu.x, mu.y)] = mu
     return list(out.values())
 
 
@@ -258,8 +238,10 @@ class LatticeRoute:
             nb, lat, b2, u = self._setup(i)
             nb_inv = pow(nb, -1, fqm.exponent)
             cap = n_max * nb * nb
-            for beta in _norm_window_sweep(F, b2, cap):
+            for beta in solve_norm_in_coset(F, b2, F.elem(0), 1, cap):
                 nm = beta.norm()
+                if not 0 < nm <= cap:
+                    raise RuntimeError(f"enumerated {beta} has norm outside (0, {cap}]")
                 num = nm / (nb * nb)
                 if num.denominator != 1:
                     continue
@@ -268,47 +250,6 @@ class LatticeRoute:
                 key = (n, h)
                 table[key] = table.get(key, 0) + cv * beta.sign()
         return {k: v for k, v in table.items() if v}
-
-
-def _norm_window_sweep(F: QuadField, lattice: FracIdeal, cap: int):
-    """All beta in the integral ideal `lattice` with 0 < Nm(beta) <= cap,
-    one representative per <eps_Delta>-orbit (canonicalized, deduplicated)."""
-    D = F.D
-    sa, sb = lattice.basis()
-    (A1f, A2f), (B1f, B2f) = sa.uv(), sb.uv()
-    A1, A2, B1, B2 = int(A1f), int(A2f), int(B1f), int(B2f)
-    g, p, q = _xgcd(A2, B2)
-    w1 = (p * A1 + q * B1, g)
-    stepU = abs((B2 // g) * A1 - (A2 // g) * B1)
-    vmax = _window_height(F, float(cap), 1, 2)
-    out = {}
-    start_k = -vmax // g
-    end_k = vmax // g
-    for k in range(start_k, end_k + 1):
-        Vk = k * g
-        # 0 < (2U + D Vk)^2 - D Vk^2 <= 4 cap
-        base = D * Vk * Vk
-        lo = isqrt(base)              # smallest s with s^2 > base
-        if lo * lo <= base:
-            lo += 1
-        hi = isqrt(base + 4 * cap)    # largest s with s^2 <= base + 4cap
-        for s in range(lo, hi + 1):
-            for sg in (s, -s):
-                twoU = sg - D * Vk
-                if twoU % 2:
-                    continue
-                Uk = twoU // 2
-                resU = Uk - k * w1[0]
-                if resU % stepU:
-                    continue
-                beta = FieldElem.from_uv(D, Uk, Vk)
-                nm = beta.norm()
-                assert 0 < nm <= 4 * cap
-                if nm > cap:
-                    continue
-                beta = _canonicalize_orbit(F, beta)
-                out[(beta.x, beta.y)] = beta
-    return out.values()
 
 
 # ---------------------------------------------------------------------------
@@ -352,14 +293,6 @@ def lattice_route(Delta: int) -> LatticeRoute:
 @lru_cache(maxsize=None)
 def ideal_route(Delta: int) -> IdealRoute:
     return IdealRoute(Delta)
-
-
-def c_chi_lattice(chi: GenusChar, n: int, h) -> int:
-    return lattice_route(chi.Delta).c_chi(chi, n, h)
-
-
-def c_chi_ideal(chi: GenusChar, n: int, h) -> int:
-    return ideal_route(chi.Delta).c_chi(chi, n, h)
 
 
 # ---------------------------------------------------------------------------

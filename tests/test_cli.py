@@ -1,4 +1,5 @@
 import json
+import os
 
 
 from hgreen.cli import main
@@ -82,3 +83,43 @@ def test_selftest_deterministic(capsys):
     _, doc1 = run_cli(capsys, "selftest", "--seed", "3", "--quick")
     _, doc2 = run_cli(capsys, "selftest", "--seed", "3", "--quick")
     assert doc1 == doc2
+
+
+def test_out_of_range_discriminant_fails_fast(capsys):
+    # a 49-digit semiprime: factoring it would never finish, the range check
+    # must refuse it first
+    import time
+    from sympy import nextprime
+    d1 = -nextprime(10 ** 24) * nextprime(3 * 10 ** 24)
+    assert len(str(-d1)) == 49
+    for command in ("factor", "greens", "verify"):
+        t0 = time.perf_counter()
+        code = main([command, "--k", "4", "--d1", str(d1), "--d2", "-7", "--pp", "1=1"])
+        assert code == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert "beyond supported range" in capsys.readouterr().err
+    # greens refuses Delta above 1e6 like factor does
+    assert main(["greens", "--k", "4", "--d1", "-1003", "--d2", "-1019", "--pp", "1=1"]) == 2
+
+
+def test_invalid_hgreen_digits_is_invalid(capsys, monkeypatch):
+    argv = ["greens", "--k", "4", "--d1", "-4", "--d2", "-7", "--pp", "1=1", "--tol", "1e-6"]
+    for value, reason in (("abc", "not an integer"), ("5", ">= 15 digits")):
+        monkeypatch.setenv("HGREEN_DIGITS", value)
+        for command in ("greens", "verify"):
+            assert main([command] + argv[1:]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert reason in json.loads(captured.err)["error"]
+        # an explicit --digits overrides the variable
+        code, doc = run_cli(capsys, *argv, "--digits", "40")
+        assert code == 0 and doc["precision"] == 40
+        # commands that never read the precision ignore the variable
+        code, doc = run_cli(capsys, "factor", "--k", "4", "--d1", "-7", "--d2", "-23",
+                            "--pp", "1=1")
+        assert code == 0 and doc["command"] == "factor"
+        assert main(["selftest", "--quick", "--output", os.devnull]) == 0
+        capsys.readouterr()
+    monkeypatch.setenv("HGREEN_DIGITS", "40")
+    code, doc = run_cli(capsys, *argv)
+    assert code == 0 and doc["precision"] == 40

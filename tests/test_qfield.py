@@ -6,9 +6,13 @@ import pytest
 from hgreen.qfield import (
     FracIdeal,
     InvalidInputError,
+    factorint,
     field,
     is_fundamental_discriminant,
+    isprime,
     kronecker,
+    nextprime,
+    sqrt_mod,
 )
 
 
@@ -264,3 +268,74 @@ def test_field_elem_arithmetic():
     assert F.elem(-2, Fraction(1, 12)).sign() == -1
     assert F.sqrtD.is_totally_positive() is False
     assert (F.fundamental_unit()).is_totally_positive()  # norm +1 here
+
+
+# ---------------------------------------------------------------------------
+# integer helpers, with sympy as the independent oracle
+# ---------------------------------------------------------------------------
+
+def test_factorint_matches_sympy():
+    import sympy
+    rng = random.Random(2203)
+    draws = [rng.randrange(1, 10 ** 13) for _ in range(3000)]
+    near = list(sympy.primerange(10 ** 6, 10 ** 6 + 1000))
+    squares = [p * p for p in near] + [997 ** 2, 1009 ** 2, 1009 ** 3]
+    semiprimes = [p * q for p, q in zip(near, near[1:])] + [997 * 1009]
+    for n in draws + squares + semiprimes + [1, 2, 2 ** 40, 3 ** 25]:
+        got = factorint(n)
+        assert got == sympy.factorint(n), n
+        assert list(got) == sorted(got)
+
+
+def test_isprime_and_nextprime_match_sympy():
+    import sympy
+    from bisect import bisect_right
+    primes = list(sympy.primerange(0, 2 * 10 ** 5 + 100))
+    prime_set = set(primes)
+    for n in range(2 * 10 ** 5):
+        assert isprime(n) == (n in prime_set), n
+        assert nextprime(n) == primes[bisect_right(primes, n)], n
+
+
+def test_sqrt_mod_on_every_residue():
+    # every square class for primes below 2000, including the p = 1 mod 8
+    # primes where Tonelli-Shanks iterates; the smaller root is returned
+    import sympy
+    assert sqrt_mod(0, 2) == 0 and sqrt_mod(1, 2) == 1 and sqrt_mod(3, 2) == 1
+    for p in sympy.primerange(3, 2000):
+        for x in range(1, (p + 1) // 2):
+            assert sqrt_mod(x * x % p, p) == min(x, p - x), (x, p)
+        nonresidue = next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) != 1)
+        assert sqrt_mod(nonresidue, p) is None
+
+
+def test_sqrt_mod_matches_sympy_below_2e4():
+    import sympy
+    rng = random.Random(17)
+    for p in sympy.primerange(2000, 2 * 10 ** 4):
+        for _ in range(10):
+            a = rng.randrange(p)
+            assert sqrt_mod(a, p) == sympy.sqrt_mod(a, p), (a, p)
+
+
+@pytest.mark.parametrize("D", [5, 12, 13, 21, 28, 161])
+def test_unit_orbit_rep_window_and_invariance(D):
+    """Each caller's unit and window: output inside it, unit-shift invariant."""
+    F = field(D)
+    eps, ep, epsD = F.fundamental_unit(), F.eps_plus(), F.eps_Delta()
+    # (unit, lo, top of the window each caller relies on)
+    windows = [
+        (epsD, F.one, epsD * epsD),          # theta coefficient orbits
+        (ep, F.one, epsD),                   # totally positive generators
+        (eps, eps.inverse(), eps),           # reconcile's balanced generators
+    ]
+    rng = random.Random(D)
+    for _ in range(15):
+        mu = F.from_uv(rng.randint(-40, 40), rng.randint(1, 5))
+        mu = mu * eps ** rng.randint(-3, 3)
+        for unit, lo, hi in windows:
+            rep = F.unit_orbit_rep(mu, unit, lo)
+            ratio = abs(rep / rep.conj())
+            assert lo <= ratio < hi
+            assert F.unit_orbit_rep(mu * unit, unit, lo) == rep
+            assert F.unit_orbit_rep(mu * unit.inverse(), unit, lo) == rep

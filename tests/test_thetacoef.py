@@ -8,8 +8,6 @@ from hgreen.qfield import FracIdeal, field
 from hgreen.finquad import FQM, genus_characters, rho_KF
 from hgreen.thetacoef import (
     C_chi,
-    c_chi_ideal,
-    c_chi_lattice,
     c_lattice,
     coefficient_table_json,
     ideal_route,
@@ -34,7 +32,7 @@ def test_c_lattice_rejects_nonpositive_index():
 def test_c_lattice_antisymmetry(D):
     F = field(D)
     fqm = FQM(F)
-    dd = F.codifferent()
+    dd = F.different().inverse()
     for h in fqm.elements():
         lift = fqm.lift(h)
         for n in range(1, 15):
@@ -107,7 +105,7 @@ def test_even_character_vanishes(D):
         for n in range(1, 20) for h in fqm.elements()
     )
     assert all(
-        c_chi_ideal(chi_even, n, h) == 0
+        ideal_route(D).c_chi(chi_even, n, h) == 0
         for n in range(1, 20) for h in fqm.elements()
     )
 
@@ -116,9 +114,10 @@ def test_even_character_vanishes(D):
 def test_conjugation_antisymmetry_c_chi(D):
     fqm = FQM(field(D))
     chi = genus_characters(D, odd_only=True)[0]
+    lr = lattice_route(D)
     for n in range(1, 25):
         for h in fqm.elements():
-            assert c_chi_lattice(chi, n, h) == -c_chi_lattice(chi, n, fqm.neg(h))
+            assert lr.c_chi(chi, n, h) == -lr.c_chi(chi, n, fqm.neg(h))
 
 
 def test_table_sweep_matches_pointwise():
@@ -203,4 +202,4 @@ def test_json_export_schema():
     assert doc["entries"]
     for e in doc["entries"]:
         assert set(e) == {"n", "h", "c"}
-        assert c_chi_lattice(chi, e["n"], tuple(e["h"])) == e["c"]
+        assert lattice_route(12).c_chi(chi, e["n"], tuple(e["h"])) == e["c"]
