@@ -13,13 +13,20 @@ the exponent 2e on the member of each pair where the raw value e is positive.
 This matches the presentation with nonnegative exponents and untouched
 log|gamma/gamma'|.  The unit power is fitted numerically against
 L(eps) = log|eps/eps'| and rounded to a bounded-denominator rational.
+
+The slice sum uses integers only: each mu0 = u + v*omega contributes
+rho_{K/F}((mu0) l)(1 + ord_l(mu0)), and both factors are read from (u, v) and
+one factorisation of Nm(mu0) (integer_exponent_vector).  The ideal route,
+rho_exponent_vector and alt_exponent_check, is kept as the independent oracle
+the tests compare against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, isqrt, lcm
+from functools import lru_cache
+from math import comb, factorial, gcd, isqrt, lcm, prod
 
 import mpmath
 from mpmath import mpf
@@ -152,6 +159,82 @@ def _slice_weight(k: int, n: int, m: int, Delta: int, P: LegendreP) -> Fraction:
     return total / 2
 
 
+def _ord(n: int, p: int) -> int:
+    """Exponent of the prime p in the nonzero integer n."""
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return e
+
+
+@lru_cache(maxsize=4096)
+def _split_roots(Delta: int, p: int) -> tuple:
+    """HNF b of the primes [p, b + omega] above a split p, in primes_above order."""
+    return tuple(pr.b for pr in field(Delta).primes_above(p))
+
+
+@lru_cache(maxsize=None)
+def _ramified_chi(chi: GenusChar, p: int) -> int:
+    """chi at the prime above a ramified p, read from its narrow class."""
+    return chi(chi.F.prime_above(p))
+
+
+def _rho_local(chi_p: int, exps) -> int:
+    """Factor of rho_{K/F} at one rational prime: exps holds the exponents at
+    the primes above it, all with the character value chi_p."""
+    if chi_p == 1:
+        return prod(e + 1 for e in exps)
+    return int(all(e % 2 == 0 for e in exps))
+
+
+def integer_exponent_vector(mu0: FieldElem, chi: GenusChar) -> dict:
+    """{(l, b): rho((mu0) l)(1 + ord_l(mu0))} over split chi = -1 primes l | (mu0).
+
+    The same vector as rho_exponent_vector, read from mu0 = u + v*omega and
+    the factorisation of Nm = |Nm(mu0)| with integers only.  With c =
+    gcd(u, v), the primitive part mu0/c lies in at most one of the primes
+    l = [p, b + omega] and l' above a split p, so
+        ord_l(mu0) = ord_p(c) + [p | u/c - (v/c) b] (ord_p(Nm) - 2 ord_p(c)).
+    rho is multiplicative over p | Nm: split p use these two exponents (with
+    chi = kronecker(Delta1, p)), an inert p has exponent ord_p(Nm)/2 and
+    chi = +1, a ramified p has exponent ord_p(Nm) and chi from its class.
+    """
+    u, v = mu0.uv()
+    if u.denominator != 1 or v.denominator != 1 or mu0.is_zero():
+        raise InvalidInputError("integer_exponent_vector needs integral mu0 != 0")
+    u, v = int(u), int(v)
+    Delta = chi.Delta
+    c = gcd(u, v)
+    local = []      # (p, split?, chi at the primes above p, their exponents)
+    for p, e in factorint(abs(u * u + Delta * u * v + chi.F.psi * v * v)).items():
+        kind = kronecker(Delta, p)
+        if kind == -1:
+            local.append((p, False, 1, (e // 2,)))
+        elif kind == 0:
+            local.append((p, False, _ramified_chi(chi, p), (e,)))
+        else:
+            ec = _ord(c, p)
+            e_prim = e - 2 * ec     # ord_p Nm(mu0/c), all at one prime above p
+            exps = tuple(ec + (e_prim if (u // c - (v // c) * b) % p == 0 else 0)
+                         for b in _split_roots(Delta, p))
+            local.append((p, True, kronecker(chi.Delta1, p), exps))
+    factors = [_rho_local(x, exps) for _, _, x, exps in local]
+    out = {}
+    for i, (ell, split, x, exps) in enumerate(local):
+        if not split or x != -1:
+            continue
+        rest = prod(factors[:i]) * prod(factors[i + 1:])
+        if not rest:
+            continue
+        # times l itself the exponents at chi = -1 are (e_l + 1, e_l'): rho
+        # survives only for e_l odd and e_l' even
+        for j, b in enumerate(_split_roots(Delta, ell)):
+            if exps[j] % 2 == 1 and exps[1 - j] % 2 == 0:
+                out[(ell, b)] = rest * (1 + exps[j])
+    return out
+
+
 def gamma_exponents(k: int, pp, d1: int, d2: int) -> FactorReport:
     """Exponent map of gamma for the cycle (d1, d2) and principal part pp.
 
@@ -170,22 +253,9 @@ def gamma_exponents(k: int, pp, d1: int, d2: int) -> FactorReport:
         if cf == 0:
             continue
         for mu0 in trace_slice(m, Delta).elements:
-            I = FracIdeal.from_generators(Delta, [mu0])
             w = cf * _slice_weight(k, int(mu0.trace()), m, Delta, P)
-            nm = int(abs(mu0.norm()))
-            for ell in factorint(nm):
-                if kronecker(Delta, ell) != 1:
-                    continue
-                for pr in F.primes_above(ell):
-                    if chi(pr) != -1:
-                        continue
-                    e = I.valuation(pr)
-                    rho = rho_KF(chi, I * pr)
-                    if rho == 0:
-                        continue
-                    term = w * rho * (1 + e)
-                    key = (ell, pr.b)
-                    raw[key] = raw.get(key, Fraction(0)) + term
+            for key, r in integer_exponent_vector(mu0, chi).items():
+                raw[key] = raw.get(key, Fraction(0)) + w * r
     raw = {key: v for key, v in raw.items() if v}
     # conjugate clearing: pairs carry (e, -e); keep 2e at the positive member
     cleared = {}
@@ -263,12 +333,20 @@ def rho_exponent_vector(mu0: FieldElem, chi: GenusChar) -> dict:
 # ---------------------------------------------------------------------------
 
 def _log_ratio(F: QuadField, e: FieldElem) -> mpf:
-    """log |e / e'| at the current mpmath precision."""
-    sq = mpmath.sqrt(F.D)
-    x = mpf(e.x.numerator) / e.x.denominator + (mpf(e.y.numerator) / e.y.denominator) * sq
-    ec = e.conj()
-    xc = mpf(ec.x.numerator) / ec.x.denominator + (mpf(ec.y.numerator) / ec.y.denominator) * sq
-    return mpmath.log(abs(x / xc))
+    """log |e / e'| at the current mpmath precision.
+
+    |e/e'| = e^2/|Nm e|; only the larger of |e|, |e'|, which is |x| + |y|
+    sqrt(Delta), is formed, since the other one cancels (to 0 for a large
+    unit) in floating point.  e is the larger one exactly when x*y > 0.
+    """
+    x, y = e.x, e.y
+    sign = (x * y > 0) - (x * y < 0)
+    if not sign:
+        return mpf(0)
+    big = mpf(abs(x.numerator)) / x.denominator \
+        + mpf(abs(y.numerator)) / y.denominator * mpmath.sqrt(F.D)
+    n = abs(e.norm())
+    return sign * (2 * mpmath.log(big) - mpmath.log(mpf(n.numerator) / n.denominator))
 
 
 def reconcile(report: FactorReport, lhs, tol: float, digits: int = 30) -> FactorReport:

@@ -104,7 +104,8 @@ class FQM:
                 pk *= p
             # CRT: e = 1 mod pk, 0 mod n
             g, u, v = _xgcd(pk, n)
-            assert g == 1
+            if g != 1:
+                raise RuntimeError(f"CRT moduli {pk} and {n} are not coprime")
             self._idem[p] = (v * n) % (pk * n)
         return self._idem[p]
 
@@ -113,7 +114,8 @@ class FQM:
 
     def two_part_elements(self):
         """The four elements of the 2-part when 4 | Delta."""
-        assert self.mod2 == 2
+        if self.mod2 != 2:
+            raise ValueError(f"the 2-part needs 4 | Delta, got Delta = {self.F.D}")
         g1 = self.p_part(self.elem(1, 0), 2)
         g2 = self.p_part(self.elem(0, 1), 2)
         out = {self.zero(), g1, g2, self.add(g1, g2)}
@@ -131,7 +133,10 @@ class FQM:
             for e in self.two_part_elements():
                 by_q.setdefault(self.Q(e), []).append(e)
             pair = [v for v in by_q.values() if len(v) == 2]
-            assert len(pair) == 1, "unexpected 2-part structure"
+            if len(pair) != 1:
+                raise RuntimeError(
+                    f"2-part of A_Delta has no unique swapped pair: {by_q}, Delta = {self.F.D}"
+                )
             self._swap = tuple(pair[0])
         return self._swap
 
@@ -246,9 +251,12 @@ def d0(Delta: int) -> int:
             continue
         if ncg.is_narrow_principal(ramified_product(F, d)):
             hits.append(d)
-    assert len(hits) == 1, f"d0 not unique for Delta={Delta}: {hits}"
-    if F.unit_norm() == -1:
-        assert hits[0] == gd.full()
+    if len(hits) != 1:
+        raise RuntimeError(f"d0 not unique for Delta={Delta}: {hits}")
+    if F.unit_norm() == -1 and hits[0] != gd.full():
+        raise RuntimeError(
+            f"Nm(eps_F) = -1 but d0 = {hits[0]} is not Delta = {gd.full()}"
+        )
     return hits[0]
 
 
@@ -314,7 +322,11 @@ class GenusChar:
             vals = []
             for rep in ncg.reps:
                 n = rep.norm()
-                assert n.denominator == 1 and gcd(int(n), self.Delta) == 1
+                if n.denominator != 1 or gcd(int(n), self.Delta) != 1:
+                    raise RuntimeError(
+                        f"class representative {rep} has norm {n}, not an integer "
+                        f"coprime to Delta = {self.Delta}"
+                    )
                 vals.append(kronecker(self.Delta1, int(n)))
             self._class_values = vals
         return self._class_values

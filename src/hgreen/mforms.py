@@ -64,7 +64,8 @@ class QSeries:
         return QSeries(out, prec)
 
     def __pow__(self, n: int) -> "QSeries":
-        assert n >= 0
+        if n < 0:
+            raise ValueError(f"QSeries power needs n >= 0, got {n}")
         if n == 0:
             return QSeries({0: 1}, self.prec)
         out = None
@@ -185,7 +186,8 @@ def cusp_basis(weight: int, prec: int):
             if all(f[e] == 0 for e in range(1, lead)) and f[lead] != 0:
                 pivot = f.scale(Fraction(1) / f[lead])
                 break
-        assert pivot is not None, "echelon pivot missing"
+        if pivot is None:
+            raise RuntimeError(f"no echelon pivot at q^{lead} in S_{weight}")
         monomials = [
             f - pivot.scale(f[lead]) for f in monomials if f is not pivot
         ]
@@ -211,10 +213,13 @@ def parse_principal_part(text: str):
         if "=" not in chunk:
             raise InvalidInputError(f"bad principal part term {chunk!r}")
         ms, cs = chunk.split("=", 1)
-        m = int(ms)
+        try:
+            m = int(ms)
+            c = Fraction(cs)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InvalidInputError(f"bad principal part term {chunk!r}: {exc}") from None
         if m < 1:
             raise InvalidInputError("principal part indices must be >= 1")
-        c = Fraction(cs)
         if c != 0:
             out[m] = out.get(m, Fraction(0)) + c
     if not out or all(c == 0 for c in out.values()):

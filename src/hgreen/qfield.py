@@ -387,7 +387,8 @@ class FieldElem:
 def integral_content(e: FieldElem) -> int:
     """Largest t in N with e/t integral (e itself integral, nonzero)."""
     u, v = e.uv()
-    assert u.denominator == 1 and v.denominator == 1
+    if u.denominator != 1 or v.denominator != 1:
+        raise ValueError(f"integral_content needs an integral element, got {e}")
     return gcd(int(u), int(v))
 
 
@@ -820,7 +821,8 @@ class QuadField:
         if not I.is_integral():
             raise InvalidInputError("factor_ideal needs an integral ideal")
         n = I.norm()
-        assert n.denominator == 1
+        if n.denominator != 1:
+            raise RuntimeError(f"integral ideal {I} has non-integral norm {n}")
         out = []
         for p in sorted(factorint(int(n))):
             for pr in self.primes_above(p):
@@ -871,7 +873,8 @@ class QuadField:
             if A in (1, -1):
                 u11, _, u21, _ = U
                 g = (e1 * u11 + e2 * u21) * s
-                assert abs(g.norm()) == I.norm() and I.contains(g)
+                if abs(g.norm()) != I.norm() or not I.contains(g):
+                    raise RuntimeError(f"reduction walk produced {g}, not a generator of {I}")
                 return g
             f, U = _rho_with_transform(f, U, D, sq)
             if _is_reduced(f, D):

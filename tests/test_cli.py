@@ -123,3 +123,12 @@ def test_invalid_hgreen_digits_is_invalid(capsys, monkeypatch):
     monkeypatch.setenv("HGREEN_DIGITS", "40")
     code, doc = run_cli(capsys, *argv)
     assert code == 0 and doc["precision"] == 40
+
+
+def test_malformed_principal_part_is_invalid(capsys):
+    for term in ("1=a", "x=1", "1=1/0"):
+        code = main(["factor", "--k", "4", "--d1", "-7", "--d2", "-23", "--pp", term])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"bad principal part term {term!r}" in json.loads(captured.err)["error"]

@@ -1,14 +1,24 @@
 import random
+import time
 from fractions import Fraction
+from math import gcd
 
 import mpmath
 import pytest
 
-from hgreen.qfield import FracIdeal, InvalidInputError, field
-from hgreen.finquad import genus_characters
+from hgreen.qfield import (
+    FracIdeal,
+    InvalidInputError,
+    factorint,
+    field,
+    is_fundamental_discriminant,
+)
+from hgreen.finquad import GenusChar, genus_characters
 from hgreen.factor import (
+    _log_ratio,
     alt_exponent_check,
     gamma_exponents,
+    integer_exponent_vector,
     legendre_P,
     reconcile,
     rho_exponent_vector,
@@ -241,3 +251,66 @@ def test_reconcile_scaling():
     assert r2.exponents == {k: 2 * v for k, v in r1.exponents.items()}
     assert r2.unit_power_rational == 2 * r1.unit_power_rational
     assert r2.verified
+
+
+def _coprime_pairs(max_delta):
+    neg = [d for d in range(-3, -max_delta, -1) if is_fundamental_discriminant(d)]
+    return [(a, b) for a in neg for b in neg
+            if a > b and a * b <= max_delta and gcd(a, b) == 1]
+
+
+def test_integer_exponent_vector_matches_ideal_route():
+    # one seeded pair per class of Delta mod 8 (0 and 4 are the even Delta,
+    # at 1 the prime 2 splits), plus (-4, -15), where the ramified prime above
+    # 3 has chi = -1; slices m = 1, 2, 3 bring contents gcd(u, v) > 1
+    rng = random.Random(2024)
+    pairs = _coprime_pairs(600)
+    drawn = [rng.choice([p for p in pairs if (p[0] * p[1]) % 8 == residue])
+             for residue in (0, 4, 1, 5)] + [(-4, -15)]
+    seen = dict.fromkeys(("even", "two_split", "content", "ramified_chi_plus",
+                          "ramified_chi_minus"), False)
+    for d1, d2 in drawn:
+        D = d1 * d2
+        F = field(D)
+        chi = GenusChar(d1, d2)
+        seen["even"] |= D % 2 == 0
+        seen["two_split"] |= D % 8 == 1
+        for m in (1, 2, 3):
+            for mu0 in trace_slice(m, D).elements:
+                vec = integer_exponent_vector(mu0, chi)
+                assert vec == rho_exponent_vector(mu0, chi), (d1, d2, mu0)
+                if not vec:
+                    continue
+                u, v = (int(t) for t in mu0.uv())
+                seen["content"] |= gcd(u, v) > 1
+                for p in factorint(int(abs(mu0.norm()))):
+                    if D % p == 0:
+                        plus = chi(F.prime_above(p)) == 1
+                        seen["ramified_chi_plus" if plus else "ramified_chi_minus"] = True
+    assert all(seen.values()), seen
+
+
+def test_gamma_exponents_near_scope_limit_is_fast():
+    # Delta = 999996, the largest corner of the documented range
+    t0 = time.perf_counter()
+    rep = gamma_exponents(4, {1: Fraction(1)}, -3, -333332)
+    assert time.perf_counter() - t0 < 10.0
+    assert rep.Delta == 999996 and rep.exponents
+
+
+def test_log_ratio_large_unit_does_not_cancel():
+    # eps_F ~ 2.6e19 at Delta = 4945: x - y sqrt(Delta) cancels at 30 digits
+    F = field(4945)
+    eps = F.fundamental_unit()
+    with mpmath.mp.workdps(30):
+        L = _log_ratio(F, eps)
+        assert abs(L - 2 * mpmath.log(float(eps))) < 1e-12
+        assert _log_ratio(F, eps.conj()) == -L
+        assert _log_ratio(F, F.elem(5, 0)) == 0 and _log_ratio(F, F.sqrtD) == 0
+
+
+def test_reconcile_large_fundamental_unit():
+    rep = reconcile(gamma_exponents(2, {1: Fraction(1)}, -43, -115), 0.123, 1e-8)
+    assert mpmath.isfinite(rep.unit_power) and mpmath.isfinite(rep.residual)
+    assert rep.unit_power_rational.denominator <= 2 * rep.kappa \
+        * field(4945).narrow_class_group().class_number_wide()

@@ -1,5 +1,7 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -339,3 +341,14 @@ def test_unit_orbit_rep_window_and_invariance(D):
             assert lo <= ratio < hi
             assert F.unit_orbit_rep(mu * unit, unit, lo) == rep
             assert F.unit_orbit_rep(mu * unit.inverse(), unit, lo) == rep
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert statements: every runtime check must raise
+    src = Path(__file__).resolve().parents[1] / "src" / "hgreen"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
