@@ -7,15 +7,21 @@ representatives composed with the full PSL_2(Z) sum.
 
 Truncation is adaptive: all terms with cosh distance below a bound T are
 enumerated exactly, T doubles until the partial sums stabilize to the
-requested tolerance (witnessed twice).  A smoothed tail estimate, computed
-from the measured local density of orbit points against the exact integral of
-Q_{k-1}, accelerates convergence and is reported in the diagnostics.
+requested tolerance (witnessed twice).  Each doubling enumerates only its new
+shell T/2 < cosh <= T and adds it to running sums of the term count and the
+float sum; the shells use the same float windows as a full enumeration, so
+the count at every T is the one a full enumeration from cosh = 1 gives.  A
+smoothed tail estimate, computed from the measured local density of orbit
+points against the exact integral of Q_{k-1}, accelerates convergence and is
+reported in the diagnostics.
 
 Arithmetic is hybrid: orbit enumeration and the bulk of the sum run in IEEE
 doubles (descending-series evaluation of Q, no cancellation for cosh > 2),
 while every term with cosh distance below an upgrade threshold is recomputed
-with mpmath at the configured working precision.  Pure-double rounding enters
-only through terms smaller than ~1e-13, far below the supported tolerances.
+with mpmath at the configured working precision.  The first T is at least
+four times that threshold, so all of these terms lie in the first shell and
+the mpmath pass runs once per orbit sum.  Pure-double rounding enters only
+through terms smaller than ~1e-13, far below the supported tolerances.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from math import gcd
 import mpmath
 from mpmath import mpf, mpc
 
-from .qfield import InvalidInputError, is_fundamental_discriminant
+from .qfield import InvalidInputError, factorint, is_fundamental_discriminant
 from .mforms import check_cycle_input
 
 
@@ -199,11 +205,20 @@ def _q_float_factory(n: int, terms: int = 12):
     lead = float(_q_lead(n))
 
     def qf(t):
-        inv2 = 1.0 / (t * t)
+        # in place: t may hold millions of terms
+        inv2 = t * t
+        np.divide(1.0, inv2, out=inv2)
         acc = np.full_like(t, coeffs[-1])
         for c in coeffs[-2::-1]:
-            acc = acc * inv2 + c
-        return lead * t ** (-(n + 1)) * acc
+            acc *= inv2
+            acc += c
+        # lead * t^{-n-1} as powers of 1/t^2
+        for _ in range((n + 1) // 2):
+            acc *= inv2
+        if n % 2 == 0:
+            acc /= t
+        acc *= lead
+        return acc
 
     return qf
 
@@ -254,13 +269,43 @@ class GreenParams:
             raise InvalidInputError("upgrade threshold must be >= 4")
 
 
+def _inverse_table(c: int):
+    """int64 array whose entry r is r^-1 mod c for the units r, 0 elsewhere.
+
+    Vectorized square-and-multiply r^(phi(c) - 1) mod c (Euler); products of
+    two residues stay below c^2, so int64 holds them for c < 2^31.
+    """
+    import numpy as np
+
+    if not 1 <= c < 2 ** 31:
+        raise ValueError(f"inverse table needs 1 <= c < 2^31, got {c}")
+    phi = c
+    for p in factorint(c):
+        phi -= phi // p
+    r = np.arange(c, dtype=np.int64)
+    out = np.full(c, 1 % c, dtype=np.int64)
+    base, e = r.copy(), phi - 1
+    while e:
+        if e & 1:
+            out *= base
+            out %= c
+        base *= base
+        base %= c
+        e >>= 1
+    # a non-unit r has no inverse: r * out is not 1 mod c
+    out[out * r % c != 1 % c] = 0
+    return out
+
+
 class _PairOrbitSum:
     """Sum of g_k(z1, gamma*w) over gamma in PSL_2(Z) for one point pair.
 
     Enumerates Gamma_infinity-cosets (c, d) and integer translates; for each
     term the cosh distance depends on the coset through u = Re(gamma*w) mod 1
-    and v = Im(gamma*w).  Matrices realizing small cosh values are retained so
-    the dominant terms can be recomputed at full precision.
+    and v = Im(gamma*w).  Each doubling of the cosh bound enumerates only its
+    new shell of terms; matrices realizing small cosh values, all of them in
+    the first shell, are retained so the dominant terms can be recomputed at
+    full precision once.
     """
 
     def __init__(self, z1: mpc, w: mpc, k: int, params: GreenParams):
@@ -278,122 +323,156 @@ class _PairOrbitSum:
 
     # -- coset data ---------------------------------------------------------
     def _inv_table(self, c: int):
+        """`_inverse_table(c)`, kept for every later doubling."""
         tab = self._inv_cache.get(c)
         if tab is None:
-            tab = self.np.zeros(c, dtype=self.np.int64)
-            for r in range(c):
-                if gcd(r, c) == 1:
-                    tab[r] = pow(r, -1, c)
+            tab = _inverse_table(c)
             self._inv_cache[c] = tab
         return tab
 
-    def _terms_below(self, T: float):
-        """(count, float_sum_of_Q, upgrade_list) over all terms with cosh <= T.
+    def _coset_bound(self, T: float):
+        """(X, cmax): terms with cosh <= T have |c w + d|^2 <= X and c <= cmax."""
+        # v-window: terms need Im(gamma w) >= vmin
+        vmin = self.y1f * (T - math.sqrt(T * T - 1))
+        X = self.vf / vmin
+        return X, int(math.sqrt(X) / self.vf) + 1
 
-        upgrade_list holds (coset c, d, translate j) for cosh <= upgrade bound.
+    def _d_range(self, c: int, X: float):
+        """Integer d with (c*u0 + d)^2 <= X - (c*v0)^2, as (dlo, dhi); dlo > dhi if none."""
+        rad2 = X - (c * self.vf) ** 2
+        if rad2 <= 0:
+            return 1, 0
+        rad = math.sqrt(rad2)
+        return math.ceil(-c * self.uf - rad), math.floor(-c * self.uf + rad)
+
+    def _coset_blocks(self, T: float, T_lo: float | None):
+        """Blocks (c, d, u, v, inner) of the cosets in the d-ranges at T.
+
+        u + i v = gamma w for the representative gamma of the coset (c, d)
+        with upper-left entry d^-1 mod c; `inner` marks the cosets that were
+        in the d-ranges at T_lo.  A block holds consecutive c and at least
+        2^15 cosets, so its numpy calls amortise over many c.
         """
         np = self.np
-        x1, y1 = self.x1f, self.y1f
         u0, v0 = self.uf, self.vf
-        up = self.params.upgrade_cosh
-        if T <= up:
-            T = up * 1.0001
-        count = 0
-        qsum = 0.0
-        upgrades = []
-        chunks = []
-
-        # v-window: terms need Im(gamma w) >= vmin
-        vmin = y1 * (T - math.sqrt(T * T - 1))
-        X = v0 / vmin  # |c w + d|^2 <= X
-        cmax = int(math.sqrt(X) / v0) + 1
-
-        for c in range(0, cmax + 1):
-            if c == 0:
-                count += self._accumulate([u0], [v0], T, [(0, 1)], upgrades, chunks)
-                continue
-            # d-range: (c*u0 + d)^2 <= X - (c*v0)^2
-            rad2 = X - (c * v0) ** 2
-            if rad2 <= 0:
-                continue
-            rad = math.sqrt(rad2)
-            dlo = math.ceil(-c * u0 - rad)
-            dhi = math.floor(-c * u0 + rad)
+        X, cmax = self._coset_bound(T)
+        X_lo, cmax_lo = self._coset_bound(T_lo) if T_lo is not None else (0.0, -1)
+        block = [(np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64),
+                  np.array([u0]), np.array([v0]), np.array([T_lo is not None]))]
+        size = 1
+        for c in range(1, cmax + 1):
+            dlo, dhi = self._d_range(c, X)
             if dlo > dhi:
                 continue
             d = np.arange(dlo, dhi + 1, dtype=np.int64)
-            d = d[np.gcd(d, c) == 1]
-            if d.size == 0:
-                continue
-            inv = self._inv_table(c)
-            a = inv[d % c]
-            denom2 = (c * u0 + d).astype(np.float64) ** 2 + (c * v0) ** 2
+            a = np.take(self._inv_table(c), d, mode="wrap")   # d^-1 mod c
+            if c > 1:
+                unit = a != 0
+                d, a = d[unit], a[unit]
+            lo, hi = self._d_range(c, X_lo) if c <= cmax_lo else (1, 0)
+            cd = c * u0 + d
+            denom2 = cd ** 2 + (c * v0) ** 2
             v = v0 / denom2
-            u = a.astype(np.float64) / c - (c * u0 + d) / (c * denom2)
-            count += self._accumulate(
-                u, v, T, list(zip([c] * len(d), d.tolist())), upgrades, chunks
-            )
+            u = a / c - cd / (c * denom2)
+            block.append((np.full(d.size, c, dtype=np.int64), d, u, v,
+                          (d >= lo) & (d <= hi)))
+            size += d.size
+            if size >= 2 ** 15:
+                yield tuple(np.concatenate(col) for col in zip(*block))
+                block, size = [], 0
+        if block:
+            yield tuple(np.concatenate(col) for col in zip(*block))
+
+    def _terms_below(self, T: float, T_lo: float | None = None):
+        """(count, float_sum_of_Q, upgrade_list) over the terms T_lo < cosh <= T.
+
+        Without T_lo this is every term with cosh <= T.  A term belongs to the
+        shell when its translate lies in the coset's window at T but not in
+        the window at T_lo, or its coset was outside the d-ranges at T_lo:
+        the same float windows decide both bounds, so the shells of a doubling
+        sequence add up exactly to the count at its last T.  upgrade_list
+        holds (coset c, d, translate j) for cosh <= upgrade bound.
+        """
+        np = self.np
+        count = 0
+        qsum = 0.0
+        pending = 0
+        upgrades = []
+        chunks = []
+        for block in self._coset_blocks(T, T_lo):
+            n = self._accumulate(*block, T, T_lo, upgrades, chunks)
+            count += n
+            pending += n
             # flush the Q evaluation periodically to bound memory
-            if sum(ch.size for ch in chunks) > 2 ** 21:
+            if pending > 2 ** 21:
                 qsum += float(self.qf(np.concatenate(chunks)).sum())
                 chunks.clear()
+                pending = 0
         if chunks:
             qsum += float(self.qf(np.concatenate(chunks)).sum())
         return count, qsum, upgrades
 
-    def _accumulate(self, u, v, T, coset_ids, upgrades, chunks) -> int:
-        """Translate windows for a batch of cosets, fully vectorized.
+    def _accumulate(self, c, d, u, v, inner, T, T_lo, upgrades, chunks) -> int:
+        """New translates at T for the cosets (c[i], d[i]), fully vectorized.
 
-        Returns the term count; arguments above the upgrade threshold go to
-        `chunks` for a batched Q evaluation, the rest are recorded with their
-        matrix data for the mpmath pass.
+        A coset marked `inner` was enumerated at T_lo, so only its translates
+        outside that window are new.  Returns the term count; arguments above
+        the upgrade threshold go to `chunks` for a batched Q evaluation, the
+        rest are recorded with their matrix data for the mpmath pass.
         """
         np = self.np
         x1, y1 = self.x1f, self.y1f
         up = self.params.upgrade_cosh
-        u = np.asarray(u, dtype=np.float64)
-        v = np.asarray(v, dtype=np.float64)
         gap = (y1 - v) ** 2
         r2 = 2 * y1 * v * (T - 1) - gap
         ok = r2 > 0
-        if not ok.any():
-            return 0
-        idxs = np.nonzero(ok)[0]
-        vv = v[idxs]
-        center = x1 - u[idxs]
-        r = np.sqrt(r2[idxs])
+        center = x1 - u
+        r = np.sqrt(np.where(ok, r2, 0.0))
         jlo = np.ceil(center - r)
         jhi = np.floor(center + r)
-        lens = (jhi - jlo + 1).astype(np.int64)
+        lens = np.where(ok, jhi - jlo + 1, 0).astype(np.int64)
+        seg = np.arange(v.size)
+        if T_lo is not None:
+            # windows only grow with T: an inner coset's new translates are
+            # the ends [jlo, ilo - 1] and [ihi + 1, jhi] of its window at T
+            r2_in = 2 * y1 * v * (T_lo - 1) - gap
+            had = inner & (r2_in > 0)
+            r_in = np.sqrt(np.where(had, r2_in, 0.0))
+            ilo = np.ceil(center - r_in)
+            ihi = np.floor(center + r_in)
+            had &= ihi >= ilo
+            lens = np.where(had, ilo - jlo, lens).astype(np.int64)
+            seg = np.concatenate((seg, np.nonzero(had)[0]))
+            jlo = np.concatenate((jlo, ihi[had] + 1))
+            lens = np.concatenate((lens, (jhi - ihi)[had].astype(np.int64)))
         keep = lens > 0
-        if not keep.any():
-            return 0
-        idxs, vv, center, jlo, lens = (
-            idxs[keep], vv[keep], center[keep], jlo[keep], lens[keep]
-        )
-        gapk = gap[idxs]
+        seg, jlo, lens = seg[keep], jlo[keep], lens[keep]
         total = int(lens.sum())
-        starts = np.concatenate(([0], np.cumsum(lens)[:-1]))
-        flat = np.arange(total, dtype=np.float64)
-        flat -= np.repeat(starts, lens)
-        flat += np.repeat(jlo, lens)
-        fc = np.repeat(center, lens)
-        fv = np.repeat(vv, lens)
-        t = 1 + ((fc - flat) ** 2 + np.repeat(gapk, lens)) / (2 * y1 * fv)
+        if total == 0:
+            return 0
+        starts = np.cumsum(lens) - lens
+        flat = np.repeat(jlo - starts, lens)
+        flat += np.arange(total, dtype=np.float64)
+        owner = np.repeat(seg, lens)
+        t = 1 + ((center[owner] - flat) ** 2 + gap[owner]) / (2 * y1 * v[owner])
         small = t <= up
         if small.any():
-            tmin = float(t[small].min())
-            owner = np.repeat(idxs, lens)
-            if tmin <= 1 + 1e-10:
+            if T_lo is not None:
+                # the single mpmath pass sees the first shell only
+                raise RuntimeError(
+                    f"shell ({T_lo}, {T}] holds a term with cosh "
+                    f"{float(t[small].min())} <= upgrade bound {up}"
+                )
+            if float(t[small].min()) <= 1 + 1e-10:
                 bad = int(np.argmin(t))
-                cid = coset_ids[int(owner[bad])]
+                i = owner[bad]
                 raise SingularConfigurationError(
-                    f"singular configuration at coset {cid}, translate "
-                    f"{int(flat[bad])}"
+                    f"singular configuration at coset ({int(c[i])}, {int(d[i])}), "
+                    f"translate {int(flat[bad])}"
                 )
             for pos in np.nonzero(small)[0]:
-                cid = coset_ids[int(owner[pos])]
-                upgrades.append((cid[0], int(cid[1]), int(flat[pos])))
+                i = owner[pos]
+                upgrades.append((int(c[i]), int(d[i]), int(flat[pos])))
             t = t[~small]
         if t.size:
             chunks.append(t)
@@ -433,10 +512,19 @@ class _PairOrbitSum:
         prev_T = 1.0
         stable = 0
         history = []
+        count = 0
+        qsum_f = 0.0
+        upgraded = 0
         for it in range(p.max_doublings):
-            count, qsum_f, upgrades = self._terms_below(T)
-            qsum = self._upgrade_sum(upgrades) + qsum_f
-            S = -2 * qsum
+            n, q, upgrades = self._terms_below(T, None if it == 0 else prev_T)
+            count += n
+            qsum_f += q
+            if it == 0:
+                # every term with cosh <= upgrade bound lies in the first
+                # shell (_accumulate raises otherwise): one mpmath pass
+                upgraded = len(upgrades)
+                q_up = self._upgrade_sum(upgrades)
+            S = -2 * (q_up + qsum_f)
             tail = mpf(0)
             if p.smooth_tail and count > prev_count:
                 density = (count - prev_count) / (T - prev_T)
@@ -451,6 +539,7 @@ class _PairOrbitSum:
                     return S_corr, {
                         "pair_T": T,
                         "terms": count,
+                        "upgraded": upgraded,
                         "history": history,
                         "converged": True,
                     }
@@ -463,6 +552,7 @@ class _PairOrbitSum:
         return prev_S, {
             "pair_T": T / 2,
             "terms": prev_count,
+            "upgraded": upgraded,
             "history": history,
             "converged": False,
         }
@@ -536,6 +626,7 @@ def G_kf_at_cycle(k: int, pp, d1: int, d2: int,
                         "value": float(val),
                         "converged": pd["converged"],
                         "terms": sum(cd["terms"] for cd in pd["cosets"]),
+                        "upgraded": sum(cd["upgraded"] for cd in pd["cosets"]),
                     })
         return +(weight * total), {
             "pairs": len(pts1) * len(pts2),

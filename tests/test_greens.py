@@ -1,5 +1,7 @@
+import math
 import random
 from fractions import Fraction
+from math import gcd, isqrt
 
 import mpmath
 import pytest
@@ -120,9 +122,10 @@ def test_g_k_symmetry_and_singularity():
 
 def test_green_singular_configuration_detected():
     p = GreenParams(k=4, tol=1e-6)
-    with pytest.raises(SingularConfigurationError):
+    where = r"at coset \(0, 1\), translate 0$"
+    with pytest.raises(SingularConfigurationError, match=where):
         G_k_hecke(mpc(0, 1), mpc(0, 1), 4, 1, p)   # same point, m = 1
-    with pytest.raises(SingularConfigurationError):
+    with pytest.raises(SingularConfigurationError, match=where):
         # z and 2z lie on the T_2 singular locus: (z, T_2 z)
         G_k_hecke(mpc("0.1", "1.3"), mpc("0.2", "2.6"), 4, 2, p)
 
@@ -252,3 +255,109 @@ def test_laplacian_eigenvalue_k4():
     disc = -(z0.imag ** 2) * lap
     target = -12 * center
     assert abs(disc - target) < 5e-5 * max(1, abs(target))
+
+
+# ---------------------------------------------------------------------------
+# shell-by-shell enumeration
+# ---------------------------------------------------------------------------
+
+I = mpc(0, 1)
+RHO = mpc(mpf(-1) / 2, mpmath.sqrt(3) / 2)
+
+
+def _brute_counts(z1, w, Ts):
+    """Matrices in PSL_2(Z) with cosh d(z1, gamma w) <= T, for each T in Ts.
+
+    A plain loop over (c, d, a) with b = (a d - 1)/c.  The entries are
+    bounded through a^2+b^2+c^2+d^2 = 2 cosh d(i, gamma i) and the triangle
+    inequality via i: cosh d(i, gamma i) <= e^{d(i, z1) + d(i, w)} cosh d(z1, gamma w).
+    """
+    z1, w = complex(z1), complex(w)
+
+    def exp_dist_to_i(z):
+        ch = 1 + abs(z - 1j) ** 2 / (2 * z.imag)
+        return ch + math.sqrt(ch * ch - 1)
+
+    R = isqrt(int(2 * exp_dist_to_i(z1) * exp_dist_to_i(w) * max(Ts))) + 1
+    coshes = []
+    for c in range(R + 1):
+        for d in range(-R, R + 1):
+            if gcd(c, d) != 1 or (c == 0 and d != 1):
+                continue   # one of +-gamma: c > 0, or c = 0 and d = 1
+            if c == 0:
+                ab = [(1, b) for b in range(-R, R + 1)]
+            else:
+                a0 = pow(d, -1, c)
+                ab = [(a, (a * d - 1) // c)
+                        for a in range(a0 - (a0 + R) // c * c, R + 1, c)]
+            for a, b in ab:
+                gw = (a * w + b) / (c * w + d)
+                coshes.append(1 + abs(z1 - gw) ** 2 / (2 * z1.imag * gw.imag))
+    # no cosh within float error of a bound, so floats decide like exact arithmetic
+    assert all(abs(t - T) > 1e-9 * T for t in coshes for T in Ts)
+    return [sum(t <= T for t in coshes) for T in Ts]
+
+
+@pytest.mark.parametrize("z1,z2,m,T0", [
+    (I, RHO, 1, 400), (RHO, I, 1, 800), (I, RHO, 2, 400), (RHO, I, 3, 400),
+], ids=["i-rho-m1", "rho-i-m1", "i-rho-m2", "rho-i-m3"])
+def test_shell_counts_match_brute_force(z1, z2, m, T0):
+    # tol below reach: every run does all three doublings T0, 2 T0, 4 T0
+    p = GreenParams(k=4, tol=1e-25, initial_T=T0, max_doublings=3)
+    _, diag = G_k_hecke(z1, z2, 4, m, p)
+    assert len(diag["cosets"]) == sum(m // a for a in range(1, m + 1) if m % a == 0)
+    for cd in diag["cosets"]:
+        a, b, d = cd["coset"]
+        w = (a * z2 + b) / d
+        Ts = [h["T"] for h in cd["history"]]
+        assert Ts == [T0, 2 * T0, 4 * T0]
+        assert [h["terms"] for h in cd["history"]] == _brute_counts(z1, w, Ts)
+
+
+@pytest.mark.parametrize("k,d1,d2,tol,value,terms", [
+    (4, -7, -23, 1e-10, "-4.157888612784311061923537", [9578, 19164, 19164]),
+    (2, -4, -7, 1e-7, "-4.185819539177164337693356", [19662072]),
+], ids=["k4", "k2"])
+def test_cycle_values_pinned(k, d1, d2, tol, value, terms):
+    # value and term counts of the enumeration that re-ran every doubling
+    # from cosh = 1; at k = 2 the last shell (T = 3.3e6) loses terms unless
+    # only cosets in the previous d-range count their previous window
+    got, diag = G_kf_at_cycle(k, {1: Fraction(1)}, d1, d2, GreenParams(k=k, tol=tol))
+    assert diag["converged"]
+    assert abs(got - mpf(value)) < 1e-12
+    assert [p["terms"] for p in diag["per_pair"]] == terms
+    assert all(0 < p["upgraded"] < p["terms"] for p in diag["per_pair"])
+
+
+def test_upgrade_pass_runs_once_per_orbit_sum(monkeypatch):
+    calls = []
+    orig = G._PairOrbitSum._upgrade_sum
+
+    def counted(self, upgrades):
+        calls.append(len(upgrades))
+        return orig(self, upgrades)
+
+    monkeypatch.setattr(G._PairOrbitSum, "_upgrade_sum", counted)
+    _, diag = G_k_hecke(mpc("0.13", "1.21"), mpc("-0.4", "0.9"), 4, 2,
+                        GreenParams(k=4, tol=1e-9))
+    assert len(calls) == len(diag["cosets"]) == 3
+    for n, cd in zip(calls, diag["cosets"]):
+        assert len(cd["history"]) >= 3
+        assert cd["upgraded"] == n > 0
+
+
+def test_later_shell_below_upgrade_bound_is_an_error():
+    # a shell starting below upgrade_cosh would hold terms the mpmath pass skips
+    s = G._PairOrbitSum(I, mpc("0.3", "1.2"), 4, GreenParams(k=4))
+    count, _, upgrades = s._terms_below(400.0)
+    assert count > 0 and upgrades
+    with pytest.raises(RuntimeError, match="upgrade bound"):
+        s._terms_below(400.0, 32.0)
+
+
+def test_inverse_table_matches_pow():
+    for c in range(1, 601):
+        tab = G._inverse_table(c).tolist()
+        assert len(tab) == c
+        for r in range(c):
+            assert tab[r] == (pow(r, -1, c) if gcd(r, c) == 1 else 0), (c, r)
