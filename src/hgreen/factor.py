@@ -108,13 +108,11 @@ def trace_slice(m: int, Delta: int) -> TraceSlice:
     nmax_sq = m * m * Delta
     bound = isqrt(nmax_sq) + 1
     for n in range(-bound, bound + 1):
+        # n = m*Delta mod 2 makes mu0 integral; n^2 < m^2 Delta makes
+        # lambda = mu0/sqrt(Delta) = (m + n/sqrt(Delta))/2 totally positive
         if (n - n0) % 2 or n * n >= nmax_sq:
             continue
-        mu0 = F.elem(Fraction(n, 2), Fraction(m, 2))
-        lam = mu0 / F.sqrtD
-        if not (mu0.is_integral() and lam.is_totally_positive() and lam.trace() == m):
-            raise RuntimeError(f"{mu0} is not in the trace slice m = {m}")
-        out.append(mu0)
+        out.append(F.elem(Fraction(n, 2), Fraction(m, 2)))
     return TraceSlice(m, Delta, tuple(out))
 
 

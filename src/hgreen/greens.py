@@ -254,7 +254,6 @@ class GreenParams:
     tol: float = 1e-8
     digits: int = 30
     upgrade_cosh: float = 64.0
-    smooth_tail: bool = True
     initial_T: float = 400.0
     max_doublings: int = 28
 
@@ -332,8 +331,9 @@ class _PairOrbitSum:
 
     def _coset_bound(self, T: float):
         """(X, cmax): terms with cosh <= T have |c w + d|^2 <= X and c <= cmax."""
-        # v-window: terms need Im(gamma w) >= vmin
-        vmin = self.y1f * (T - math.sqrt(T * T - 1))
+        # v-window: terms need Im(gamma w) >= vmin = y1 (T - sqrt(T^2 - 1)),
+        # written without the cancellation of that difference at large T
+        vmin = self.y1f / (T + math.sqrt(T * T - 1))
         X = self.vf / vmin
         return X, int(math.sqrt(X) / self.vf) + 1
 
@@ -526,7 +526,7 @@ class _PairOrbitSum:
                 q_up = self._upgrade_sum(upgrades)
             S = -2 * (q_up + qsum_f)
             tail = mpf(0)
-            if p.smooth_tail and count > prev_count:
+            if count > prev_count:
                 density = (count - prev_count) / (T - prev_T)
                 tail = -2 * density * legendre_Q_integral(self.k - 1, T)
             S_corr = S + tail

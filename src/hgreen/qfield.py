@@ -2,10 +2,10 @@
 
 Elements are stored as exact rational pairs (x, y) meaning x + y*sqrt(Delta),
 with sqrt(Delta) > 0 under the fixed real embedding.  Fractional ideals are
-kept in scaled Hermite normal form.  Class-group work (narrow equivalence,
-principality, generators) goes through the reduction theory of indefinite
-binary quadratic forms of discriminant Delta, so everything stays in exact
-integer arithmetic.
+kept in scaled Hermite normal form and multiplied on its integer rows.
+Class-group work (narrow equivalence, principality, generators) goes through
+the reduction theory of indefinite binary quadratic forms of discriminant
+Delta, so everything stays in exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -189,50 +189,6 @@ def _xgcd(a: int, b: int):
     return old_r, old_u, old_v
 
 
-def solve_ilinear(rows, target):
-    """One integer solution x of sum_i x_i * rows[i] = target, or None.
-
-    rows: integer tuples of equal length; Hermite-style elimination with a
-    tracked transform.  Only exercised on 2-component vectors here.
-    """
-    m = len(rows)
-    dim = len(target)
-    work = [list(rows[i]) + [int(i == j) for j in range(m)] for i in range(m)]
-    pivots = []
-    r0 = 0
-    for col in range(dim):
-        piv = None
-        for i in range(r0, m):
-            if work[i][col] == 0:
-                continue
-            if piv is None:
-                piv = i
-                continue
-            while work[i][col] != 0:
-                q = work[piv][col] // work[i][col]
-                for j in range(dim + m):
-                    work[piv][j] -= q * work[i][j]
-                work[piv], work[i] = work[i], work[piv]
-        if piv is not None:
-            work[r0], work[piv] = work[piv], work[r0]
-            pivots.append((col, r0))
-            r0 += 1
-    t = list(target)
-    x = [0] * m
-    for col, r in pivots:
-        p = work[r][col]
-        if t[col] % p != 0:
-            return None
-        q = t[col] // p
-        for j in range(dim):
-            t[j] -= q * work[r][j]
-        for j in range(m):
-            x[j] += q * work[r][dim + j]
-    if any(t):
-        return None
-    return x
-
-
 # ---------------------------------------------------------------------------
 # field elements
 # ---------------------------------------------------------------------------
@@ -401,6 +357,8 @@ class FracIdeal:
 
     The general HNF shape s*[a, b + c*omega] always allows the content c to be
     pulled into the scale for an ideal, so c = 1 is the stored normal form.
+    Products, conjugates and integrality work on the integers a, b and the
+    rational scale s alone.
     """
 
     __slots__ = ("D", "s", "a", "b")
@@ -417,7 +375,11 @@ class FracIdeal:
 
     @staticmethod
     def from_hnf_rows(D: int, rows, scale=Fraction(1)) -> "FracIdeal":
-        """HNF of the Z-module spanned by integer (u, v) rows, then scaled."""
+        """HNF of the Z-module spanned by integer (u, v) rows, then scaled.
+
+        Raises ValueError unless the module is an ideal: with c = 1 it is
+        omega-stable iff a | Nm(b + omega) = b^2 + Delta*b + psi.
+        """
         rows = [(u, v) for (u, v) in rows if u or v]
         if not rows:
             raise ValueError("zero module")
@@ -448,6 +410,8 @@ class FracIdeal:
         if a0 % c0 != 0 or b0 % c0 != 0:
             raise ValueError("module is not an ideal (c does not divide a, b)")
         a, b = a0 // c0, (b0 // c0) % (a0 // c0)
+        if (b * b + b * D + (D * D - D) // 4) % a:
+            raise ValueError("module is not omega-stable, not an ideal")
         return FracIdeal(D, scale * c0, a, b)
 
     @staticmethod
@@ -463,15 +427,7 @@ class FracIdeal:
                 d = u.denominator * v.denominator // gcd(u.denominator, v.denominator)
                 den = den * d // gcd(den, d)
         rows = [(int(u * den), int(v * den)) for (u, v) in pairs]
-        ideal = FracIdeal.from_hnf_rows(D, rows, Fraction(1, den))
-        ideal._assert_ideal()
-        return ideal
-
-    def _assert_ideal(self):
-        omega = FieldElem.from_uv(self.D, 0, 1)
-        for e in self.basis():
-            if not self.contains(e * omega):
-                raise ValueError("module is not omega-stable, not an ideal")
+        return FracIdeal.from_hnf_rows(D, rows, Fraction(1, den))
 
     def basis(self):
         """Z-basis as field elements: (s*a, s*(b + omega))."""
@@ -491,17 +447,18 @@ class FracIdeal:
         return (int(u) - int(v) * self.b) % self.a == 0
 
     def is_integral(self) -> bool:
-        sa, sb = self.basis()
-        return sa.is_integral() and sb.is_integral()
+        return self.s.denominator == 1
 
-    def __mul__(self, o):
-        if isinstance(o, FieldElem):
-            o = FracIdeal.from_generators(self.D, [o])
+    def __mul__(self, o: "FracIdeal") -> "FracIdeal":
+        """HNF of the four products of the Z-bases, omega^2 = Delta*omega - psi."""
+        if not isinstance(o, FracIdeal):
+            return NotImplemented
         if self.D != o.D:
             raise ValueError("mixed discriminants")
-        b1 = self.basis()
-        b2 = o.basis()
-        return FracIdeal.from_generators(self.D, [x * y for x in b1 for y in b2])
+        D, a1, b1, a2, b2 = self.D, self.a, self.b, o.a, o.b
+        rows = [(a1 * a2, 0), (a1 * b2, a1), (a2 * b1, a2),
+                (b1 * b2 - (D * D - D) // 4, b1 + b2 + D)]
+        return FracIdeal.from_hnf_rows(D, rows, self.s * o.s)
 
     def __pow__(self, n: int):
         if n == 0:
@@ -518,16 +475,13 @@ class FracIdeal:
         return out
 
     def conj(self) -> "FracIdeal":
-        sa, sb = self.basis()
-        return FracIdeal.from_generators(self.D, [sa.conj(), sb.conj()])
+        # omega' = Delta - omega, so (b + omega)' = -((-b - Delta) + omega)
+        return FracIdeal(self.D, self.s, self.a, -self.b - self.D)
 
     def inverse(self) -> "FracIdeal":
         c = self.conj()
         n = self.norm()
         return FracIdeal(c.D, c.s / n, c.a, c.b)
-
-    def divides(self, o: "FracIdeal") -> bool:
-        return (o * self.inverse()).is_integral()
 
     def __eq__(self, o):
         return (
@@ -566,22 +520,6 @@ class FracIdeal:
         if nm % a != 0:
             raise ValueError("not an ideal HNF")
         return (nm // a, 2 * b + D, a)
-
-
-def ideal_bezout(I: FracIdeal, J: FracIdeal):
-    """(u, v) with u in I, v in J, u + v = 1, for coprime integral ideals."""
-    gens = list(I.basis()) + list(J.basis())
-    rows = []
-    for g in gens:
-        u, v = g.uv()
-        if u.denominator != 1 or v.denominator != 1:
-            raise ValueError("ideal_bezout needs integral ideals")
-        rows.append((int(u), int(v)))
-    sol = solve_ilinear(rows, (1, 0))
-    if sol is None:
-        raise ValueError("ideals are not coprime")
-    u = gens[0] * sol[0] + gens[1] * sol[1]
-    return u, FieldElem(I.D, 1, 0) - u
 
 
 def ideal_divisors(F: "QuadField", I: FracIdeal):

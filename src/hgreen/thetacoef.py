@@ -25,7 +25,6 @@ from .qfield import (
     QuadField,
     _xgcd,
     field,
-    ideal_bezout,
     integral_content,
 )
 from .finquad import FQM, GenusChar, fqm as fqm_of, s_h, sqrt_support_engine
@@ -164,6 +163,9 @@ class LatticeRoute:
     lattice sum over Nm^-(b) + h is rescaled by n_b: beta = n_b * lambda *
     sqrt(Delta) runs over beta in b^2 with beta = sqrt(Delta) * lift(n_b * h)
     mod d, Nm(beta) = n * n_b^2, counted with sgn(beta) modulo <eps_Delta>.
+    One sweep per class finds every beta up to a norm bound at once; c_chi
+    reads a per-character table of these sweeps, rebuilt at twice the bound
+    when a larger n is asked for.
 
     The representative set S_F is an explicit input; coefficients of theta_chi
     do not depend on it (tested), the default is the canonical one.
@@ -187,69 +189,50 @@ class LatticeRoute:
                         "S_F members must be integral and coprime to the different"
                     )
         self.reps = list(reps)
-        self._class_setup = {}
+        self._tables = {}   # chi -> (n_max, c_chi_table(chi, n_max))
 
-    def _setup(self, i: int):
-        """(n_b, lattice b^2*d, bezout unit u with u in b^2, 1-u in d)."""
-        if i not in self._class_setup:
-            F = self.F
-            b = self.reps[i]
-            nb = int(b.norm())
-            b2 = b * b
-            dd = F.different()
-            u, _ = ideal_bezout(b2, dd)
-            self._class_setup[i] = (nb, b2 * dd, b2, u)
-        return self._class_setup[i]
-
-    def signed_count(self, i: int, n: int, h) -> int:
-        """Signed lambda-count for class index i at coefficient (n/Delta, h)."""
-        F = self.F
-        fqm = self.fqm
-        nb, lat, b2, u = self._setup(i)
-        # coset target: beta = t mod d with t = sqrt(D)*lift(nb*h), beta in b^2
-        t = fqm.lift(fqm.smul(nb, h)) * F.sqrtD
-        beta0 = u * t
-        sols = solve_norm_in_coset(F, lat, beta0, Fraction(n * nb * nb))
-        return sum(s.sign() for s in sols)
-
-    def c_chi(self, chi: GenusChar, n: int, h) -> int:
-        if n <= 0:
-            raise InvalidInputError("coefficient index n must be positive")
-        q = self.fqm.Q(h)
-        if (q + Fraction(n, self.F.D)) % 1 != 0:
-            return 0
-        return sum(
-            chi.on_class_index(i) * self.signed_count(i, n, h)
-            for i in range(self.ncg.h_plus)
-        )
-
-    def c_chi_table(self, chi: GenusChar, n_max: int):
-        """Full table {(n, h): c} for 1 <= n <= n_max, one sweep per class.
+    def class_sweep(self, i: int, n_max: int):
+        """Signed lambda-counts {(n, h): count} of class index i, 1 <= n <= n_max.
 
         Enumerates all beta in b^2 with 0 < Nm(beta) <= n_max * n_b^2 in the
         balanced window, then buckets by (n, coset).
         """
         F = self.F
         fqm = self.fqm
-        D = F.D
+        b = self.reps[i]
+        nb = int(b.norm())
+        nb_inv = pow(nb, -1, fqm.exponent)
+        cap = n_max * nb * nb
+        counts = {}
+        for beta in solve_norm_in_coset(F, b * b, F.elem(0), 1, cap):
+            nm = beta.norm()
+            if not 0 < nm <= cap:
+                raise RuntimeError(f"enumerated {beta} has norm outside (0, {cap}]")
+            num = nm / (nb * nb)
+            if num.denominator != 1:
+                continue
+            key = (int(num), fqm.smul(nb_inv, fqm.from_elem(beta / F.sqrtD)))
+            counts[key] = counts.get(key, 0) + beta.sign()
+        return counts
+
+    def c_chi_table(self, chi: GenusChar, n_max: int):
+        """Full table {(n, h): c} for 1 <= n <= n_max, one sweep per class."""
         table = {}
         for i in range(self.ncg.h_plus):
             cv = chi.on_class_index(i)
-            nb, lat, b2, u = self._setup(i)
-            nb_inv = pow(nb, -1, fqm.exponent)
-            cap = n_max * nb * nb
-            for beta in solve_norm_in_coset(F, b2, F.elem(0), 1, cap):
-                nm = beta.norm()
-                if not 0 < nm <= cap:
-                    raise RuntimeError(f"enumerated {beta} has norm outside (0, {cap}]")
-                num = nm / (nb * nb)
-                if num.denominator != 1:
-                    continue
-                n = int(num)
-                h = fqm.smul(nb_inv, fqm.from_elem(beta / F.sqrtD))
-                key = (n, h)
-                table[key] = table.get(key, 0) + cv * beta.sign()
+            for key, c in self.class_sweep(i, n_max).items():
+                table[key] = table.get(key, 0) + cv * c
         return {k: v for k, v in table.items() if v}
+
+    def c_chi(self, chi: GenusChar, n: int, h) -> int:
+        if n <= 0:
+            raise InvalidInputError("coefficient index n must be positive")
+        n_max, table = self._tables.get(chi, (0, None))
+        if n > n_max:
+            n_max = max(n, 2 * n_max)
+            table = self.c_chi_table(chi, n_max)
+            self._tables[chi] = (n_max, table)
+        return table.get((n, h), 0)
 
 
 # ---------------------------------------------------------------------------

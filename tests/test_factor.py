@@ -94,7 +94,7 @@ def test_trace_slice_nonempty_and_complete(D):
         F = field(D)
         for e in ts.elements:
             lam = e / F.sqrtD
-            assert lam.is_totally_positive() and lam.trace() == m
+            assert e.is_integral() and lam.is_totally_positive() and lam.trace() == m
         # brute-force recount: tr(el/sqrtD) = m forces v = m exactly, and the
         # total positivity pins u into a window of width m*sqrt(D) around -mD/2
         count = 0

@@ -235,7 +235,7 @@ def test_chi_on_class_examples():
         if mu.is_zero():
             continue
         mu = mu * mu
-        assert chi(F.prime_above(5) * mu) == -1
+        assert chi(F.prime_above(5) * FracIdeal.from_generators(161, [mu])) == -1
 
 
 @pytest.mark.parametrize("D", [12, 21, 28, 161])

@@ -316,12 +316,12 @@ def test_shell_counts_match_brute_force(z1, z2, m, T0):
 
 @pytest.mark.parametrize("k,d1,d2,tol,value,terms", [
     (4, -7, -23, 1e-10, "-4.157888612784311061923537", [9578, 19164, 19164]),
-    (2, -4, -7, 1e-7, "-4.185819539177164337693356", [19662072]),
+    (2, -4, -7, 1e-7, "-4.185819539199087886501158", [19662314]),
 ], ids=["k4", "k2"])
 def test_cycle_values_pinned(k, d1, d2, tol, value, terms):
-    # value and term counts of the enumeration that re-ran every doubling
-    # from cosh = 1; at k = 2 the last shell (T = 3.3e6) loses terms unless
-    # only cosets in the previous d-range count their previous window
+    # k = 4: value and term counts of the enumeration that re-ran every
+    # doubling from cosh = 1.  k = 2: those of the exact coset bound, whose
+    # d-ranges at T = 1.6e6 and 3.3e6 hold terms near the v-window edge
     got, diag = G_kf_at_cycle(k, {1: Fraction(1)}, d1, d2, GreenParams(k=k, tol=tol))
     assert diag["converged"]
     assert abs(got - mpf(value)) < 1e-12
@@ -353,6 +353,21 @@ def test_later_shell_below_upgrade_bound_is_an_error():
     assert count > 0 and upgrades
     with pytest.raises(RuntimeError, match="upgrade bound"):
         s._terms_below(400.0, 32.0)
+
+
+def test_coset_bound_exact_at_every_doubling():
+    # X = v0 / (y1 (T - sqrt(T^2 - 1))) must not lose the terms near the
+    # v-window edge: the float X is at least the exact one (within 1e-12),
+    # and finite at every T the 28 doublings from T = 400 reach
+    z1, w = mpc("0.13", "1.21"), mpc("-0.4", "0.9")
+    s = G._PairOrbitSum(z1, w, 2, GreenParams(k=2))
+    with mpmath.workdps(60):
+        for k in range(28):
+            T = 400.0 * 2 ** k
+            X, cmax = s._coset_bound(T)
+            exact = mpf(s.vf) / (mpf(s.y1f) * (T - mpmath.sqrt(mpf(T) ** 2 - 1)))
+            assert math.isfinite(X) and cmax >= 1
+            assert X >= exact * (1 - mpf(10) ** -12), (k, X, exact)
 
 
 def test_inverse_table_matches_pow():

@@ -143,6 +143,28 @@ def test_ideal_inverse_and_membership(D):
             assert I.contains(sa * F.omega + sb * 3)
 
 
+@pytest.mark.parametrize("D", [5, 8, 12, 13, 21, 28, 60, 161, 485])
+def test_integer_ideal_arithmetic_matches_generator_route(D):
+    # products, conjugates and integrality on HNF rows agree with the ideal
+    # generated by the field-element products of the two Z-bases
+    F = field(D)
+    pool = [I for n in range(1, 40) for I in F.ideals_of_norm(n)]
+    for J in pool:
+        J3 = FracIdeal(D, J.s * Fraction(2, 3), J.a, J.b)
+        for K in (J, J3):
+            assert K.conj() == FracIdeal.from_generators(D, [x.conj() for x in K.basis()])
+            assert K.is_integral() == all(x.is_integral() for x in K.basis())
+        for I in pool:
+            want = FracIdeal.from_generators(D, [x * y for x in I.basis() for y in J3.basis()])
+            assert I * J3 == want
+
+
+def test_non_ideal_module_is_rejected():
+    # [2, omega] at Delta = 5: omega^2 = 5 omega - 5 leaves the module
+    with pytest.raises(ValueError, match="omega-stable"):
+        FracIdeal.from_hnf_rows(5, [(2, 0), (0, 1)])
+
+
 def test_ideals_of_norm_completeness():
     # every integral element's ideal shows up with the right norm
     F = field(28)
@@ -223,7 +245,7 @@ def test_resolver_tp_scaling_invariance(D):
         mu = mu * mu  # totally positive
         if mu.is_zero():
             continue
-        assert ncg.resolve(I) == ncg.resolve(I * mu)
+        assert ncg.resolve(I) == ncg.resolve(I * FracIdeal.from_generators(D, [mu]))
 
 
 def test_is_principal_tp_examples():
@@ -247,7 +269,7 @@ def test_is_principal_tp_scaling(D):
             continue
         mu = mu * mu
         a = F.is_principal_tp(I) is not None
-        b = F.is_principal_tp(I * mu) is not None
+        b = F.is_principal_tp(I * FracIdeal.from_generators(D, [mu])) is not None
         assert a == b
     # present iff narrow class trivial
     ncg = F.narrow_class_group()

@@ -50,11 +50,13 @@ def test_minus_form_matches_class_zero_count():
     for D in (12, 21, 28):
         F = field(D)
         fqm = FQM(F)
-        lr = lattice_route(D)
+        counts = lattice_route(D).class_sweep(0, 15)
+        assert counts
+        assert all(1 <= n <= 15 for n, _ in counts)
         for n in range(1, 16):
             for h in fqm.elements():
                 direct = _minus_coeff(F, F.O_F(), Fraction(n, D), fqm.lift(h))
-                assert lr.signed_count(0, n, h) == direct
+                assert counts.get((n, h), 0) == direct
 
 
 def test_solve_norm_box_doubling_stable():
@@ -120,21 +122,22 @@ def test_conjugation_antisymmetry_c_chi(D):
             assert lr.c_chi(chi, n, h) == -lr.c_chi(chi, n, fqm.neg(h))
 
 
-def test_table_sweep_matches_pointwise():
+def test_table_grows_to_match_fresh_sweep():
+    # c_chi answers from a cached sweep; asking past its bound rebuilds it
+    from hgreen.thetacoef import LatticeRoute
     D = 161
     fqm = FQM(field(D))
     chi = genus_characters(D, odd_only=True)[0]
-    lr = lattice_route(D)
-    table = lr.c_chi_table(chi, 15)
-    assert table  # nonzero coefficients exist
-    for (n, h), c in table.items():
-        assert lr.c_chi(chi, n, h) == c
-    rng = random.Random(2)
-    for _ in range(40):
-        n = rng.randint(1, 15)
-        h = rng.choice(list(fqm.elements()))
-        if (n, h) not in table:
-            assert lr.c_chi(chi, n, h) == 0
+    lr = LatticeRoute(D)
+    hs = list(fqm.elements())
+    first = {(n, h): lr.c_chi(chi, n, h) for n in range(1, 16) for h in hs}
+    assert 15 <= lr._tables[chi][0] < 40
+    grown = {(n, h): lr.c_chi(chi, n, h) for n in range(1, 41) for h in hs}
+    assert lr._tables[chi][0] >= 40
+    fresh = LatticeRoute(D).c_chi_table(chi, 40)
+    assert fresh  # nonzero coefficients exist
+    assert {k: c for k, c in grown.items() if c} == fresh
+    assert all(grown[k] == c for k, c in first.items())
 
 
 def test_independence_of_representatives():
