@@ -164,7 +164,11 @@ def cmd_verify(args) -> int:
         "residual_threshold": report.residual_threshold,
         "rhs_value": report.rhs_value,
         "converged": diag["converged"],
-        "diagnostics": {"pairs": diag["pairs"], "weight": diag["weight"]},
+        "diagnostics": {
+            "pairs": diag["pairs"],
+            "weight": diag["weight"],
+            "per_pair": diag["per_pair"],
+        },
     }
     _emit(doc, args)
     if not diag["converged"] or not report.verified:

@@ -5,27 +5,34 @@ the second variable; Hecke translates sum the same kernel over integral
 matrices of determinant m modulo +-1, organized as upper-triangular coset
 representatives composed with the full PSL_2(Z) sum.
 
-Truncation is adaptive: all terms with cosh distance below a bound T are
-enumerated exactly, T doubles until the partial sums stabilize to the
+Truncation is adaptive: T doubles until the corrected sums stabilize to the
 requested tolerance (witnessed twice).  Each doubling enumerates only its new
 shell T/2 < cosh <= T and adds it to running sums of the term count and the
 float sum; the shells use the same float windows as a full enumeration, so
-the count at every T is the one a full enumeration from cosh = 1 gives.  A
-smoothed tail estimate, computed from the measured local density of orbit
-points against the exact integral of Q_{k-1}, accelerates convergence and is
-reported in the diagnostics.
+the count at every T is the one a full enumeration from cosh = 1 gives.  The
+sum at T weights each term by psi(cosh/T), a C^infinity step that is 1 up to
+T/2 and 0 from T on, so only the newest shell carries weights.  The terms it
+leaves out are replaced by the main term of the orbit count: around every
+point PSL_2(Z) has 6 = 2 pi / (pi/3) elements per unit of cosh distance
+(pi/3 is the area of the modular surface), so the tail is
+6 [int_{T/2}^T (1 - psi(t/T)) Q_{k-1}(t) dt + int_T^oo Q_{k-1}].  The count
+strays from 6T by O(T^{2/3}) at a sharp cutoff; against the smooth weight
+that fluctuation averages out.  The first integral is a fixed 64-node
+Gauss-Legendre rule in floats, the second the exact series.
 
 Arithmetic is hybrid: orbit enumeration and the bulk of the sum run in IEEE
 doubles (descending-series evaluation of Q, no cancellation for cosh > 2),
-while every term with cosh distance below an upgrade threshold is recomputed
-with mpmath at the configured working precision.  The first T is at least
-four times that threshold, so all of these terms lie in the first shell and
-the mpmath pass runs once per orbit sum.  Pure-double rounding enters only
-through terms smaller than ~1e-13, far below the supported tolerances.
+while every term with cosh distance below an upgrade bound is recomputed
+with mpmath at the configured working precision.  The bound is 4 for
+tol >= 1e-12, where the float series is within 2e-14 relative (1.4e-17
+absolute) of Q_n for n <= 7, and 64 below that tol.  The first T is at least
+four times the bound, so all of these terms lie in the first shell and the
+mpmath pass runs once per orbit sum.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -223,6 +230,48 @@ def _q_float_factory(n: int, terms: int = 12):
     return qf
 
 
+def _psi(x):
+    """psi(x) for a float array: the exp(-1/x) step, 1 for x <= 1/2, 0 for x >= 1."""
+    import numpy as np
+
+    s = np.clip(2 * x - 1, 0.0, 1.0)
+    # psi = f(1-s) / (f(1-s) + f(s)) with f(y) = exp(-1/y); the ends give
+    # exp(-inf) = 0 and exp(inf) = inf, which are the right limits
+    with np.errstate(divide="ignore", over="ignore"):
+        return 1 / (1 + np.exp((2 * s - 1) / (s * (1 - s))))
+
+
+@functools.cache
+def _taper_rule():
+    """Nodes x in (1/2, 1) and weights w with sum w f(x) ~ int_{1/2}^1 (1 - psi) f.
+
+    64-node Gauss-Legendre, 1 - psi folded into the weights; relative error
+    ~1e-15 for f = Q_n(T x), n <= 5.  The nodes are Newton-polished roots of
+    P_64 (elementwise numpy: a LAPACK eigensolver would map ~1 MB more).
+    """
+    import numpy as np
+
+    n = 64
+    x = np.cos(np.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5))
+    # from this guess Newton reaches rounding level in 4 steps
+    for _ in range(6):
+        p = _legendre_p_values(n, x)
+        dp = n * (x * p[n] - p[n - 1]) / (x * x - 1)
+        x = x - p[n] / dp
+    w = 2 / ((1 - x * x) * dp * dp)
+    # [-1, 1] -> [1/2, 1]
+    x = 0.75 + x / 4
+    w = w / 4 * (1 - _psi(x))
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _taper_integral(qf, T: float) -> float:
+    """int_{T/2}^T (1 - psi(t/T)) Q(t) dt for the float Q `qf`; needs T/2 > T_SWITCH."""
+    x, w = _taper_rule()
+    return T * float((w * qf(T * x)).sum())
+
+
 # ---------------------------------------------------------------------------
 # the hyperbolic kernel
 # ---------------------------------------------------------------------------
@@ -253,7 +302,6 @@ class GreenParams:
     k: int = 2
     tol: float = 1e-8
     digits: int = 30
-    upgrade_cosh: float = 64.0
     initial_T: float = 400.0
     max_doublings: int = 28
 
@@ -264,8 +312,16 @@ class GreenParams:
             raise InvalidInputError("working precision must be >= 15 digits")
         if self.tol < 10.0 ** (1 - self.digits):
             raise InvalidInputError("tolerance below working precision")
-        if self.upgrade_cosh < 4:
-            raise InvalidInputError("upgrade threshold must be >= 4")
+
+    @property
+    def upgrade_cosh(self) -> float:
+        """Terms with cosh at most this are summed in mpmath, the rest in floats."""
+        return 4.0 if self.tol >= 1e-12 else 64.0
+
+
+# Elements of PSL_2(Z) per unit of cosh d(z1, gamma w), for every z1 and w:
+# 2 pi / (pi/3), pi/3 the area of the modular surface.
+ORBIT_DENSITY = 6
 
 
 def _inverse_table(c: int):
@@ -384,18 +440,20 @@ class _PairOrbitSum:
             yield tuple(np.concatenate(col) for col in zip(*block))
 
     def _terms_below(self, T: float, T_lo: float | None = None):
-        """(count, float_sum_of_Q, upgrade_list) over the terms T_lo < cosh <= T.
+        """(count, qsum, weighted_qsum, upgrade_list) over the terms T_lo < cosh <= T.
 
         Without T_lo this is every term with cosh <= T.  A term belongs to the
         shell when its translate lies in the coset's window at T but not in
         the window at T_lo, or its coset was outside the d-ranges at T_lo:
         the same float windows decide both bounds, so the shells of a doubling
-        sequence add up exactly to the count at its last T.  upgrade_list
-        holds (coset c, d, translate j) for cosh <= upgrade bound.
+        sequence add up exactly to the count at its last T.  The float terms
+        are summed twice from one evaluation: plainly, and weighted by
+        psi(cosh/T).  upgrade_list holds (coset c, d, translate j) for
+        cosh <= upgrade bound.
         """
         np = self.np
         count = 0
-        qsum = 0.0
+        sums = np.zeros(2)
         pending = 0
         upgrades = []
         chunks = []
@@ -405,12 +463,19 @@ class _PairOrbitSum:
             pending += n
             # flush the Q evaluation periodically to bound memory
             if pending > 2 ** 21:
-                qsum += float(self.qf(np.concatenate(chunks)).sum())
+                sums += self._q_sums(np.concatenate(chunks), T)
                 chunks.clear()
                 pending = 0
         if chunks:
-            qsum += float(self.qf(np.concatenate(chunks)).sum())
-        return count, qsum, upgrades
+            sums += self._q_sums(np.concatenate(chunks), T)
+        return count, float(sums[0]), float(sums[1]), upgrades
+
+    def _q_sums(self, t, T: float):
+        """[sum Q(t), sum psi(t/T) Q(t)] for a float array of cosh values."""
+        q = self.qf(t)
+        w = _psi(t / T)
+        w *= q      # not q @ w: the BLAS dot maps more resident memory
+        return self.np.array([q.sum(), w.sum()])
 
     def _accumulate(self, c, d, u, v, inner, T, T_lo, upgrades, chunks) -> int:
         """New translates at T for the cosets (c[i], d[i]), fully vectorized.
@@ -516,19 +581,19 @@ class _PairOrbitSum:
         qsum_f = 0.0
         upgraded = 0
         for it in range(p.max_doublings):
-            n, q, upgrades = self._terms_below(T, None if it == 0 else prev_T)
+            n, q, qw, upgrades = self._terms_below(T, None if it == 0 else prev_T)
             count += n
-            qsum_f += q
             if it == 0:
                 # every term with cosh <= upgrade bound lies in the first
-                # shell (_accumulate raises otherwise): one mpmath pass
+                # shell (_accumulate raises otherwise): one mpmath pass; its
+                # terms lie below T/2, where psi is 1
                 upgraded = len(upgrades)
                 q_up = self._upgrade_sum(upgrades)
-            S = -2 * (q_up + qsum_f)
-            tail = mpf(0)
-            if count > prev_count:
-                density = (count - prev_count) / (T - prev_T)
-                tail = -2 * density * legendre_Q_integral(self.k - 1, T)
+            # psi(cosh/T) is 1 on the earlier shells and weights this one
+            S = -2 * (q_up + (qsum_f + qw))
+            qsum_f += q
+            tail = -2 * ORBIT_DENSITY * (_taper_integral(self.qf, T)
+                                         + legendre_Q_integral(self.k - 1, T))
             S_corr = S + tail
             history.append(
                 {"T": T, "terms": count, "partial": float(S), "tail": float(tail)}

@@ -56,6 +56,10 @@ def test_verify_k2_case(capsys):
     assert set(doc) >= {"command", "k", "d1", "d2", "pp", "Delta", "precision",
                         "tol", "lhs", "kappa", "exponents", "unit_power",
                         "residual", "rhs_value", "converged"}
+    # one CM pair, one principal-part term: one orbit-sum record
+    per_pair = doc["diagnostics"]["per_pair"]
+    assert len(per_pair) == doc["diagnostics"]["pairs"] == 1
+    assert per_pair[0]["terms"] > 0 and per_pair[0]["converged"] is True
 
 
 def test_greens_json(capsys, tmp_path):

@@ -1,9 +1,13 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd, isqrt
 
 import mpmath
+import numpy as np
 import pytest
 from mpmath import mpc, mpf
 
@@ -316,12 +320,12 @@ def test_shell_counts_match_brute_force(z1, z2, m, T0):
 
 @pytest.mark.parametrize("k,d1,d2,tol,value,terms", [
     (4, -7, -23, 1e-10, "-4.157888612784311061923537", [9578, 19164, 19164]),
-    (2, -4, -7, 1e-7, "-4.185819539199087886501158", [19662314]),
+    (2, -4, -7, 1e-7, "-4.185819538857667097214713", [614074]),
 ], ids=["k4", "k2"])
 def test_cycle_values_pinned(k, d1, d2, tol, value, terms):
     # k = 4: value and term counts of the enumeration that re-ran every
-    # doubling from cosh = 1.  k = 2: those of the exact coset bound, whose
-    # d-ranges at T = 1.6e6 and 3.3e6 hold terms near the v-window edge
+    # doubling from cosh = 1.  k = 2: those of the smooth truncation, 1.7e-10
+    # from half of criterion 4a's closed form for G_2(i, z_7)
     got, diag = G_kf_at_cycle(k, {1: Fraction(1)}, d1, d2, GreenParams(k=k, tol=tol))
     assert diag["converged"]
     assert abs(got - mpf(value)) < 1e-12
@@ -347,12 +351,88 @@ def test_upgrade_pass_runs_once_per_orbit_sum(monkeypatch):
 
 
 def test_later_shell_below_upgrade_bound_is_an_error():
-    # a shell starting below upgrade_cosh would hold terms the mpmath pass skips
+    # a shell starting below upgrade_cosh (4 at this tol) would hold terms the
+    # mpmath pass skips; this pair has terms with cosh in (2, 4]
     s = G._PairOrbitSum(I, mpc("0.3", "1.2"), 4, GreenParams(k=4))
-    count, _, upgrades = s._terms_below(400.0)
+    count, _, _, upgrades = s._terms_below(400.0)
     assert count > 0 and upgrades
     with pytest.raises(RuntimeError, match="upgrade bound"):
-        s._terms_below(400.0, 32.0)
+        s._terms_below(400.0, 2.0)
+
+
+def test_float_q_accurate_above_upgrade_bound():
+    # above the upgrade bound the float series stands in for mpmath
+    assert GreenParams(k=4, tol=1e-12).upgrade_cosh == 4.0
+    assert GreenParams(k=4, tol=1e-13).upgrade_cosh == 64.0
+    t = np.geomspace(4.0, 64.0, 100)
+    for n in (1, 3, 5, 7):
+        got = G._q_float_factory(n)(t)
+        for x, g in zip(t, got):
+            ref = legendre_Q(n, float(x), dps=40)
+            assert abs(g - ref) <= 2e-14 * ref, (n, x)
+
+
+def _psi_mp(x):
+    """The exp(-1/x) step in mpmath: 1 up to 1/2, 0 from 1 on."""
+    s = 2 * x - 1
+    if s <= 0:
+        return mpf(1)
+    if s >= 1:
+        return mpf(0)
+    return 1 / (1 + mpmath.exp(1 / (1 - s) - 1 / s))
+
+
+def test_taper_integral_matches_quadrature():
+    # int_{T/2}^T (1 - psi(t/T)) Q_n(t) dt = T^-n int_{1/2}^1 (1 - psi) T^{n+1} Q_n(T x) dx,
+    # the integrand scaled to order one so quad's absolute error is relative
+    for n in (1, 3, 5):
+        qf = G._q_float_factory(n)
+        for T in (400.0, 25600.0, 1.6e6):
+            with mpmath.workdps(30):
+                scale = mpf(T) ** (n + 1)
+                ref = mpmath.quad(lambda x: (1 - _psi_mp(x)) * scale * legendre_Q(n, T * x),
+                                  [0.5, 0.75, 1]) / mpf(T) ** n
+            got = G._taper_integral(qf, T)
+            assert abs(got - ref) <= 1e-13 * ref, (n, T, got, ref)
+
+
+Z7 = mpc(mpf(-1) / 2, mpmath.sqrt(7) / 2)
+
+
+@pytest.mark.parametrize("z1,z2,m", [
+    (I, RHO, 1), (RHO, I, 3), (mpc("0.13", "1.21"), mpc("-0.4", "0.9"), 2), (I, Z7, 1),
+], ids=["i-rho-m1", "rho-i-m3", "generic-m2", "i-z7"])
+def test_shell_density_is_six(z1, z2, m):
+    # every coset's orbit has 6 elements of PSL_2(Z) per unit of cosh, elliptic
+    # points included; the tail assumes it, so a shell that strays flags a
+    # broken enumeration
+    p = GreenParams(k=4, tol=1e-25, max_doublings=8)   # T = 400 ... 51200
+    _, diag = G_k_hecke(z1, z2, 4, m, p)
+    for cd in diag["cosets"]:
+        hist = cd["history"]
+        assert hist[-1]["T"] == 51200
+        for prev, cur in zip(hist, hist[1:]):
+            if cur["T"] >= 3200:
+                density = (cur["terms"] - prev["terms"]) / (cur["T"] - prev["T"])
+                assert abs(density - 6) <= 0.1, (cd["coset"], cur["T"], density)
+
+
+def test_orbit_sum_loads_no_polynomial_or_scipy():
+    # numpy.polynomial alone adds ~2 MB of resident memory to an orbit sum
+    code = (
+        "import sys\n"
+        "from mpmath import mpc\n"
+        "from hgreen.greens import G_k_hecke, GreenParams\n"
+        "G_k_hecke(mpc(0, 1), mpc('-0.5', '1.3'), 2, 2, GreenParams(k=2, tol=1e-6))\n"
+        "print(' '.join(m for m in sys.modules\n"
+        "               if m.split('.')[0] == 'scipy' or m.startswith('numpy.polynomial')))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(G.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == ""
 
 
 def test_coset_bound_exact_at_every_doubling():
