@@ -15,7 +15,7 @@ from .qfield import (
     is_fundamental_discriminant,
     kronecker,
 )
-from .finquad import FQM, GenusChar, genus_characters, rho_KF, sqrt_support
+from .finquad import FQM, GenusChar, genus_characters, rho_KF
 from .mforms import QSeries, check_principal_part, cusp_basis, delta_form, eisenstein
 from .greens import CMPoint, GreenParams, G_k_hecke, G_kf_at_cycle, cm_points, g_k, legendre_Q
 from .factor import FactorReport, gamma_exponents, legendre_P, reconcile, trace_slice
@@ -23,7 +23,7 @@ from .factor import FactorReport, gamma_exponents, legendre_P, reconcile, trace_
 __all__ = [
     "FieldElem", "FracIdeal", "InvalidInputError", "QuadField", "field",
     "is_fundamental_discriminant", "kronecker",
-    "FQM", "GenusChar", "genus_characters", "rho_KF", "sqrt_support",
+    "FQM", "GenusChar", "genus_characters", "rho_KF",
     "QSeries", "check_principal_part", "cusp_basis", "delta_form", "eisenstein",
     "CMPoint", "GreenParams", "G_k_hecke", "G_kf_at_cycle", "cm_points", "g_k",
     "legendre_Q",

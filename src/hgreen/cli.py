@@ -21,7 +21,7 @@ import sys
 
 import mpmath
 
-from .qfield import InvalidInputError, field
+from .qfield import InvalidInputError
 from .mforms import parse_principal_part
 from . import greens as G
 from . import factor as FA
@@ -48,25 +48,20 @@ def _build_parser():
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, pp=True):
+    for name, text in (("greens", "evaluate G_{k,f} at the CM cycle"),
+                       ("factor", "predict the prime exponents of the invariant"),
+                       ("verify", "run both engines and reconcile")):
+        p = sub.add_parser(name, help=text)
         p.add_argument("--k", type=int, required=True, help="even weight parameter k >= 2")
         p.add_argument("--d1", type=int, required=True, help="negative fundamental discriminant")
         p.add_argument("--d2", type=int, required=True, help="negative fundamental discriminant")
-        if pp:
-            p.add_argument("--pp", type=str, required=True,
-                           help='principal part "m=c,m=c" with rational c like 3=-2/5')
+        p.add_argument("--pp", type=str, required=True,
+                       help='principal part "m=c,m=c" with rational c like 3=-2/5')
         p.add_argument("--tol", type=float, default=1e-8, help="numeric tolerance")
         p.add_argument("--digits", type=int, default=None,
                        help="working precision in decimal digits (>= 15; "
                             "default $HGREEN_DIGITS or 30)")
         p.add_argument("--output", type=str, default=None, help="write JSON here instead of stdout")
-
-    pg = sub.add_parser("greens", help="evaluate G_{k,f} at the CM cycle")
-    common(pg)
-    pf = sub.add_parser("factor", help="predict the prime exponents of the invariant")
-    common(pf)
-    pv = sub.add_parser("verify", help="run both engines and reconcile")
-    common(pv)
     ps = sub.add_parser("selftest", help="run the seeded property suites")
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--quick", action="store_true", help="reduced grid")
@@ -101,23 +96,37 @@ def _params(args):
     return G.GreenParams(k=args.k, tol=args.tol, digits=digits)
 
 
-def cmd_greens(args) -> int:
-    pp = parse_principal_part(args.pp)
-    params = _params(args)
-    value, diag = G.G_kf_at_cycle(args.k, pp, args.d1, args.d2, params)
-    doc = {
-        "command": "greens",
+def _header(args, pp):
+    """The fields every cycle command's document opens with."""
+    return {
+        "command": args.command,
         "k": args.k, "d1": args.d1, "d2": args.d2,
         "pp": {str(m): str(c) for m, c in sorted(pp.items())},
-        "precision": params.digits,
-        "tol": args.tol,
-        "value": mpmath.nstr(value, params.digits),
+    }
+
+
+def _convergence(diag):
+    """The numeric side's closing fields, shared by `greens` and `verify`."""
+    return {
         "converged": diag["converged"],
         "diagnostics": {
             "pairs": diag["pairs"],
             "weight": diag["weight"],
             "per_pair": diag["per_pair"],
         },
+    }
+
+
+def cmd_greens(args) -> int:
+    pp = parse_principal_part(args.pp)
+    params = _params(args)
+    value, diag = G.G_kf_at_cycle(args.k, pp, args.d1, args.d2, params)
+    doc = {
+        **_header(args, pp),
+        "precision": params.digits,
+        "tol": args.tol,
+        "value": mpmath.nstr(value, params.digits),
+        **_convergence(diag),
     }
     _emit(doc, args)
     return EXIT_OK if diag["converged"] else EXIT_VERIFY_FAILED
@@ -127,9 +136,7 @@ def cmd_factor(args) -> int:
     pp = parse_principal_part(args.pp)
     report = FA.gamma_exponents(args.k, pp, args.d1, args.d2)
     doc = {
-        "command": "factor",
-        "k": args.k, "d1": args.d1, "d2": args.d2,
-        "pp": {str(m): str(c) for m, c in sorted(pp.items())},
+        **_header(args, pp),
         "Delta": report.Delta,
         "kappa": report.kappa,
         "exponents": _exponent_entries(report),
@@ -149,9 +156,7 @@ def cmd_verify(args) -> int:
     value, diag = G.G_kf_at_cycle(args.k, pp, args.d1, args.d2, params)
     report = FA.reconcile(report, value, args.tol, params.digits)
     doc = {
-        "command": "verify",
-        "k": args.k, "d1": args.d1, "d2": args.d2,
-        "pp": {str(m): str(c) for m, c in sorted(pp.items())},
+        **_header(args, pp),
         "Delta": report.Delta,
         "precision": params.digits,
         "tol": args.tol,
@@ -163,12 +168,7 @@ def cmd_verify(args) -> int:
         "residual": report.residual,
         "residual_threshold": report.residual_threshold,
         "rhs_value": report.rhs_value,
-        "converged": diag["converged"],
-        "diagnostics": {
-            "pairs": diag["pairs"],
-            "weight": diag["weight"],
-            "per_pair": diag["per_pair"],
-        },
+        **_convergence(diag),
     }
     _emit(doc, args)
     if not diag["converged"] or not report.verified:
@@ -176,147 +176,27 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# selftest suites
-# ---------------------------------------------------------------------------
+def _selftest_grid(rng, quick):
+    """(name, suite, arguments) in run order; the suites share rng, so the order is fixed."""
+    from . import properties as P
 
-def _suite_counting(rng, quick):
-    """Prop count oracle: C_chi(mu0) = 2 rho for random totally positive mu0."""
-    from .qfield import FracIdeal
-    from .finquad import genus_characters, rho_KF
-    from .thetacoef import C_chi
-
-    failures = []
-    checks = 0
-    per_field = 12 if quick else 40
-    for D in (12, 21, 28, 161):
-        F = field(D)
-        chis = genus_characters(D, odd_only=True)
-        got = 0
-        while got < per_field:
-            u = rng.randint(-60, 60)
-            v = rng.randint(0, 3)
-            mu = F.from_uv(u, v)
-            if mu.is_zero():
-                continue
-            if not mu.is_totally_positive():
-                mu = -mu
-            if not mu.is_totally_positive():
-                continue
-            if not (0 < mu.norm() <= 300):
-                continue
-            got += 1
-            I = FracIdeal.from_generators(D, [mu])
-            for chi in chis:
-                checks += 1
-                if C_chi(chi, mu) != 2 * rho_KF(chi, I):
-                    failures.append({"Delta": D, "mu0": repr(mu)})
-    return checks, failures
-
-
-def _suite_routes(rng, quick):
-    """Lattice and ideal coefficient routes agree."""
-    from .finquad import FQM, genus_characters
-    from .thetacoef import ideal_route, lattice_route
-
-    failures = []
-    checks = 0
-    nmax = 12 if quick else 30
-    for D in (12, 21, 28, 161):
-        fqm = FQM(field(D))
-        chi = genus_characters(D, odd_only=True)[0]
-        lr, ir = lattice_route(D), ideal_route(D)
-        hs = list(fqm.elements())
-        if quick:
-            hs = [hs[rng.randrange(len(hs))] for _ in range(min(24, len(hs)))]
-        for n in range(1, nmax + 1):
-            for h in hs:
-                checks += 1
-                if lr.c_chi(chi, n, h) != ir.c_chi(chi, n, h):
-                    failures.append({"Delta": D, "n": n, "h": list(h)})
-    return checks, failures
-
-
-def _suite_identity(rng, quick):
-    """The combinatorial slice identity behind the factorization."""
-    failures = []
-    checks = 0
-    top = 12 if quick else 20
-    for eps in (1, -1):
-        for a in range(top + 1):
-            for b in range(a, top + 1):
-                s = sum(
-                    eps ** r * (a - b + 2 * r)
-                    for sv in range(a + 1)
-                    for r in range(sv - a, b - sv + 1)
-                )
-                if eps == -1 and (a + 1) % 2 == 0 and b % 2 == 0:
-                    want = a + 1
-                elif eps == -1 and a % 2 == 0 and (b + 1) % 2 == 0:
-                    want = -(b + 1)
-                else:
-                    want = 0
-                checks += 1
-                if s != want:
-                    failures.append({"eps": eps, "a": a, "b": b, "sum": s})
-    return checks, failures
-
-
-def _suite_legendre(rng, quick):
-    """Q recurrence residual and the two-regime overlap."""
-    failures = []
-    checks = 0
-    with mpmath.mp.workdps(30):
-        ts = [mpmath.mpf("1.01"), mpmath.mpf("1.5"), mpmath.mpf("1.9"),
-              mpmath.mpf("2.1"), mpmath.mpf(5), mpmath.mpf(50)]
-        for n in range(1, 6 if quick else 11):
-            for t in ts:
-                r = ((n + 1) * G.legendre_Q(n + 1, t)
-                     - (2 * n + 1) * t * G.legendre_Q(n, t)
-                     + n * G.legendre_Q(n - 1, t))
-                checks += 1
-                if abs(r) > mpmath.mpf(10) ** -12:
-                    failures.append({"n": n, "t": float(t), "residual": float(abs(r))})
-    return checks, failures
-
-
-def _suite_genus(rng, quick):
-    """Genus congruences: d |-> [d_d] is onto Cl_2^+ with kernel {1, d0}."""
-    from .finquad import GDelta, d0, genus_characters, ramified_product
-
-    failures = []
-    checks = 0
-    for D in (12, 21, 28, 33, 161):
-        F = field(D)
-        ncg = F.narrow_class_group()
-        gd = GDelta(F)
-        d0v = d0(D)
-        kernel = [d for d in gd.elements()
-                  if ncg.is_narrow_principal(ramified_product(F, d))]
-        checks += 1
-        if sorted(kernel) != sorted({1, d0v}):
-            failures.append({"Delta": D, "kernel": kernel})
-        for chi in genus_characters(D):
-            checks += 1
-            want = 1 if chi.Delta1 > 0 else -1
-            if chi(F.different()) != want:
-                failures.append({"Delta": D, "chi": repr(chi)})
-    return checks, failures
+    fields = (12, 21, 28, 161)
+    ts = ("1.01", "1.5", "1.9", "2.1", 5, 50)
+    return [
+        ("counting_oracle", P.counting_oracle, (fields, 12 if quick else 40, rng)),
+        ("route_equality", P.route_equality,
+         (fields, 12 if quick else 30, rng, 24 if quick else None)),
+        ("slice_identity", P.slice_identity, (12 if quick else 20,)),
+        ("legendre_recurrence", P.legendre_recurrence, (5 if quick else 10, ts)),
+        ("genus_congruences", P.genus_congruences, ((12, 21, 28, 33, 161),)),
+    ]
 
 
 def cmd_selftest(args) -> int:
-    rng = random.Random(args.seed)
-    suites = [
-        ("counting_oracle", _suite_counting),
-        ("route_equality", _suite_routes),
-        ("slice_identity", _suite_identity),
-        ("legendre_recurrence", _suite_legendre),
-        ("genus_congruences", _suite_genus),
-    ]
     results = []
     any_fail = False
-    for name, fn in suites:
-        checks, failures = fn(rng, args.quick)
+    for name, suite, suite_args in _selftest_grid(random.Random(args.seed), args.quick):
+        checks, failures = suite(*suite_args)
         ok = not failures
         any_fail = any_fail or not ok
         results.append({

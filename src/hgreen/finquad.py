@@ -88,11 +88,6 @@ class FQM:
         q = self.lift(h).norm()
         return q - (q.numerator // q.denominator)
 
-    def B(self, h1, h2) -> Fraction:
-        """Bilinear form B(h1, h2) = Q(h1+h2) - Q(h1) - Q(h2) mod 1."""
-        q = self.Q(self.add(h1, h2)) - self.Q(h1) - self.Q(h2)
-        return q - (q.numerator // q.denominator)
-
     # p-parts -------------------------------------------------------------------
     def _idempotent(self, p: int) -> int:
         """Integer e with e = 1 mod p-part and e = 0 mod the rest of exponent."""
@@ -461,9 +456,3 @@ class SqrtSupport:
 @lru_cache(maxsize=None)
 def sqrt_support_engine(Delta: int) -> SqrtSupport:
     return SqrtSupport(field(Delta))
-
-
-def sqrt_support(a: FracIdeal, h):
-    """Multiset (here: set) of narrow classes [b] with a = Nm^-(b)(mu), mu > 0,
-    mu/sqrt(Delta) in O_F + h."""
-    return sqrt_support_engine(a.D).support(a, h)

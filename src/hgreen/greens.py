@@ -183,32 +183,31 @@ def legendre_Q(n: int, t, dps: int | None = None):
         return +(lead * t ** (-(n + 1)) * acc)
 
 
-def legendre_Q_integral(n: int, T, dps: int | None = None):
+def legendre_Q_integral(n: int, T):
     """Integral of Q_n over [T, infinity) for T > T_SWITCH, by termwise series."""
-    ctx = mpmath.mp
-    with ctx.workdps(dps or ctx.dps):
-        T = mpf(T)
-        if not T > T_SWITCH:
-            raise ValueError(f"Q tail integral needs T > {T_SWITCH}, got {T}")
-        eps = mpf(10) ** (-(ctx.dps + 5))
-        coeffs, lead = _q_coeffs_mpf(n, ctx.dps, 16)
-        acc = mpf(0)
-        for j in range(10001):
-            if j == len(coeffs):
-                coeffs, lead = _q_coeffs_mpf(n, ctx.dps, 2 * j)
-            p = n + 2 * j  # integral of t^{-n-1-2j} is T^{-n-2j}/(n+2j)
-            term = coeffs[j] * T ** (-p) / p
-            acc += term
-            if abs(term) < eps * abs(acc):
-                return +(lead * acc)
-        raise RuntimeError("Q tail integral did not converge")
+    dps = mpmath.mp.dps
+    T = mpf(T)
+    if not T > T_SWITCH:
+        raise ValueError(f"Q tail integral needs T > {T_SWITCH}, got {T}")
+    eps = mpf(10) ** (-(dps + 5))
+    coeffs, lead = _q_coeffs_mpf(n, dps, 16)
+    acc = mpf(0)
+    for j in range(10001):
+        if j == len(coeffs):
+            coeffs, lead = _q_coeffs_mpf(n, dps, 2 * j)
+        p = n + 2 * j  # integral of t^{-n-1-2j} is T^{-n-2j}/(n+2j)
+        term = coeffs[j] * T ** (-p) / p
+        acc += term
+        if abs(term) < eps * abs(acc):
+            return +(lead * acc)
+    raise RuntimeError("Q tail integral did not converge")
 
 
-def _q_float_factory(n: int, terms: int = 12):
-    """Vectorized float64 Q_n(t) for t > T_SWITCH via the descending series."""
+def _q_float_factory(n: int):
+    """Vectorized float64 Q_n(t) for t > T_SWITCH: 12 terms of the descending series."""
     import numpy as np
 
-    coeffs = [float(a) for a in _q_series_coeffs(n, terms)]
+    coeffs = [float(a) for a in _q_series_coeffs(n, 12)]
     lead = float(_q_lead(n))
 
     def qf(t):
@@ -280,15 +279,12 @@ def cosh_distance(z1: mpc, z2: mpc):
     return 1 + abs(z1 - z2) ** 2 / (2 * z1.imag * z2.imag)
 
 
-def g_k(z1, z2, k: int, dps: int | None = None):
+def g_k(z1, z2, k: int):
     """g_k(z1, z2) = -2 Q_{k-1}(cosh d(z1, z2)); symmetric, singular on z1=z2."""
-    ctx = mpmath.mp
-    with ctx.workdps(dps or ctx.dps):
-        z1, z2 = mpc(z1), mpc(z2)
-        t = cosh_distance(z1, z2)
-        if t <= 1 + mpf(10) ** -10:
-            raise SingularConfigurationError("g_k evaluated on the diagonal")
-        return -2 * legendre_Q(k - 1, t)
+    t = cosh_distance(mpc(z1), mpc(z2))
+    if t <= 1 + mpf(10) ** -10:
+        raise SingularConfigurationError("g_k evaluated on the diagonal")
+    return -2 * legendre_Q(k - 1, t)
 
 
 # ---------------------------------------------------------------------------

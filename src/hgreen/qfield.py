@@ -369,10 +369,6 @@ class FracIdeal:
         self.a = a
         self.b = b % a
 
-    @property
-    def hnf(self):
-        return (self.a, self.b, 1)
-
     @staticmethod
     def from_hnf_rows(D: int, rows, scale=Fraction(1)) -> "FracIdeal":
         """HNF of the Z-module spanned by integer (u, v) rows, then scaled.
@@ -824,26 +820,6 @@ class QuadField:
             if steps > 100000:
                 raise RuntimeError("generator walk did not terminate")
 
-    def is_principal_tp(self, I: FracIdeal):
-        """Totally positive generator normalized to 1 <= mu/mu' < eps_Delta^2.
-
-        None when no totally positive generator exists.
-        """
-        g = self.generator_of(I)
-        if g is None:
-            return None
-        if g.norm() < 0:
-            eps = self.fundamental_unit()
-            if eps.norm() == 1:
-                return None
-            g = g * eps
-        g = abs(g)
-        if not g.is_totally_positive():
-            raise RuntimeError(f"generator {g} of {I} is not totally positive")
-        # totally positive generators are an <eps_F^+>-orbit whose ratios g/g'
-        # are spaced by (eps_F^+)^2 = eps_Delta: the window pins a unique one
-        return self.unit_orbit_rep(g, self.eps_plus(), self.one)
-
     def unit_orbit_rep(self, mu: FieldElem, unit: FieldElem, lo: FieldElem) -> FieldElem:
         """mu * unit^j for the j that puts |mu/mu'| in the window [lo, lo*s).
 
@@ -962,10 +938,6 @@ class NarrowClassGroup:
 
     def is_narrow_principal(self, I: FracIdeal) -> bool:
         return self.resolve(I) == 0
-
-    @property
-    def order(self) -> int:
-        return self.h_plus
 
     def multiplication_table(self):
         if self._table is None:

@@ -10,7 +10,6 @@ C_chi(mu0) = 2*rho_{K/F}((mu0)) for totally positive mu0.
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -302,22 +301,3 @@ def C_chi(chi: GenusChar, mu0: FieldElem) -> int:
         total += route.c_chi(chi, int(n), h)
     return total
 
-
-# ---------------------------------------------------------------------------
-# JSON export
-# ---------------------------------------------------------------------------
-
-def coefficient_table_json(chi: GenusChar, n_max: int) -> str:
-    """Coefficient table of theta_chi as a stable JSON document."""
-    table = lattice_route(chi.Delta).c_chi_table(chi, n_max)
-    entries = [
-        {"n": n, "h": [h[0], h[1]], "c": c}
-        for (n, h), c in sorted(table.items())
-    ]
-    doc = {
-        "Delta": chi.Delta,
-        "chi": [chi.Delta1, chi.Delta2],
-        "n_max": n_max,
-        "entries": entries,
-    }
-    return json.dumps(doc, indent=1)

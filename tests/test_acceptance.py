@@ -13,10 +13,10 @@ import mpmath
 import pytest
 from mpmath import mpc, mpf
 
+from hgreen import properties as P
 from hgreen.cli import main
-from hgreen.qfield import FracIdeal, field
-from hgreen.finquad import FQM, genus_characters, rho_KF
-from hgreen.thetacoef import C_chi, ideal_route, lattice_route
+from hgreen.qfield import field
+from hgreen.finquad import genus_characters
 from hgreen.factor import (
     alt_exponent_check,
     gamma_exponents,
@@ -24,10 +24,14 @@ from hgreen.factor import (
     rho_exponent_vector,
     trace_slice,
 )
-from hgreen.greens import G_k_hecke, G_kf_at_cycle, GreenParams, legendre_Q
+from hgreen.greens import G_k_hecke, G_kf_at_cycle, GreenParams
 
 
-def report(name, ok, detail=""):
+def report(name, ok, detail="", failures=()):
+    """Print and assert one criterion; a property suite's failures fail it too."""
+    ok = ok and not failures
+    if failures:
+        detail += f" failures={list(failures)[:5]}"
     print(f"[{'PASS' if ok else 'FAIL'}] {name}  {detail}")
     assert ok, f"{name}: {detail}"
 
@@ -131,30 +135,13 @@ def test_criterion_4_k2_crosscheck():
 
 def test_criterion_5_counting_oracle():
     t0 = time.time()
-    rng = random.Random(20260810)
-    checked = 0
-    for D in (12, 21, 28, 161):
-        F = field(D)
-        chis = genus_characters(D, odd_only=True)
-        done = 0
-        while done < 130:
-            mu = F.from_uv(rng.randint(-60, 60), rng.randint(0, 3))
-            if mu.is_zero():
-                continue
-            if not mu.is_totally_positive():
-                mu = -mu
-            if not mu.is_totally_positive() or not (0 < mu.norm() <= 300):
-                continue
-            I = FracIdeal.from_generators(D, [mu])
-            for chi in chis:
-                assert C_chi(chi, mu) == 2 * rho_KF(chi, I), (D, mu)
-                checked += 1
-            done += 1
+    checked, failures = P.counting_oracle((12, 21, 28, 161), 130, random.Random(20260810))
     elapsed = time.time() - t0
     report(
         "criterion 5: C_chi(mu0) = 2 rho_{K/F}((mu0)) on >= 500 random tp mu0",
         checked >= 500 and elapsed < 120,
         f"{checked} exact checks ({elapsed:.1f}s, target < 120s)",
+        failures,
     )
 
 
@@ -163,57 +150,28 @@ def test_criterion_5_counting_oracle():
 @pytest.mark.parametrize("D", [12, 21, 28, 161])
 def test_criterion_6_route_equality(D):
     t0 = time.time()
-    F = field(D)
-    fqm = FQM(F)
-    chi = genus_characters(D, odd_only=True)[0]
-    lr, ir = lattice_route(D), ideal_route(D)
-    table = lr.c_chi_table(chi, 100)
-    mismatches = 0
-    checked = 0
-    for n in range(1, 101):
-        for h in fqm.elements():
-            checked += 1
-            if table.get((n, h), 0) != ir.c_chi(chi, n, h):
-                mismatches += 1
+    checked, failures = P.route_equality((D,), 100)
     report(
         f"criterion 6: route equality, Delta={D}, n <= 100, all h",
-        mismatches == 0,
+        checked == 100 * D,  # |A_Delta| = Delta
         f"{checked} coefficients ({time.time()-t0:.1f}s)",
+        failures,
     )
 
 
 # -- criterion 7: property suites ---------------------------------------------------
 
 def test_criterion_7a_slice_identity():
-    bad = 0
-    for eps in (1, -1):
-        for a in range(21):
-            for b in range(a, 21):
-                s = sum(eps ** r * (a - b + 2 * r)
-                        for sv in range(a + 1)
-                        for r in range(sv - a, b - sv + 1))
-                if eps == -1 and (a + 1) % 2 == 0 and b % 2 == 0:
-                    want = a + 1
-                elif eps == -1 and a % 2 == 0 and (b + 1) % 2 == 0:
-                    want = -(b + 1)
-                else:
-                    want = 0
-                bad += s != want
+    checks, failures = P.slice_identity(20)
     report("criterion 7a: combinatorial slice identity, exhaustive a <= b <= 20",
-           bad == 0)
+           checks == 2 * 231, failures=failures)
 
 
 def test_criterion_7b_legendre_recurrence():
-    with mpmath.mp.workdps(30):
-        worst = mpf(0)
-        for n in range(1, 11):
-            for t in [mpf("1.01") + i * mpf("0.5") for i in range(20)] + [mpf(50)]:
-                r = ((n + 1) * legendre_Q(n + 1, t)
-                     - (2 * n + 1) * t * legendre_Q(n, t)
-                     + n * legendre_Q(n - 1, t))
-                worst = max(worst, abs(r))
+    ts = [f"{1.01 + 0.5 * i:.2f}" for i in range(20)] + [50]
+    checks, failures = P.legendre_recurrence(10, ts)
     report("criterion 7b: Legendre Q recurrence residual < 1e-12",
-           worst < mpf(10) ** -12, f"worst={mpmath.nstr(worst, 3)}")
+           checks == 210, f"{checks} residuals", failures)
 
 
 def test_criterion_7c_laplacian_eigenvalue():

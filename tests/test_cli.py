@@ -91,17 +91,28 @@ def test_selftest_deterministic(capsys):
 
 def test_out_of_range_discriminant_fails_fast(capsys):
     # a 49-digit semiprime: factoring it would never finish, the range check
-    # must refuse it first
+    # must refuse it first; a principal-part index of 1e8 would hang the
+    # obstruction check and the trace slice the same way
     import time
     from sympy import nextprime
     d1 = -nextprime(10 ** 24) * nextprime(3 * 10 ** 24)
     assert len(str(-d1)) == 49
-    for command in ("factor", "greens", "verify"):
-        t0 = time.perf_counter()
-        code = main([command, "--k", "4", "--d1", str(d1), "--d2", "-7", "--pp", "1=1"])
-        assert code == 2
-        assert time.perf_counter() - t0 < 1.0
-        assert "beyond supported range" in capsys.readouterr().err
+    for cycle, reason in ((["--d1", str(d1), "--d2", "-7", "--pp", "1=1"],
+                           f"Delta = {-7 * d1} beyond supported range 1e6"),
+                          (["--d1", "-7", "--d2", "-23", "--pp", "100000000=1"],
+                           "index 100000000 beyond supported range 100")):
+        for command in ("factor", "greens", "verify"):
+            t0 = time.perf_counter()
+            code = main([command, "--k", "4"] + cycle)
+            assert code == 2
+            assert time.perf_counter() - t0 < 1.0
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert reason in json.loads(captured.err)["error"]
+    # the index bound itself is accepted
+    code, doc = run_cli(capsys, "factor", "--k", "4", "--d1", "-4", "--d2", "-7",
+                        "--pp", "100=1")
+    assert code == 0 and doc["pp"] == {"100": "1"}
     # greens refuses Delta above 1e6 like factor does
     assert main(["greens", "--k", "4", "--d1", "-1003", "--d2", "-1019", "--pp", "1=1"]) == 2
 
@@ -136,3 +147,33 @@ def test_malformed_principal_part_is_invalid(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"bad principal part term {term!r}" in json.loads(captured.err)["error"]
+
+
+def test_selftest_full_grid_counts(capsys):
+    # the full grid's check counts, one per suite, as the benchmark pins them
+    code, doc = run_cli(capsys, "selftest", "--seed", "0")
+    assert code == 0 and doc["pass"] is True
+    assert [s["checks"] for s in doc["suites"]] == [160, 6660, 462, 60, 15]
+
+
+def test_product_path_loads_no_oracle_code():
+    # factor, greens and verify never import the theta routes or the property suites
+    import subprocess
+    import sys
+    from pathlib import Path
+    script = """
+import contextlib, io, sys
+from hgreen.cli import main
+for command in ("factor", "greens", "verify"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main([command, "--k", "4", "--d1", "-7", "--d2", "-23", "--pp", "1=1",
+                     "--tol", "1e-6"])
+    loaded = sorted(m for m in ("hgreen.thetacoef", "hgreen.properties") if m in sys.modules)
+    print(command, code, loaded)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    assert out.split("\n")[:3] == ["factor 0 []", "greens 0 []", "verify 0 []"]

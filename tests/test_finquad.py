@@ -16,7 +16,6 @@ from hgreen.finquad import (
     rho_KF,
     s_h,
     sigma_chi_divisor_sum,
-    sqrt_support,
     sqrt_support_engine,
     stabilizer,
 )
@@ -306,7 +305,7 @@ def test_sqrt_support_empty_on_inconsistent_coset():
     for I in F.ideals_of_norm(5):
         for h in fqm.elements():
             if (fqm.Q(h) - Fraction(5, 161)) % 1 != 0:
-                assert sqrt_support(I, h) == []
+                assert sqrt_support_engine(161).support(I, h) == []
 
 
 @pytest.mark.parametrize("D", [12, 28])

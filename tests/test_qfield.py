@@ -248,35 +248,6 @@ def test_resolver_tp_scaling_invariance(D):
         assert ncg.resolve(I) == ncg.resolve(I * FracIdeal.from_generators(D, [mu]))
 
 
-def test_is_principal_tp_examples():
-    F161 = field(161)
-    assert F161.is_principal_tp(F161.O_F()) == F161.one
-    F28 = field(28)
-    g = F28.is_principal_tp(F28.prime_above(2))
-    assert g == F28.elem(3, Fraction(1, 2))  # 3 + sqrt(7)
-    assert F161.is_principal_tp(F161.prime_above(5)) is None
-
-
-@pytest.mark.parametrize("D", [12, 28, 161])
-def test_is_principal_tp_scaling(D):
-    rng = random.Random(D + 13)
-    F = field(D)
-    pool = [I for n in range(2, 25) for I in F.ideals_of_norm(n)]
-    for _ in range(20):
-        I = rng.choice(pool)
-        mu = F.from_uv(rng.randint(1, 20), rng.randint(0, 2))
-        if mu.is_zero():
-            continue
-        mu = mu * mu
-        a = F.is_principal_tp(I) is not None
-        b = F.is_principal_tp(I * FracIdeal.from_generators(D, [mu])) is not None
-        assert a == b
-    # present iff narrow class trivial
-    ncg = F.narrow_class_group()
-    for I in pool[:25]:
-        assert (F.is_principal_tp(I) is not None) == ncg.is_narrow_principal(I)
-
-
 def test_field_elem_arithmetic():
     F = field(161)
     a = F.elem(Fraction(3, 2), Fraction(-1, 4))

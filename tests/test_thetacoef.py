@@ -1,15 +1,14 @@
-import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from hgreen.qfield import FracIdeal, field
-from hgreen.finquad import FQM, genus_characters, rho_KF
+from hgreen.qfield import field
+from hgreen.finquad import FQM, genus_characters
+from hgreen.properties import counting_oracle, route_equality
 from hgreen.thetacoef import (
     C_chi,
     c_lattice,
-    coefficient_table_json,
     ideal_route,
     lattice_route,
     solve_norm_in_coset,
@@ -76,25 +75,13 @@ def test_solve_norm_box_doubling_stable():
 
 @pytest.mark.parametrize("D", [12, 21, 28])
 def test_route_equality_small(D):
-    fqm = FQM(field(D))
-    chi = genus_characters(D, odd_only=True)[0]
-    lr, ir = lattice_route(D), ideal_route(D)
-    for n in range(1, 30):
-        for h in fqm.elements():
-            assert lr.c_chi(chi, n, h) == ir.c_chi(chi, n, h)
+    checks, failures = route_equality((D,), 29)
+    assert checks == 29 * D and failures == []
 
 
 def test_route_equality_161_sampled():
-    D = 161
-    fqm = FQM(field(D))
-    chi = genus_characters(D, odd_only=True)[0]
-    lr, ir = lattice_route(D), ideal_route(D)
-    rng = random.Random(1)
-    hs = list(fqm.elements())
-    for _ in range(250):
-        n = rng.randint(1, 40)
-        h = rng.choice(hs)
-        assert lr.c_chi(chi, n, h) == ir.c_chi(chi, n, h)
+    checks, failures = route_equality((161,), 40, random.Random(1), h_samples=7)
+    assert checks == 280 and failures == []
 
 
 @pytest.mark.parametrize("D", [12, 28])
@@ -170,22 +157,8 @@ def test_independence_of_representatives():
 
 @pytest.mark.parametrize("D", [12, 21, 28, 161])
 def test_counting_identity_random(D):
-    rng = random.Random(D * 17)
-    F = field(D)
-    chis = genus_characters(D, odd_only=True)
-    done = 0
-    while done < 30:
-        mu = F.from_uv(rng.randint(-60, 60), rng.randint(0, 3))
-        if mu.is_zero():
-            continue
-        if not mu.is_totally_positive():
-            mu = -mu
-        if not mu.is_totally_positive() or not (0 < mu.norm() <= 300):
-            continue
-        I = FracIdeal.from_generators(D, [mu])
-        for chi in chis:
-            assert C_chi(chi, mu) == 2 * rho_KF(chi, I)
-        done += 1
+    checks, failures = counting_oracle((D,), 30, random.Random(D * 17))
+    assert checks >= 30 and failures == []
 
 
 def test_counting_identity_unit():
@@ -194,15 +167,3 @@ def test_counting_identity_unit():
         F = field(D)
         chi = genus_characters(D, odd_only=True)[0]
         assert C_chi(chi, F.one) == 2
-
-
-def test_json_export_schema():
-    chi = genus_characters(12, odd_only=True)[0]
-    doc = json.loads(coefficient_table_json(chi, 10))
-    assert doc["Delta"] == 12
-    assert sorted(doc["chi"]) == [-4, -3]
-    assert doc["n_max"] == 10
-    assert doc["entries"]
-    for e in doc["entries"]:
-        assert set(e) == {"n", "h", "c"}
-        assert lattice_route(12).c_chi(chi, e["n"], tuple(e["h"])) == e["c"]
