@@ -63,7 +63,7 @@ class FQM:
         """Module action of an integral field element: class of alpha * lift(h)."""
         if not alpha.is_integral():
             raise ValueError("module action needs an integral multiplier")
-        return self.from_elem(self.lift(h) * alpha)
+        return self.from_numerator(self.F.from_uv(h[0], h[1]) * alpha)
 
     def elements(self):
         for a in range(self.mod1):
@@ -75,18 +75,22 @@ class FQM:
         F = self.F
         return F.from_uv(h[0], h[1]) / F.sqrtD
 
-    def from_elem(self, e: FieldElem):
-        """Class of e in d^{-1}/O_F; e must lie in d^{-1}."""
-        w = e * self.F.sqrtD
-        u, v = w.uv()
+    def from_numerator(self, beta: FieldElem):
+        """Class of beta/sqrt(Delta) in d^{-1}/O_F from integral beta's (u, v)."""
+        u, v = beta.uv()
         if u.denominator != 1 or v.denominator != 1:
-            raise ValueError("element is not in the inverse different")
-        return self.elem(int(u), int(v))
+            raise ValueError("beta/sqrt(Delta) is not in the inverse different")
+        return self.elem(u.numerator, v.numerator)
+
+    def DQ(self, h) -> int:
+        """Delta * Q(h) in [0, Delta): Nm(sqrt(Delta)) = -Delta, so Nm(lift(h))
+        = -Nm(a + b*omega)/Delta = -(a^2 + Delta*a*b + psi*b^2)/Delta."""
+        (a, b), D = h, self.F.D
+        return -(a * a + D * a * b + self.F.psi * b * b) % D
 
     def Q(self, h) -> Fraction:
         """Q(h) = Nm(lift) mod 1, valued in [0, 1)."""
-        q = self.lift(h).norm()
-        return q - (q.numerator // q.denominator)
+        return Fraction(self.DQ(h), self.F.D)
 
     # p-parts -------------------------------------------------------------------
     def _idempotent(self, p: int) -> int:
@@ -433,8 +437,7 @@ class SqrtSupport:
             J = a * b * b * FracIdeal(self.F.D, Fraction(1, nb), 1, 0)
             out = []
             for mu in self.F.positive_generators_mod_epsD(J):
-                beta = mu * nb
-                hmu = self.fqm.smul(nb_inv, self.fqm.from_elem(beta / self.F.sqrtD))
+                hmu = self.fqm.smul(nb_inv, self.fqm.from_numerator(mu * nb))
                 out.append((mu, hmu))
             self._cands[key] = out
         return self._cands[key]

@@ -19,6 +19,10 @@ from .qfield import InvalidInputError, QuadField, is_fundamental_discriminant
 # ~m*sqrt(Delta) = 1e5 elements); at m = 1000 the obstruction check alone
 # takes 15.6 s.
 MAX_PP_INDEX = 100
+# Largest k accepted.  The obstruction check grows with k and m: on the same
+# machine check_principal_part(k, {100: 1}) takes 0.9 s at k = 12 and 1.2 s
+# at k = 14 (with {1: 1}: 0.17 s at k = 48, 1.8 s at k = 96).
+MAX_K = 12
 
 
 class QSeries:
@@ -259,14 +263,16 @@ def check_principal_part(k: int, pp):
 def check_cycle_input(k: int, pp, d1: int, d2: int) -> None:
     """Validate the input of a CM-cycle computation; the one check for both engines.
 
-    Raises InvalidInputError unless k is even >= 2, d1 and d2 are coprime
-    negative fundamental discriminants with Delta = d1*d2 inside the
-    supported range, and the principal part pp has indices up to MAX_PP_INDEX
-    and is unobstructed.  Both ranges are checked before anything is
-    factored or expanded, so oversized input fails at once.
+    Raises InvalidInputError unless k is even with 2 <= k <= MAX_K, d1 and d2
+    are coprime negative fundamental discriminants with Delta = d1*d2 inside
+    the supported range, and the principal part pp has indices up to
+    MAX_PP_INDEX and is unobstructed.  The ranges are checked before anything
+    is factored or expanded, so oversized input fails at once.
     """
     if k < 2 or k % 2 != 0:
         raise InvalidInputError("k must be an even integer >= 2")
+    if k > MAX_K:
+        raise InvalidInputError(f"k = {k} beyond supported range {MAX_K}")
     if d1 >= 0 or d2 >= 0:
         raise InvalidInputError(f"d1 = {d1}, d2 = {d2}: both must be negative")
     if d1 * d2 > QuadField.MAX_DELTA:

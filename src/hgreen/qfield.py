@@ -825,20 +825,24 @@ class QuadField:
 
         Multiplying mu by unit multiplies |mu/mu'| by s = |unit/unit'|, so the
         window holds exactly one member of the orbit mu * unit^Z and the
-        result is the same for all of them.
+        result is the same for all of them.  Nothing is divided: for a unit
+        of norm +-1, s = unit^2 and unit^-1 = Nm(unit) * unit', and the test
+        |mu/mu'| = mu^2/|Nm(mu)| >= lo reads mu^2 >= lo*|Nm(mu)|.
         """
-        inv = unit.inverse()
-        step = abs(unit / unit.conj())
-        hi = lo * step
-        ratio = abs(mu / mu.conj())
+        nu, n = unit.norm(), abs(mu.norm())
+        if abs(nu) != 1 or unit.y == 0 or n == 0:
+            raise InvalidInputError(f"no orbit window for {mu} under {unit} (norm {nu}): "
+                                    "needs mu != 0 and a unit other than +-1")
+        inv = unit.conj() if nu == 1 else -unit.conj()
+        step, lo_n, sq = unit * unit, lo * n, mu * mu
         for _ in range(10 ** 5):
-            if ratio < lo:
-                mu, ratio = mu * unit, ratio * step
-            elif ratio >= hi:
-                mu, ratio = mu * inv, ratio / step
+            if sq < lo_n:
+                mu, sq = mu * unit, sq * step
+            elif sq >= lo_n * step:
+                mu, sq = mu * inv, sq * step.conj()
             else:
                 return mu
-        raise RuntimeError(f"unit orbit of {mu} does not meet the window [{lo}, {hi})")
+        raise RuntimeError(f"unit orbit of {mu} does not meet the window [{lo}, {lo * step})")
 
     def positive_generators_mod_epsD(self, I: FracIdeal):
         """All positive generators of I modulo <eps_Delta>.

@@ -15,14 +15,11 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
-import mpmath
-
 from .qfield import (
     FieldElem,
     FracIdeal,
     InvalidInputError,
     QuadField,
-    _xgcd,
     field,
     integral_content,
 )
@@ -31,20 +28,19 @@ from .finquad import FQM, GenusChar, fqm as fqm_of, s_h, sqrt_support_engine
 ENUMERATION_CAP = 10 ** 9  # window heights beyond this are refused, not attempted
 
 
-def _log_epsD(F: QuadField) -> float:
-    """log(eps_Delta) computed without float overflow (the unit can be huge)."""
-    e = F.eps_Delta()
-    x = mpmath.mpf(e.x.numerator) / e.x.denominator
-    y = mpmath.mpf(e.y.numerator) / e.y.denominator
-    return float(mpmath.log(x + y * mpmath.sqrt(F.D)))
-
-
 def _window_height(F: QuadField, t_abs: float, den: int, margin: int) -> int:
-    """ceil(2 den sqrt(|t| eps_Delta / Delta)) + margin, via logs, with a cap."""
+    """ceil(2 den sqrt(|t| eps_plus / Delta)) + margin, via logs, with a cap.
+
+    Tr(eps_plus) = eps_plus + 1/eps_plus stands in for eps_plus: an integer
+    whose log is exact at any size, and an overestimate by at most 15%.  The
+    cap trips when |t| Tr(eps_plus) 4 den^2 / Delta passes 1e18; the height
+    grows with eps_Delta^(1/4), so only units about the square of those an
+    eps_Delta box would refuse are refused.
+    """
     if t_abs <= 0:
         return margin
-    log_v = (math.log(t_abs) + _log_epsD(F)) / 2 + math.log(2 * den) \
-        - math.log(F.D) / 2
+    log_v = (math.log(t_abs) + math.log(int(F.eps_plus().trace()))) / 2 \
+        + math.log(2 * den) - math.log(F.D) / 2
     if log_v > math.log(ENUMERATION_CAP):
         raise InvalidInputError(
             "lattice enumeration window exceeds the supported size "
@@ -56,12 +52,15 @@ def _window_height(F: QuadField, t_abs: float, den: int, margin: int) -> int:
 def solve_norm_in_coset(F: QuadField, lattice: FracIdeal, offset: FieldElem,
                         lo: Fraction, hi: Fraction | None = None,
                         window_margin: int = 2):
-    """All mu in (offset + lattice) with lo <= Nm(mu) <= hi, one per <eps_Delta>-orbit.
+    """All mu in C = offset + lattice with lo <= Nm(mu) <= hi, one per <eps_Delta>-orbit.
 
     hi defaults to lo, a single target norm; the interval may be negative but
-    must not contain 0.  Every orbit of norm t has a representative in the
-    balanced window |mu|, |mu'| <= sqrt(|t| * eps_Delta); the returned
-    representatives are canonicalized to 1 <= |mu/mu'| < eps_Delta^2 and
+    must not contain 0.  Since eps_Delta = eps_plus^2, an eps_plus-orbit of
+    norm t is two eps_Delta-orbits, O and eps_plus*O, and it has a member in
+    the balanced window |mu|, |mu'| <= sqrt(|t| * eps_plus).  So the window is
+    enumerated in C and in eps_plus*C (one enumeration when they are equal):
+    each x found in C is kept, and x/eps_plus for each x found in eps_plus*C.
+    The results are canonicalized to 1 <= |mu/mu'| < eps_Delta^2 and
     deduplicated.  Enumeration walks integer coordinate pairs: for each
     admissible omega-coordinate the norm interval pins the complementary
     coordinate to a run of square roots (one exact square test for a single
@@ -72,24 +71,20 @@ def solve_norm_in_coset(F: QuadField, lattice: FracIdeal, offset: FieldElem,
     hi = lo if hi is None else Fraction(hi)
     if lo <= 0 <= hi:
         raise InvalidInputError("norm interval contains 0")
-    # write coset elements as (U + V*omega)/den with (U, V) integral
-    sa, sb = lattice.basis()
-    den = 1
-    coords = []
-    for e in (sa, sb, offset):
-        u, v = e.uv()
-        coords.append((u, v))
-        d = u.denominator * v.denominator // gcd(u.denominator, v.denominator)
-        den = den * d // gcd(den, d)
-    (A1, A2), (B1, B2), (U0, V0) = [
-        (int(u * den), int(v * den)) for (u, v) in coords
-    ]
-    if A1 * B2 - A2 * B1 == 0:
-        raise InvalidInputError("degenerate lattice: basis vectors are dependent")
-    # lattice rows (A1, A2), (B1, B2); HNF so that V runs in one progression
-    g, p, q = _xgcd(A2, B2)
-    stepU0 = p * A1 + q * B1                        # U-part of the V-step generator
-    stepU = abs((B2 // g) * A1 - (A2 // g) * B1)   # pure-U generator
+    ep, epsD, one = F.eps_plus(), F.eps_Delta(), F.one
+    ep_inv = ep.conj()  # Nm(eps_plus) = 1
+    shifted = ep * offset
+    if lattice.contains(shifted - offset):
+        passes = [(offset, (one, ep_inv))]
+    else:
+        passes = [(offset, (one,)), (shifted, (ep_inv,))]
+    # mu = (U + V*omega)/den with (U, V) integral; eps_plus*offset, an
+    # O_F-multiple of offset, has the same den.  The lattice s*(a*Z + (b +
+    # omega)*Z) is already in HNF: with k = s*den, V runs over V0 + k*Z and U
+    # over U0 + (V - V0)*b + k*a*Z.
+    u0, v0 = offset.uv()
+    den = math.lcm(lattice.s.denominator, u0.denominator, v0.denominator)
+    k = abs(int(lattice.s * den))
     # Nm(U + V*omega) = ((2U + D*V)^2 - D*V^2) / 4, so with s = |2U + D*V|
     # the interval reads t_lo <= s^2 - D*V^2 <= t_hi
     t_lo = math.ceil(4 * den * den * lo)
@@ -97,54 +92,41 @@ def solve_norm_in_coset(F: QuadField, lattice: FracIdeal, offset: FieldElem,
     if t_lo > t_hi:
         return []  # no integer s^2 - D*V^2 in the interval
     exact = t_lo == t_hi
-    # window bound: |V| * sqrt(D) / den = |mu - mu'| <= 2 sqrt(|t| epsD)
+    # window bound: |V| * sqrt(D) / den = |mu - mu'| <= 2 sqrt(|t| eps_plus)
     vmax = _window_height(F, float(max(abs(lo), abs(hi))), den, window_margin)
-    epsD, one = F.eps_Delta(), F.one
     out = {}
-    # V runs over the progression V0 mod g covering [-vmax, vmax]
-    V_first = V0 % g + ((-vmax - V0 % g) // g) * g
-    for V in range(V_first, vmax + 1, g):
-        dv2 = D * V * V
-        top = t_hi + dv2
-        if top < 0:
-            continue
-        s_hi = isqrt(top)
-        if exact:
-            if s_hi * s_hi != top:
+    for base, mults in passes:
+        U0, V0 = (int(c * den) for c in base.uv())
+        # V runs over the progression V0 mod k covering [-vmax, vmax]
+        for V in range(V0 % k + (-vmax - V0 % k) // k * k, vmax + 1, k):
+            dv2 = D * V * V
+            top = t_hi + dv2
+            if top < 0:
                 continue
-            s_lo = s_hi
-        else:
-            bot = t_lo + dv2
-            s_lo = isqrt(bot - 1) + 1 if bot > 0 else 0
-        # coset membership in U: subtract offset and the V-part
-        U_shift = U0 + ((V - V0) // g) * stepU0
-        for s in range(s_lo, s_hi + 1):
-            for sgn in ((s, -s) if s else (s,)):
-                twoU = sgn - D * V
-                if twoU % 2 or (twoU // 2 - U_shift) % stepU:
+            s_hi = isqrt(top)
+            if exact:
+                if s_hi * s_hi != top:
                     continue
-                mu = FieldElem.from_uv(D, Fraction(twoU // 2, den), Fraction(V, den))
-                mu = F.unit_orbit_rep(mu, epsD, one)
-                out[(mu.x, mu.y)] = mu
+                s_lo = s_hi
+            else:
+                bot = t_lo + dv2
+                s_lo = isqrt(bot - 1) + 1 if bot > 0 else 0
+            U_shift = U0 + (V - V0) * lattice.b
+            for s in range(s_lo, s_hi + 1):
+                for sgn in ((s, -s) if s else (s,)):
+                    twoU = sgn - D * V
+                    if twoU % 2 or (twoU // 2 - U_shift) % (k * lattice.a):
+                        continue
+                    x = FieldElem.from_uv(D, Fraction(twoU // 2, den), Fraction(V, den))
+                    for m in mults:
+                        mu = F.unit_orbit_rep(x * m, epsD, one)
+                        out[(mu.x, mu.y)] = mu
     return list(out.values())
 
 
 # ---------------------------------------------------------------------------
 # route one: lattice coefficients
 # ---------------------------------------------------------------------------
-
-def c_lattice(F: QuadField, a: FracIdeal, m: Fraction, h_elem: FieldElem) -> int:
-    """Coefficient of Hecke's cusp form theta_a at q^m, component h.
-
-    Signed count of lambda in (a + h_elem)/<eps_Delta> with Nm(lambda) = Nm(a)*m.
-    The coset representative h_elem must lie in a*d^{-1}.
-    """
-    m = Fraction(m)
-    if m <= 0:
-        raise InvalidInputError("cusp form coefficients need m > 0")
-    sols = solve_norm_in_coset(F, a, h_elem, a.norm() * m)
-    return sum(s.sign() for s in sols)
-
 
 def _minus_coeff(F: QuadField, a: FracIdeal, m: Fraction, h_elem: FieldElem) -> int:
     """Coefficient of the minus-form theta^-_a: Nm(lambda) = -Nm(a)*m."""
@@ -162,9 +144,10 @@ class LatticeRoute:
     lattice sum over Nm^-(b) + h is rescaled by n_b: beta = n_b * lambda *
     sqrt(Delta) runs over beta in b^2 with beta = sqrt(Delta) * lift(n_b * h)
     mod d, Nm(beta) = n * n_b^2, counted with sgn(beta) modulo <eps_Delta>.
-    One sweep per class finds every beta up to a norm bound at once; c_chi
-    reads a per-character table of these sweeps, rebuilt at twice the bound
-    when a larger n is asked for.
+    One sweep per class finds every beta up to a norm bound at once, in the
+    window of the eps_plus-orbits (b^2 is eps_plus-stable, so it is one
+    enumeration); c_chi reads a per-character table of these sweeps, rebuilt
+    at twice the bound when a larger n is asked for.
 
     The representative set S_F is an explicit input; coefficients of theta_chi
     do not depend on it (tested), the default is the canonical one.
@@ -194,7 +177,7 @@ class LatticeRoute:
         """Signed lambda-counts {(n, h): count} of class index i, 1 <= n <= n_max.
 
         Enumerates all beta in b^2 with 0 < Nm(beta) <= n_max * n_b^2 in the
-        balanced window, then buckets by (n, coset).
+        eps_plus-balanced window, then buckets by (n, class of beta/sqrt(Delta)).
         """
         F = self.F
         fqm = self.fqm
@@ -210,7 +193,7 @@ class LatticeRoute:
             num = nm / (nb * nb)
             if num.denominator != 1:
                 continue
-            key = (int(num), fqm.smul(nb_inv, fqm.from_elem(beta / F.sqrtD)))
+            key = (int(num), fqm.smul(nb_inv, fqm.from_numerator(beta)))
             counts[key] = counts.get(key, 0) + beta.sign()
         return counts
 
@@ -255,9 +238,8 @@ class IdealRoute:
             raise InvalidInputError("coefficient index n must be positive")
         if not chi.odd:
             return 0
-        q = self.fqm.Q(h)
-        if (q + Fraction(n, self.F.D)) % 1 != 0:
-            return 0
+        if (self.fqm.DQ(h) + n) % self.F.D:
+            return 0  # Q(h) + n/Delta is not an integer
         sh = s_h(self.fqm, h)
         if sh == 0:
             return 0
@@ -297,7 +279,7 @@ def C_chi(chi: GenusChar, mu0: FieldElem) -> int:
         n = mu.norm()
         if n <= 0 or n.denominator != 1:
             continue  # cusp form: only positive indices contribute
-        h = fqm.from_elem(mu / F.sqrtD)
+        h = fqm.from_numerator(mu)
         total += route.c_chi(chi, int(n), h)
     return total
 

@@ -3,6 +3,7 @@ import os
 
 
 from hgreen.cli import main
+from hgreen.mforms import MAX_K
 
 
 def run_cli(capsys, *argv):
@@ -97,13 +98,15 @@ def test_out_of_range_discriminant_fails_fast(capsys):
     from sympy import nextprime
     d1 = -nextprime(10 ** 24) * nextprime(3 * 10 ** 24)
     assert len(str(-d1)) == 49
-    for cycle, reason in ((["--d1", str(d1), "--d2", "-7", "--pp", "1=1"],
+    for cycle, reason in ((["--k", "4", "--d1", str(d1), "--d2", "-7", "--pp", "1=1"],
                            f"Delta = {-7 * d1} beyond supported range 1e6"),
-                          (["--d1", "-7", "--d2", "-23", "--pp", "100000000=1"],
-                           "index 100000000 beyond supported range 100")):
+                          (["--k", "4", "--d1", "-7", "--d2", "-23", "--pp", "100000000=1"],
+                           "index 100000000 beyond supported range 100"),
+                          (["--k", "400", "--d1", "-7", "--d2", "-23", "--pp", "1=1"],
+                           f"k = 400 beyond supported range {MAX_K}")):
         for command in ("factor", "greens", "verify"):
             t0 = time.perf_counter()
-            code = main([command, "--k", "4"] + cycle)
+            code = main([command] + cycle)
             assert code == 2
             assert time.perf_counter() - t0 < 1.0
             captured = capsys.readouterr()
@@ -113,6 +116,10 @@ def test_out_of_range_discriminant_fails_fast(capsys):
     code, doc = run_cli(capsys, "factor", "--k", "4", "--d1", "-4", "--d2", "-7",
                         "--pp", "100=1")
     assert code == 0 and doc["pp"] == {"100": "1"}
+    # so is k = MAX_K, with a principal part orthogonal to S_24
+    code, doc = run_cli(capsys, "factor", "--k", str(MAX_K), "--d1", "-4", "--d2", "-7",
+                        "--pp", "1=-195660,2=48,3=1")
+    assert code == 0 and doc["k"] == MAX_K
     # greens refuses Delta above 1e6 like factor does
     assert main(["greens", "--k", "4", "--d1", "-1003", "--d2", "-1019", "--pp", "1=1"]) == 2
 

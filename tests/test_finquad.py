@@ -24,6 +24,18 @@ from hgreen.finquad import (
 TEST_DELTAS = [5, 8, 12, 21, 28, 33, 40, 56, 60, 105, 161]
 
 
+@pytest.mark.parametrize("D", [5, 8, 12, 13, 21, 24, 28, 33, 40, 60, 161])
+def test_Q_from_integers_matches_lift_norm(D):
+    # the integer formula against the definition Q(h) = Nm(lift(h)) mod 1;
+    # the grid has 8 | Delta (8, 24, 40) and 4 || Delta (12, 28, 60)
+    fqm = FQM(field(D))
+    for h in fqm.elements():
+        lift = fqm.lift(h)
+        assert fqm.Q(h) == lift.norm() % 1
+        assert fqm.DQ(h) == fqm.Q(h) * D
+        assert fqm.from_numerator(lift * fqm.F.sqrtD) == h
+
+
 @pytest.mark.parametrize("D", TEST_DELTAS)
 def test_sigma_p_involution_and_isometry(D):
     F = field(D)

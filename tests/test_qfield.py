@@ -334,6 +334,11 @@ def test_unit_orbit_rep_window_and_invariance(D):
             assert lo <= ratio < hi
             assert F.unit_orbit_rep(mu * unit, unit, lo) == rep
             assert F.unit_orbit_rep(mu * unit.inverse(), unit, lo) == rep
+    # a non-unit, the trivial unit and the zero element have no orbit window
+    for mu, bad in ((eps, F.elem(2)), (eps, F.from_uv(1, 1) * eps), (eps, -F.one),
+                    (F.elem(0), eps)):
+        with pytest.raises(InvalidInputError, match="a unit other than"):
+            F.unit_orbit_rep(mu, bad, F.one)
 
 
 def test_package_has_no_assert_statements():

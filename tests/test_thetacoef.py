@@ -1,5 +1,7 @@
+import math
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -8,39 +10,10 @@ from hgreen.finquad import FQM, genus_characters
 from hgreen.properties import counting_oracle, route_equality
 from hgreen.thetacoef import (
     C_chi,
-    c_lattice,
     ideal_route,
     lattice_route,
     solve_norm_in_coset,
 )
-
-
-def test_c_lattice_no_solutions_gives_zero():
-    F = field(12)
-    # Nm(a)*m = 1/5 has no lattice points in O_F + 0 coset scaled this way
-    assert c_lattice(F, F.O_F(), Fraction(1, 5), F.elem(0)) == 0
-
-
-def test_c_lattice_rejects_nonpositive_index():
-    F = field(12)
-    with pytest.raises(Exception):
-        c_lattice(F, F.O_F(), Fraction(-1), F.elem(0))
-
-
-@pytest.mark.parametrize("D", [12, 21, 28])
-def test_c_lattice_antisymmetry(D):
-    F = field(D)
-    fqm = FQM(F)
-    dd = F.different().inverse()
-    for h in fqm.elements():
-        lift = fqm.lift(h)
-        for n in range(1, 15):
-            m = Fraction(n, D)
-            plus = c_lattice(F, F.O_F(), m, lift)
-            minus = c_lattice(F, F.O_F(), m, -lift)
-            assert plus == -minus
-            if fqm.neg(h) == h:
-                assert plus == 0
 
 
 def test_minus_form_matches_class_zero_count():
@@ -71,6 +44,60 @@ def test_solve_norm_box_doubling_stable():
                                        window_margin=40)
             assert sorted((s.x, s.y) for s in base) == \
                    sorted((s.x, s.y) for s in wide)
+
+
+def _eps_delta_box_orbits(F, lattice, offset, lo, hi):
+    """Brute force over the eps_Delta box: mu in offset + lattice (inside O_F)
+    with lo <= Nm(mu) <= hi and |mu|, |mu'| <= sqrt(|t| eps_Delta), as
+    canonical eps_Delta-orbit representatives."""
+    D, epsD = F.D, F.eps_Delta()
+    t_abs = max(abs(lo), abs(hi))
+    vmax = int(2 * math.sqrt(t_abs * float(epsD) / D)) + 2  # |mu - mu'| = |V| sqrt(D)
+    out = set()
+    for V in range(-vmax, vmax + 1):
+        # Nm(U + V*omega) = (s^2 - D*V^2)/4 with s = 2U + D*V
+        bot, top = 4 * lo + D * V * V, 4 * hi + D * V * V
+        if top < 0:
+            continue
+        for s in range(isqrt(bot - 1) + 1 if bot > 0 else 0, isqrt(top) + 1):
+            for sgn in {s, -s}:
+                if (sgn - D * V) % 2:
+                    continue
+                mu = F.from_uv((sgn - D * V) // 2, V)
+                if lattice.contains(mu - offset):
+                    rep = F.unit_orbit_rep(mu, epsD, F.one)
+                    out.add((rep.x, rep.y))
+    return out
+
+
+@pytest.mark.parametrize("D", [12, 21, 28, 161])
+def test_eps_plus_window_loses_no_orbit(D):
+    # the eps_plus window with its eps_plus*C pass finds every eps_Delta-orbit
+    # that the eps_Delta box holds, for cosets with eps_plus*C = C and not
+    F = field(D)
+    fqm = FQM(F)
+    L, ep = F.different(), F.eps_plus()
+    offsets = [F.elem(0)] + [fqm.lift(h) * F.sqrtD for h in fqm.elements()]
+    stable = [off for off in offsets if L.contains(ep * off - off)]
+    unstable = [off for off in offsets if not L.contains(ep * off - off)]
+    assert stable and unstable
+    rng = random.Random(D)
+    found = {True: 0, False: 0}
+    for off in stable + rng.sample(unstable, min(len(unstable), 8)):
+        # every norm in off + d is Nm(off) mod Delta: one target of each sign
+        t_pos = int(off.norm() - 1) % D + 1
+        t_neg = t_pos - D or -D
+        for lo, hi in ((1, t_pos), (t_neg, -1)):
+            brute = _eps_delta_box_orbits(F, L, off, lo, hi)
+            found[off in stable] += len(brute)
+
+            def got(a, b=None):
+                return {(m.x, m.y) for m in solve_norm_in_coset(F, L, off, Fraction(a), b)}
+
+            assert got(lo, hi) == brute
+            for t in (lo, hi):
+                assert got(t) == {r for r in brute if F.elem(*r).norm() == t}
+    assert found[True] > 0 and found[False] > 0
 
 
 @pytest.mark.parametrize("D", [12, 21, 28])
