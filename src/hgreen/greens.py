@@ -28,6 +28,14 @@ tol >= 1e-12, where the float series is within 2e-14 relative (1.4e-17
 absolute) of Q_n for n <= 7, and 64 below that tol.  The first T is at least
 four times the bound, so all of these terms lie in the first shell and the
 mpmath pass runs once per orbit sum.
+
+Every orbit sum of a cycle meets the same cosh values, the same doubling
+ladder of T and the same d^-1 mod c, so that work is done once per process:
+the mpmath Q value of each distinct (n, t, digits), the tail at each
+(n, T, digits), the float Q series of each n, and one read-only table of
+d^-1 mod c that grows with the largest c seen.  The cosets of one T come from
+whole-array numpy passes: the d-ranges of every c at once, expanded with
+repeat/cumsum and gathered from the flat inverse table.
 """
 
 from __future__ import annotations
@@ -41,7 +49,7 @@ from math import gcd
 import mpmath
 from mpmath import mpf, mpc
 
-from .qfield import InvalidInputError, factorint, is_fundamental_discriminant
+from .qfield import InvalidInputError, is_fundamental_discriminant
 from .mforms import check_cycle_input
 
 
@@ -203,6 +211,7 @@ def legendre_Q_integral(n: int, T):
     raise RuntimeError("Q tail integral did not converge")
 
 
+@functools.cache
 def _q_float_factory(n: int):
     """Vectorized float64 Q_n(t) for t > T_SWITCH: 12 terms of the descending series."""
     import numpy as np
@@ -291,6 +300,12 @@ def g_k(z1, z2, k: int):
 # orbit sums
 # ---------------------------------------------------------------------------
 
+# Largest working precision accepted, in decimal digits.  The mpmath work
+# grows faster than the digits: on a 2-core Xeon with Python 3.11 the
+# (-7, -23) k = 4 `greens` takes 0.9 s at 1000 digits and 29 s at 4000.
+MAX_DIGITS = 1000
+
+
 @dataclass
 class GreenParams:
     """Evaluation parameters; tolerance must respect the working precision."""
@@ -306,6 +321,12 @@ class GreenParams:
             raise InvalidInputError("k must be an even integer >= 2")
         if self.digits < 15:
             raise InvalidInputError("working precision must be >= 15 digits")
+        if self.digits > MAX_DIGITS:
+            raise InvalidInputError(
+                f"digits = {self.digits} beyond supported range {MAX_DIGITS}")
+        if not math.isfinite(self.tol):
+            # a nan tol never stops the doublings, an infinite one is not JSON
+            raise InvalidInputError(f"tolerance must be finite, got {self.tol}")
         if self.tol < 10.0 ** (1 - self.digits):
             raise InvalidInputError("tolerance below working precision")
 
@@ -320,32 +341,92 @@ class GreenParams:
 ORBIT_DENSITY = 6
 
 
-def _inverse_table(c: int):
-    """int64 array whose entry r is r^-1 mod c for the units r, 0 elsewhere.
+@functools.lru_cache(maxsize=1 << 14)
+def _q_exact(n: int, t, dps: int):
+    """legendre_Q(n, t) at dps digits, once per distinct key.
 
-    Vectorized square-and-multiply r^(phi(c) - 1) mod c (Euler); products of
-    two residues stay below c^2, so int64 holds them for c < 2^31.
+    The CM pairs of a cycle meet the same few cosh values, so most of their
+    mpmath passes repeat a value.  The key is exact: an mpf compares by value.
+    """
+    return legendre_Q(n, t, dps)
+
+
+@functools.lru_cache(maxsize=1 << 10)
+def _orbit_tail(n: int, T: float, dps: int):
+    """-2 * 6 [int_{T/2}^T (1 - psi(t/T)) Q_n + int_T^oo Q_n] at dps digits.
+
+    Every orbit sum climbs the same doubling ladder of T, so the tails repeat.
+    """
+    with mpmath.workdps(dps):
+        return -2 * ORBIT_DENSITY * (_taper_integral(_q_float_factory(n), T)
+                                     + legendre_Q_integral(n, T))
+
+
+# d^-1 mod c for every c <= _inv_rows, shared by all orbit sums; see _inverse_table
+_inv_flat = None
+_inv_rows = 0
+
+
+def _inverse_rows(c_lo: int, c_hi: int):
+    """Rows c_lo..c_hi of the inverse table as one int64 array.
+
+    Vectorized extended Euclid over every pair (c, r), r > 0, at once:
+    a = x r and b = y r mod c throughout, a pair leaves when b reaches 0 with
+    a = gcd(c, r), and all values stay within c in size.
     """
     import numpy as np
 
-    if not 1 <= c < 2 ** 31:
-        raise ValueError(f"inverse table needs 1 <= c < 2^31, got {c}")
-    phi = c
-    for p in factorint(c):
-        phi -= phi // p
-    r = np.arange(c, dtype=np.int64)
-    out = np.full(c, 1 % c, dtype=np.int64)
-    base, e = r.copy(), phi - 1
-    while e:
-        if e & 1:
-            out *= base
-            out %= c
-        base *= base
-        base %= c
-        e >>= 1
-    # a non-unit r has no inverse: r * out is not 1 mod c
-    out[out * r % c != 1 % c] = 0
+    cs = np.arange(c_lo, c_hi + 1, dtype=np.int64)
+    c = np.repeat(cs, cs)
+    r = np.arange(c.size, dtype=np.int64) - np.repeat(np.cumsum(cs) - cs, cs)
+    out = np.zeros_like(c)
+    live = np.flatnonzero(r)
+    a, b = c.take(live), r.take(live)
+    x, y = np.zeros_like(a), np.ones_like(a)
+    while live.size:
+        q = a // b
+        a, b = b, a - q * b
+        x, y = y, x - q * y
+        going = b != 0
+        if not going.all():
+            done = np.flatnonzero(~going)
+            done = done[a.take(done) == 1]      # units: x = r^-1 mod c
+            out[live.take(done)] = x.take(done)
+            keep = np.flatnonzero(going)
+            live, a, b, x, y = (v.take(keep) for v in (live, a, b, x, y))
+    out %= c
     return out
+
+
+def _inverse_table(cmax: int):
+    """Read-only int32 array whose entry c(c-1)/2 + r is r^-1 mod c for the
+    units r, 0 elsewhere (row c holds r = 0 .. c-1), for at least c <= cmax.
+
+    One table serves every orbit sum of the process and grows only when cmax
+    does; the new rows are built about 2^15 entries at a time.
+    """
+    import numpy as np
+
+    global _inv_flat, _inv_rows
+    if not 1 <= cmax < 2 ** 31:
+        raise ValueError(f"inverse table needs 1 <= cmax < 2^31, got {cmax}")
+    if cmax > _inv_rows:
+        parts = [] if _inv_flat is None else [_inv_flat]
+        c = _inv_rows + 1
+        while c <= cmax:
+            # rows c .. last hold at most 2^15 entries, or the one row c
+            last = max(c, min(cmax, math.isqrt(c * c + 2 ** 16)))
+            parts.append(_inverse_rows(c, last).astype(np.int32))
+            c = last + 1
+        flat = np.concatenate(parts)
+        flat.flags.writeable = False
+        _inv_flat, _inv_rows = flat, cmax
+    return _inv_flat
+
+
+# cosets per block of _coset_blocks: numpy calls amortise over many c, and
+# memory stays bounded
+COSET_BLOCK = 2 ** 15
 
 
 class _PairOrbitSum:
@@ -370,17 +451,8 @@ class _PairOrbitSum:
         self.x1f, self.y1f = float(z1.real), float(z1.imag)
         self.uf, self.vf = float(w.real), float(w.imag)
         self.qf = _q_float_factory(k - 1)
-        self._inv_cache = {}
 
     # -- coset data ---------------------------------------------------------
-    def _inv_table(self, c: int):
-        """`_inverse_table(c)`, kept for every later doubling."""
-        tab = self._inv_cache.get(c)
-        if tab is None:
-            tab = _inverse_table(c)
-            self._inv_cache[c] = tab
-        return tab
-
     def _coset_bound(self, T: float):
         """(X, cmax): terms with cosh <= T have |c w + d|^2 <= X and c <= cmax."""
         # v-window: terms need Im(gamma w) >= vmin = y1 (T - sqrt(T^2 - 1)),
@@ -389,51 +461,88 @@ class _PairOrbitSum:
         X = self.vf / vmin
         return X, int(math.sqrt(X) / self.vf) + 1
 
-    def _d_range(self, c: int, X: float):
-        """Integer d with (c*u0 + d)^2 <= X - (c*v0)^2, as (dlo, dhi); dlo > dhi if none."""
-        rad2 = X - (c * self.vf) ** 2
-        if rad2 <= 0:
-            return 1, 0
-        rad = math.sqrt(rad2)
-        return math.ceil(-c * self.uf - rad), math.floor(-c * self.uf + rad)
+    def _d_ranges(self, c, X: float):
+        """(dlo, dhi) arrays: the integer d with (c*u0 + d)^2 <= X - (c*v0)^2
+        for each c; dlo > dhi if there is none."""
+        np = self.np
+        # float_power squares with the C pow, like float ** 2 (x * x can
+        # round the other way): the windows match scalar arithmetic bit for bit
+        rad2 = X - np.float_power(c * self.vf, 2)
+        ok = rad2 > 0
+        rad = np.sqrt(np.where(ok, rad2, 0.0))
+        cu = -c * self.uf
+        dlo = np.where(ok, np.ceil(cu - rad), 1).astype(np.int64)
+        dhi = np.where(ok, np.floor(cu + rad), 0).astype(np.int64)
+        return dlo, dhi
 
-    def _coset_blocks(self, T: float, T_lo: float | None):
-        """Blocks (c, d, u, v, inner) of the cosets in the d-ranges at T.
-
-        u + i v = gamma w for the representative gamma of the coset (c, d)
-        with upper-left entry d^-1 mod c; `inner` marks the cosets that were
-        in the d-ranges at T_lo.  A block holds consecutive c and at least
-        2^15 cosets, so its numpy calls amortise over many c.
-        """
+    def _coset_window(self, table, c, dlo, lens, lo, hi):
+        """Columns (c, d, a, u, v, inner) of the unit cosets in the d-ranges of c."""
         np = self.np
         u0, v0 = self.uf, self.vf
+        row = np.repeat(np.arange(c.size), lens)
+        d = np.repeat(dlo - (np.cumsum(lens) - lens), lens)
+        d += np.arange(d.size, dtype=np.int64)
+        cc = np.repeat(c, lens)
+        a = table.take(np.repeat(c * (c - 1) // 2, lens) + d % cc)     # d^-1 mod c
+        unit = a != 0
+        if c[0] == 1:
+            unit[:lens[0]] = True     # every d is a unit mod 1
+        # index arrays, not boolean masks: numpy filters an irregular mask slowly
+        keep = np.flatnonzero(unit)
+        row, d, a, cc = row.take(keep), d.take(keep), a.take(keep), cc.take(keep)
+        inner = (d >= lo.take(row)) & (d <= hi.take(row))
+        cd = cc * u0 + d
+        denom2 = cd ** 2 + np.float_power(c * v0, 2).take(row)
+        v = v0 / denom2
+        u = a / cc - cd / (cc * denom2)
+        return cc, d, a, u, v, inner
+
+    def _coset_blocks(self, T: float, T_lo: float | None):
+        """Blocks (c, d, a, u, v, inner) of the cosets in the d-ranges at T.
+
+        u + i v = gamma w for the representative gamma = (a, *; c, d) of the
+        coset (c, d), a = d^-1 mod c; `inner` marks the cosets that were in
+        the d-ranges at T_lo.  The d-ranges of all c come from one pass and
+        are expanded about 2^15 cosets at a time.  Cosets come in order of
+        (c, d), and a block ends with the c that brings it to COSET_BLOCK.
+        """
+        np = self.np
         X, cmax = self._coset_bound(T)
-        X_lo, cmax_lo = self._coset_bound(T_lo) if T_lo is not None else (0.0, -1)
-        block = [(np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64),
-                  np.array([u0]), np.array([v0]), np.array([T_lo is not None]))]
+        c = np.arange(1, cmax + 1, dtype=np.int64)
+        dlo, dhi = self._d_ranges(c, X)
+        lo, hi = np.ones_like(c), np.zeros_like(c)
+        if T_lo is not None:
+            X_lo, cmax_lo = self._coset_bound(T_lo)
+            lo[:cmax_lo], hi[:cmax_lo] = self._d_ranges(c[:cmax_lo], X_lo)
+        lens = np.maximum(dhi - dlo + 1, 0)
+        ends = np.cumsum(lens)
+        table = _inverse_table(cmax)
+        # the coset c = 0 of the identity
+        pending = [(np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64),
+                    np.ones(1, dtype=np.int64), np.array([self.uf]),
+                    np.array([self.vf]), np.array([T_lo is not None]))]
         size = 1
-        for c in range(1, cmax + 1):
-            dlo, dhi = self._d_range(c, X)
-            if dlo > dhi:
-                continue
-            d = np.arange(dlo, dhi + 1, dtype=np.int64)
-            a = np.take(self._inv_table(c), d, mode="wrap")   # d^-1 mod c
-            if c > 1:
-                unit = a != 0
-                d, a = d[unit], a[unit]
-            lo, hi = self._d_range(c, X_lo) if c <= cmax_lo else (1, 0)
-            cd = c * u0 + d
-            denom2 = cd ** 2 + (c * v0) ** 2
-            v = v0 / denom2
-            u = a / c - cd / (c * denom2)
-            block.append((np.full(d.size, c, dtype=np.int64), d, u, v,
-                          (d >= lo) & (d <= hi)))
-            size += d.size
-            if size >= 2 ** 15:
-                yield tuple(np.concatenate(col) for col in zip(*block))
-                block, size = [], 0
-        if block:
-            yield tuple(np.concatenate(col) for col in zip(*block))
+        first = 0
+        while first < cmax:
+            # c[first:last]: at most COSET_BLOCK candidate d, or one c
+            before = int(ends[first] - lens[first])
+            last = max(first + 1,
+                       int(np.searchsorted(ends, before + COSET_BLOCK, side="right")))
+            sl = slice(first, last)
+            rest = self._coset_window(table, c[sl], dlo[sl], lens[sl], lo[sl], hi[sl])
+            first = last
+            while size + rest[0].size >= COSET_BLOCK:
+                # the block closes with the c of its COSET_BLOCK-th coset
+                cs = rest[0]
+                cut = int(np.searchsorted(cs, cs[COSET_BLOCK - size - 1], side="right"))
+                pending.append(tuple(col[:cut] for col in rest))
+                yield tuple(np.concatenate(col) for col in zip(*pending))
+                rest = tuple(col[cut:] for col in rest)
+                pending, size = [], 0
+            pending.append(rest)
+            size += rest[0].size
+        if size:
+            yield tuple(np.concatenate(col) for col in zip(*pending))
 
     def _terms_below(self, T: float, T_lo: float | None = None):
         """(count, qsum, weighted_qsum, upgrade_list) over the terms T_lo < cosh <= T.
@@ -444,8 +553,8 @@ class _PairOrbitSum:
         the same float windows decide both bounds, so the shells of a doubling
         sequence add up exactly to the count at its last T.  The float terms
         are summed twice from one evaluation: plainly, and weighted by
-        psi(cosh/T).  upgrade_list holds (coset c, d, translate j) for
-        cosh <= upgrade bound.
+        psi(cosh/T).  upgrade_list holds (coset c, d, a = d^-1 mod c,
+        translate j) for cosh <= upgrade bound.
         """
         np = self.np
         count = 0
@@ -473,7 +582,7 @@ class _PairOrbitSum:
         w *= q      # not q @ w: the BLAS dot maps more resident memory
         return self.np.array([q.sum(), w.sum()])
 
-    def _accumulate(self, c, d, u, v, inner, T, T_lo, upgrades, chunks) -> int:
+    def _accumulate(self, c, d, a, u, v, inner, T, T_lo, upgrades, chunks) -> int:
         """New translates at T for the cosets (c[i], d[i]), fully vectorized.
 
         A coset marked `inner` was enumerated at T_lo, so only its translates
@@ -503,21 +612,28 @@ class _PairOrbitSum:
             ihi = np.floor(center + r_in)
             had &= ihi >= ilo
             lens = np.where(had, ilo - jlo, lens).astype(np.int64)
-            seg = np.concatenate((seg, np.nonzero(had)[0]))
-            jlo = np.concatenate((jlo, ihi[had] + 1))
-            lens = np.concatenate((lens, (jhi - ihi)[had].astype(np.int64)))
-        keep = lens > 0
-        seg, jlo, lens = seg[keep], jlo[keep], lens[keep]
+            right = np.flatnonzero(had)
+            seg = np.concatenate((seg, right))
+            jlo = np.concatenate((jlo, ihi.take(right) + 1))
+            lens = np.concatenate((lens, (jhi - ihi).take(right).astype(np.int64)))
+        keep = np.flatnonzero(lens > 0)
+        seg, jlo, lens = seg.take(keep), jlo.take(keep), lens.take(keep)
         total = int(lens.sum())
         if total == 0:
             return 0
         starts = np.cumsum(lens) - lens
         flat = np.repeat(jlo - starts, lens)
         flat += np.arange(total, dtype=np.float64)
-        owner = np.repeat(seg, lens)
-        t = 1 + ((center[owner] - flat) ** 2 + gap[owner]) / (2 * y1 * v[owner])
+        # per-coset values spread over their translates (repeat is cheaper than a gather)
+        t = np.repeat(center.take(seg), lens)
+        t -= flat
+        t *= t
+        t += np.repeat(gap.take(seg), lens)
+        t /= np.repeat(2 * y1 * v.take(seg), lens)
+        t += 1
         small = t <= up
         if small.any():
+            owner = np.repeat(seg, lens)
             if T_lo is not None:
                 # the single mpmath pass sees the first shell only
                 raise RuntimeError(
@@ -533,7 +649,7 @@ class _PairOrbitSum:
                 )
             for pos in np.nonzero(small)[0]:
                 i = owner[pos]
-                upgrades.append((int(c[i]), int(d[i]), int(flat[pos])))
+                upgrades.append((int(c[i]), int(d[i]), int(a[i]), int(flat[pos])))
             t = t[~small]
         if t.size:
             chunks.append(t)
@@ -545,22 +661,21 @@ class _PairOrbitSum:
         w = self.w
         k = self.k
         total = mpf(0)
-        for (c, d, j) in upgrades:
-            if c == 0:
-                mat = (1, j, 0, 1)
-                gz = w + j
-            else:
-                a = pow(d % c, -1, c)
-                b = (a * d - 1) // c
-                mat = (a + j * c, b + j * d, c, d)
-                gz = (a * w + b) / (c * w + d) + j
-            t = cosh_distance(z1, gz)
-            if t <= 1 + mpf(10) ** -10:
+        dps = mpmath.mp.dps
+        near = 1 + mpf(10) ** -10
+        images = {}     # gamma w for each coset (c, d); its translates add j
+        for (c, d, a, j) in upgrades:
+            gw = images.get((c, d))
+            if gw is None:
+                gw = images[c, d] = w if c == 0 else (a * w + (a * d - 1) // c) / (c * w + d)
+            t = cosh_distance(z1, gw + j)
+            if t <= near:
+                b = 0 if c == 0 else (a * d - 1) // c
                 raise SingularConfigurationError(
                     f"singular configuration at matrix "
-                    f"({mat[0]},{mat[1]};{mat[2]},{mat[3]})"
+                    f"({a + j * c},{b + j * d};{c},{d})"
                 )
-            total += legendre_Q(k - 1, t)
+            total += _q_exact(k - 1, t, dps)
         return total
 
     # -- adaptive evaluation ---------------------------------------------------
@@ -588,8 +703,7 @@ class _PairOrbitSum:
             # psi(cosh/T) is 1 on the earlier shells and weights this one
             S = -2 * (q_up + (qsum_f + qw))
             qsum_f += q
-            tail = -2 * ORBIT_DENSITY * (_taper_integral(self.qf, T)
-                                         + legendre_Q_integral(self.k - 1, T))
+            tail = _orbit_tail(self.k - 1, T, mpmath.mp.dps)
             S_corr = S + tail
             history.append(
                 {"T": T, "terms": count, "partial": float(S), "tail": float(tail)}

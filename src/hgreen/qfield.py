@@ -200,8 +200,9 @@ class FieldElem:
 
     def __init__(self, D: int, x, y):
         self.D = D
-        self.x = Fraction(x)
-        self.y = Fraction(y)
+        # Fraction(q) of a Fraction q is a copy of an immutable value
+        self.x = x if type(x) is Fraction else Fraction(x)
+        self.y = y if type(y) is Fraction else Fraction(y)
 
     @staticmethod
     def from_uv(D: int, u, v) -> "FieldElem":

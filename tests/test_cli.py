@@ -3,6 +3,7 @@ import os
 
 
 from hgreen.cli import main
+from hgreen.greens import MAX_DIGITS
 from hgreen.mforms import MAX_K
 
 
@@ -112,6 +113,18 @@ def test_out_of_range_discriminant_fails_fast(capsys):
             captured = capsys.readouterr()
             assert captured.out == ""
             assert reason in json.loads(captured.err)["error"]
+    # a tol that is not finite would never stop the doublings (nan) or
+    # print a document that is not JSON (inf)
+    for tol in ("nan", "inf", "-inf"):
+        for command in ("greens", "verify"):
+            t0 = time.perf_counter()
+            code = main([command, "--k", "4", "--d1", "-7", "--d2", "-23", "--pp", "1=1",
+                         f"--tol={tol}"])
+            assert code == 2
+            assert time.perf_counter() - t0 < 1.0
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "tolerance must be finite" in json.loads(captured.err)["error"]
     # the index bound itself is accepted
     code, doc = run_cli(capsys, "factor", "--k", "4", "--d1", "-4", "--d2", "-7",
                         "--pp", "100=1")
@@ -126,7 +139,9 @@ def test_out_of_range_discriminant_fails_fast(capsys):
 
 def test_invalid_hgreen_digits_is_invalid(capsys, monkeypatch):
     argv = ["greens", "--k", "4", "--d1", "-4", "--d2", "-7", "--pp", "1=1", "--tol", "1e-6"]
-    for value, reason in (("abc", "not an integer"), ("5", ">= 15 digits")):
+    too_many = f"digits = {MAX_DIGITS + 1} beyond supported range {MAX_DIGITS}"
+    for value, reason in (("abc", "not an integer"), ("5", ">= 15 digits"),
+                          (str(MAX_DIGITS + 1), too_many)):
         monkeypatch.setenv("HGREEN_DIGITS", value)
         for command in ("greens", "verify"):
             assert main([command] + argv[1:]) == 2
@@ -145,6 +160,13 @@ def test_invalid_hgreen_digits_is_invalid(capsys, monkeypatch):
     monkeypatch.setenv("HGREEN_DIGITS", "40")
     code, doc = run_cli(capsys, *argv)
     assert code == 0 and doc["precision"] == 40
+    # the flag has the same bounds as the variable
+    for digits, reason in (("5", ">= 15 digits"), (str(MAX_DIGITS + 1), too_many)):
+        for command in ("greens", "verify"):
+            assert main([command] + argv[1:] + ["--digits", digits]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert reason in json.loads(captured.err)["error"]
 
 
 def test_malformed_principal_part_is_invalid(capsys):

@@ -451,8 +451,119 @@ def test_coset_bound_exact_at_every_doubling():
 
 
 def test_inverse_table_matches_pow():
+    tab = G._inverse_table(600).tolist()
     for c in range(1, 601):
-        tab = G._inverse_table(c).tolist()
-        assert len(tab) == c
+        row = tab[c * (c - 1) // 2:c * (c + 1) // 2]
         for r in range(c):
-            assert tab[r] == (pow(r, -1, c) if gcd(r, c) == 1 else 0), (c, r)
+            assert row[r] == (pow(r, -1, c) if gcd(r, c) == 1 else 0), (c, r)
+
+
+def test_inverse_table_is_shared_and_read_only():
+    tab = G._inverse_table(50)
+    assert not tab.flags.writeable
+    with pytest.raises(ValueError):
+        tab[4] = 1
+    # a table that already holds the rows is returned as it is
+    assert G._inverse_table(49) is G._inverse_table(50)
+
+
+def _clear_caches():
+    for f in vars(G).values():
+        if hasattr(f, "cache_clear"):
+            f.cache_clear()
+
+
+def test_cached_values_keep_their_precision():
+    # dyadic points: the translates with c = 0 have cosh values that are the
+    # same mpf at 30 and at 50 digits, and every T on the ladder is too, so a
+    # cache keyed without the precision would serve 30-digit values at 50
+    z1, z2 = I, mpc("0.25", "0.5")
+    p30 = GreenParams(k=4, tol=1e-8, digits=30)
+    p50 = GreenParams(k=4, tol=1e-8, digits=50)
+    _clear_caches()
+    cold = G_k_hecke(z1, z2, 4, 2, p50)
+    _clear_caches()
+    G_k_hecke(z1, z2, 4, 2, p30)
+    warm = G_k_hecke(z1, z2, 4, 2, p50)
+    assert warm[0] == cold[0] and warm[1] == cold[1]
+
+
+def test_cycle_value_is_the_same_on_a_second_call():
+    p = GreenParams(k=4, tol=1e-8)
+    first = G_kf_at_cycle(4, {1: Fraction(1), 2: Fraction(3)}, -4, -23, p)
+    second = G_kf_at_cycle(4, {1: Fraction(1), 2: Fraction(3)}, -4, -23, p)
+    assert second[0] == first[0] and second[1] == first[1]
+
+
+def _brute_cosets(s, T, T_lo):
+    """(c, d, a, u, v, inner) of every coset in the d-ranges at T, one at a time.
+
+    Scalar float arithmetic, a = pow(d, -1, c) and a gcd test: the oracle for
+    the whole-array generator.
+    """
+    u0, v0 = s.uf, s.vf
+
+    def d_range(c, X):
+        rad2 = X - (c * v0) ** 2
+        if rad2 <= 0:
+            return range(0)
+        rad = math.sqrt(rad2)
+        return range(math.ceil(-c * u0 - rad), math.floor(-c * u0 + rad) + 1)
+
+    X, cmax = s._coset_bound(T)
+    X_lo, cmax_lo = s._coset_bound(T_lo) if T_lo is not None else (0.0, 0)
+    out = [(0, 1, 1, u0, v0, T_lo is not None)]
+    for c in range(1, cmax + 1):
+        inner = d_range(c, X_lo) if c <= cmax_lo else range(0)
+        for d in d_range(c, X):
+            if gcd(c, d) != 1:
+                continue
+            a = pow(d, -1, c)
+            cd = c * u0 + d
+            denom2 = cd * cd + (c * v0) ** 2
+            out.append((c, d, a, a / c - cd / (c * denom2), v0 / denom2, d in inner))
+    return out
+
+
+def test_coset_blocks_match_brute_force():
+    rng = random.Random(3)
+    multi = 0
+    for _ in range(12):
+        z1 = mpc(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 2.5))
+        w = mpc(rng.uniform(-0.5, 0.5), rng.uniform(0.05, 2.5))
+        s = G._PairOrbitSum(z1, w, 4, GreenParams(k=4))
+        T = rng.choice([400.0, 3200.0, 25600.0])
+        for T_lo in (None, T / 2):
+            blocks = [list(zip(*(col.tolist() for col in b)))
+                      for b in s._coset_blocks(T, T_lo)]
+            got = [row for b in blocks for row in b]
+            # in order of (c, d), each c in one block, and a block closes with
+            # the c that brings it to COSET_BLOCK cosets
+            assert got == sorted(got, key=lambda row: row[:2])
+            for b, nxt in zip(blocks, blocks[1:]):
+                last_c = sum(row[0] == b[-1][0] for row in b)
+                assert len(b) - last_c < G.COSET_BLOCK <= len(b)
+                assert nxt[0][0] > b[-1][0]
+            multi += len(blocks) > 1
+            assert got == _brute_cosets(s, T, T_lo), (z1, w, T, T_lo)
+    assert multi > 0
+
+
+def test_float_power_squares_like_python_floats():
+    # the coset generator squares c*v0 with np.float_power, which rounds like
+    # scalar float ** 2 (the C pow); x * x rounds differently for ~0.1% of x,
+    # so the whole-array windows would drift from the scalar ones in the last bit
+    x = np.random.default_rng(0).random(200_000) * np.geomspace(1, 1e6, 200_000)
+    assert np.float_power(x, 2).tolist() == [v ** 2 for v in x.tolist()]
+    assert (x * x != np.float_power(x, 2)).any()
+
+
+def test_scope_corner_k4_cycle_at_delta_999996():
+    # the largest Delta in scope; 348 CM pairs share their Q values and tails
+    import time
+    t0 = time.perf_counter()
+    val, diag = G_kf_at_cycle(4, {1: Fraction(1)}, -3, -333332, GreenParams(k=4, tol=1e-8))
+    assert time.perf_counter() - t0 < 10.0
+    assert diag["converged"] and diag["pairs"] == 348
+    assert sum(p["terms"] for p in diag["per_pair"]) == 3339210
+    assert abs(val - mpf("-129.358257064396199122504888304")) < 1e-12
