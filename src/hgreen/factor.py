@@ -333,18 +333,17 @@ def rho_exponent_vector(mu0: FieldElem, chi: GenusChar) -> dict:
 def _log_ratio(F: QuadField, e: FieldElem) -> mpf:
     """log |e / e'| at the current mpmath precision.
 
-    |e/e'| = e^2/|Nm e|; only the larger of |e|, |e'|, which is |x| + |y|
-    sqrt(Delta), is formed, since the other one cancels (to 0 for a large
-    unit) in floating point.  e is the larger one exactly when x*y > 0.
+    For e = (a + b sqrt(Delta))/n,
+    |e/e'| = (|a| + |b| sqrt(Delta))^2 / |a^2 - b^2 Delta|; only the larger of
+    |e|, |e'| is formed, since the other one cancels (to 0 for a large unit)
+    in floating point.  e is the larger one exactly when a*b > 0.
     """
-    x, y = e.x, e.y
-    sign = (x * y > 0) - (x * y < 0)
+    a, b = e.a, e.b
+    sign = (a * b > 0) - (a * b < 0)
     if not sign:
         return mpf(0)
-    big = mpf(abs(x.numerator)) / x.denominator \
-        + mpf(abs(y.numerator)) / y.denominator * mpmath.sqrt(F.D)
-    n = abs(e.norm())
-    return sign * (2 * mpmath.log(big) - mpmath.log(mpf(n.numerator) / n.denominator))
+    big = mpf(abs(a)) + mpf(abs(b)) * mpmath.sqrt(F.D)
+    return sign * (2 * mpmath.log(big) - mpmath.log(abs(a * a - b * b * F.D)))
 
 
 def reconcile(report: FactorReport, lhs, tol: float, digits: int = 30) -> FactorReport:

@@ -769,12 +769,24 @@ def G_k_hecke(z1, z2, k: int, m: int, params: GreenParams | None = None):
         return +total, diag
 
 
+def _mirror(P: CMPoint) -> CMPoint:
+    """The reduced form of the CM point -conj(z) of P.
+
+    That point is the root of (A, -B, C), which is reduced itself when
+    0 < |B| < A < C and otherwise equivalent to P.
+    """
+    return CMPoint(P.A, -P.B, P.C) if 0 < abs(P.B) < P.A < P.C else P
+
+
 def G_kf_at_cycle(k: int, pp, d1: int, d2: int,
                   params: GreenParams | None = None):
     """G_{k,f}(Z_chi) = (4/(w1 w2)) sum over CM pairs and principal part terms.
 
     pp maps m to c_f(-m); the cycle runs over all pairs of reduced CM points of
-    the coprime fundamental discriminants d1, d2 < 0.
+    the coprime fundamental discriminants d1, d2 < 0.  G_k | T_m (z1, z2) =
+    G_k | T_m (-conj z1, -conj z2), since conjugating by diag(-1, 1) permutes
+    the matrices of determinant m, so a pair whose mirror pair is already
+    summed reuses that value and its per-pair record.
     """
     check_cycle_input(k, pp, d1, d2)
     params = params or GreenParams(k=k)
@@ -787,22 +799,25 @@ def G_kf_at_cycle(k: int, pp, d1: int, d2: int,
         total = mpf(0)
         diags = []
         converged = True
+        done = {}
         for P1 in pts1:
             for P2 in pts2:
-                zz1, zz2 = P1.z(), P2.z()
                 for m, c in sorted(pp.items()):
-                    val, pd = G_k_hecke(zz1, zz2, k, m, params)
+                    hit = done.get((_mirror(P1), _mirror(P2), m))
+                    if hit is None:
+                        val, pd = G_k_hecke(P1.z(), P2.z(), k, m, params)
+                        hit = done[(P1, P2, m)] = val, {
+                            "value": float(val),
+                            "converged": pd["converged"],
+                            "terms": sum(cd["terms"] for cd in pd["cosets"]),
+                            "upgraded": sum(cd["upgraded"] for cd in pd["cosets"]),
+                        }
+                    val, rec = hit
                     cf = Fraction(c)
                     total += (mpf(cf.numerator) / cf.denominator
                               * mpf(m) ** (k - 1) * val)
-                    converged = converged and pd["converged"]
-                    diags.append({
-                        "pair": [repr(P1), repr(P2)], "m": m,
-                        "value": float(val),
-                        "converged": pd["converged"],
-                        "terms": sum(cd["terms"] for cd in pd["cosets"]),
-                        "upgraded": sum(cd["upgraded"] for cd in pd["cosets"]),
-                    })
+                    converged = converged and rec["converged"]
+                    diags.append({"pair": [repr(P1), repr(P2)], "m": m, **rec})
         return +(weight * total), {
             "pairs": len(pts1) * len(pts2),
             "weight": float(weight),

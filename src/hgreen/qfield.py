@@ -1,8 +1,10 @@
 """Exact arithmetic in a real quadratic field F = Q(sqrt(Delta)).
 
-Elements are stored as exact rational pairs (x, y) meaning x + y*sqrt(Delta),
-with sqrt(Delta) > 0 under the fixed real embedding.  Fractional ideals are
-kept in scaled Hermite normal form and multiplied on its integer rows.
+An element x + y*sqrt(Delta) is stored as three integers (a, b, n) meaning
+(a + b*sqrt(Delta))/n, with n > 0 and gcd(a, b, n) = 1, and sqrt(Delta) > 0
+under the fixed real embedding; each sum or product costs one gcd.
+Fractional ideals are kept in scaled Hermite normal form and multiplied on
+its integer rows.
 Class-group work (narrow equivalence, principality, generators) goes through
 the reduction theory of indefinite binary quadratic forms of discriminant
 Delta, so everything stays in exact integer arithmetic.
@@ -13,7 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
-from math import gcd, isqrt
+from math import gcd, isqrt, sqrt
+from numbers import Rational
 
 
 class InvalidInputError(ValueError):
@@ -194,55 +197,72 @@ def _xgcd(a: int, b: int):
 # ---------------------------------------------------------------------------
 
 class FieldElem:
-    """x + y*sqrt(Delta) with exact rational x, y."""
+    """(a + b*sqrt(Delta))/n on three integers, n > 0 and gcd(a, b, n) = 1.
 
-    __slots__ = ("D", "x", "y")
+    The form is canonical, so equality is a comparison of (Delta, a, b, n).
+    The constructor takes the rational coordinates x + y*sqrt(Delta) (int or
+    Fraction); floats are refused, since they carry no exact value.
+    """
+
+    __slots__ = ("D", "a", "b", "n")
 
     def __init__(self, D: int, x, y):
         self.D = D
-        # Fraction(q) of a Fraction q is a copy of an immutable value
-        self.x = x if type(x) is Fraction else Fraction(x)
-        self.y = y if type(y) is Fraction else Fraction(y)
+        self.a, self.b, self.n = _common_denominator(x, y)
 
     @staticmethod
     def from_uv(D: int, u, v) -> "FieldElem":
         """Element u + v*omega with omega = (Delta + sqrt(Delta))/2."""
-        u = Fraction(u)
-        v = Fraction(v)
-        return FieldElem(D, u + v * Fraction(D, 2), v / 2)
+        U, V, n = _common_denominator(u, v)
+        return _canon(D, 2 * U + V * D, V, 2 * n)
+
+    @property
+    def x(self) -> Fraction:
+        return Fraction(self.a, self.n)
+
+    @property
+    def y(self) -> Fraction:
+        return Fraction(self.b, self.n)
 
     def uv(self):
         """Coordinates (u, v) w.r.t. the integral basis (1, omega)."""
-        v = 2 * self.y
-        u = self.x - self.y * self.D
-        return u, v
+        return Fraction(self.a - self.b * self.D, self.n), Fraction(2 * self.b, self.n)
 
     def is_integral(self) -> bool:
-        u, v = self.uv()
-        return u.denominator == 1 and v.denominator == 1
+        n = self.n
+        return (2 * self.b) % n == 0 and (self.a - self.b * self.D) % n == 0
 
     def _coerce(self, o):
-        if isinstance(o, FieldElem):
+        if type(o) is FieldElem:
             if o.D != self.D:
                 raise ValueError("mixed discriminants")
             return o
-        return FieldElem(self.D, o, 0)
+        a, n = _rational(o)
+        return _elem(self.D, a, 0, n)
 
     def __add__(self, o):
         o = self._coerce(o)
-        return FieldElem(self.D, self.x + o.x, self.y + o.y)
+        n1, n2 = self.n, o.n
+        if n1 == n2:
+            return _canon(self.D, self.a + o.a, self.b + o.b, n1)
+        return _canon(self.D, self.a * n2 + o.a * n1,
+                      self.b * n2 + o.b * n1, n1 * n2)
 
     __radd__ = __add__
 
     def __sub__(self, o):
         o = self._coerce(o)
-        return FieldElem(self.D, self.x - o.x, self.y - o.y)
+        n1, n2 = self.n, o.n
+        if n1 == n2:
+            return _canon(self.D, self.a - o.a, self.b - o.b, n1)
+        return _canon(self.D, self.a * n2 - o.a * n1,
+                      self.b * n2 - o.b * n1, n1 * n2)
 
     def __rsub__(self, o):
         return self._coerce(o) - self
 
     def __neg__(self):
-        return FieldElem(self.D, -self.x, -self.y)
+        return _elem(self.D, -self.a, -self.b, self.n)
 
     def __abs__(self):
         """The one of +-self that is positive under the fixed embedding."""
@@ -250,19 +270,21 @@ class FieldElem:
 
     def __mul__(self, o):
         o = self._coerce(o)
-        return FieldElem(
-            self.D,
-            self.x * o.x + self.y * o.y * self.D,
-            self.x * o.y + self.y * o.x,
-        )
+        a1, b1, a2, b2 = self.a, self.b, o.a, o.b
+        return _canon(self.D, a1 * a2 + b1 * b2 * self.D,
+                      a1 * b2 + b1 * a2, self.n * o.n)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElem":
-        n = self.norm()
-        if n == 0:
+        # n/(a + b sqrt D) = n (a - b sqrt D) / (a^2 - b^2 D)
+        a, b, n = self.a, self.b, self.n
+        N = a * a - b * b * self.D
+        if N == 0:
             raise ZeroDivisionError("inverse of zero element")
-        return FieldElem(self.D, self.x / n, -self.y / n)
+        if N < 0:
+            return _canon(self.D, -n * a, n * b, -N)
+        return _canon(self.D, n * a, -n * b, N)
 
     def __truediv__(self, o):
         return self * self._coerce(o).inverse()
@@ -270,7 +292,7 @@ class FieldElem:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        out = FieldElem(self.D, 1, 0)
+        out = _elem(self.D, 1, 0, 1)
         base = self
         while n:
             if n & 1:
@@ -280,65 +302,110 @@ class FieldElem:
         return out
 
     def conj(self) -> "FieldElem":
-        return FieldElem(self.D, self.x, -self.y)
+        return _elem(self.D, self.a, -self.b, self.n)
 
     def norm(self) -> Fraction:
-        return self.x * self.x - self.y * self.y * self.D
+        return Fraction(self.a * self.a - self.b * self.b * self.D, self.n * self.n)
 
     def trace(self) -> Fraction:
-        return 2 * self.x
+        return Fraction(2 * self.a, self.n)
 
     def is_zero(self) -> bool:
-        return self.x == 0 and self.y == 0
+        return self.a == 0 and self.b == 0
 
     def sign(self) -> int:
         """Exact sign under the embedding sqrt(Delta) > 0."""
-        x, y = self.x, self.y
-        if y == 0:
-            return (x > 0) - (x < 0)
-        if x == 0:
-            return (y > 0) - (y < 0)
-        if x > 0 and y > 0:
-            return 1
-        if x < 0 and y < 0:
-            return -1
-        big_x = x * x > y * y * self.D
-        if x > 0:
-            return 1 if big_x else -1
-        return -1 if big_x else 1
+        return _sign(self.a, self.b, self.D)
 
     def is_totally_positive(self) -> bool:
-        return self.sign() > 0 and self.conj().sign() > 0
+        return _sign(self.a, self.b, self.D) > 0 and _sign(self.a, -self.b, self.D) > 0
+
+    def _cmp(self, o) -> int:
+        """sign(self - o), read off the integers of the two elements."""
+        o = self._coerce(o)
+        n1, n2 = self.n, o.n
+        return _sign(self.a * n2 - o.a * n1, self.b * n2 - o.b * n1, self.D)
 
     def __gt__(self, o):
-        return (self - self._coerce(o)).sign() > 0
+        return self._cmp(o) > 0
 
     def __lt__(self, o):
-        return (self - self._coerce(o)).sign() < 0
+        return self._cmp(o) < 0
 
     def __ge__(self, o):
-        return (self - self._coerce(o)).sign() >= 0
+        return self._cmp(o) >= 0
 
     def __le__(self, o):
-        return (self - self._coerce(o)).sign() <= 0
+        return self._cmp(o) <= 0
 
     def __eq__(self, o):
-        if not isinstance(o, FieldElem):
+        if type(o) is not FieldElem:
             if not isinstance(o, (int, Fraction)):
                 return NotImplemented
-            o = FieldElem(self.D, o, 0)
-        return self.D == o.D and self.x == o.x and self.y == o.y
+            return self.b == 0 and self.a == o.numerator and self.n == o.denominator
+        return (self.D, self.a, self.b, self.n) == (o.D, o.a, o.b, o.n)
 
     def __hash__(self):
+        if self.b == 0:
+            # equal to the hash of the rational it is, as == says
+            return hash(Fraction(self.a, self.n))
         return hash((self.D, self.x, self.y))
 
     def __float__(self):
-        import math
-        return float(self.x) + float(self.y) * math.sqrt(self.D)
+        return self.a / self.n + self.b / self.n * sqrt(self.D)
 
     def __repr__(self):
-        sgn = "+" if self.y >= 0 else "-"
-        return f"({self.x} {sgn} {abs(self.y)}*sqrt{self.D})"
+        sgn = "+" if self.b >= 0 else "-"
+        return f"({self.x} {sgn} {Fraction(abs(self.b), self.n)}*sqrt{self.D})"
+
+
+def _elem(D: int, a: int, b: int, n: int) -> FieldElem:
+    """The element (a + b*sqrt(D))/n of integers already in canonical form."""
+    e = object.__new__(FieldElem)
+    e.D, e.a, e.b, e.n = D, a, b, n
+    return e
+
+
+def _canon(D: int, a: int, b: int, n: int) -> FieldElem:
+    """(a + b*sqrt(D))/n for integers a, b and n > 0, in lowest terms."""
+    g = gcd(a, b, n)
+    if g != 1:
+        a, b, n = a // g, b // g, n // g
+    return _elem(D, a, b, n)
+
+
+def _common_denominator(x, y):
+    """(p, q, n) with x = p/n and y = q/n, n the lcm of their denominators.
+
+    For x, y in lowest terms no prime divides all of p, q and n.
+    """
+    p, xn = _rational(x)
+    q, yn = _rational(y)
+    if xn == yn:
+        return p, q, xn
+    n = xn * yn // gcd(xn, yn)
+    return p * (n // xn), q * (n // yn), n
+
+
+def _rational(x):
+    """(numerator, denominator) of an int or Fraction; TypeError on anything else."""
+    if type(x) is int:
+        return x, 1
+    if isinstance(x, Rational):
+        return int(x.numerator), int(x.denominator)
+    raise TypeError(f"field coordinates must be int or Fraction, not {type(x).__name__}")
+
+
+def _sign(a: int, b: int, D: int) -> int:
+    """Exact sign of a + b*sqrt(D), D > 0 not a square."""
+    if b == 0:
+        return (a > 0) - (a < 0)
+    if a == 0 or (a > 0) == (b > 0):
+        return 1 if b > 0 else -1
+    # opposite signs: the larger of a^2 and b^2 D decides
+    if a * a > b * b * D:
+        return 1 if a > 0 else -1
+    return 1 if b > 0 else -1
 
 
 def integral_content(e: FieldElem) -> int:
@@ -831,7 +898,7 @@ class QuadField:
         |mu/mu'| = mu^2/|Nm(mu)| >= lo reads mu^2 >= lo*|Nm(mu)|.
         """
         nu, n = unit.norm(), abs(mu.norm())
-        if abs(nu) != 1 or unit.y == 0 or n == 0:
+        if abs(nu) != 1 or unit.b == 0 or n == 0:
             raise InvalidInputError(f"no orbit window for {mu} under {unit} (norm {nu}): "
                                     "needs mu != 0 and a unit other than +-1")
         inv = unit.conj() if nu == 1 else -unit.conj()

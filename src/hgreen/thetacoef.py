@@ -120,7 +120,7 @@ def solve_norm_in_coset(F: QuadField, lattice: FracIdeal, offset: FieldElem,
                     x = FieldElem.from_uv(D, Fraction(twoU // 2, den), Fraction(V, den))
                     for m in mults:
                         mu = F.unit_orbit_rep(x * m, epsD, one)
-                        out[(mu.x, mu.y)] = mu
+                        out[(mu.a, mu.b, mu.n)] = mu
     return list(out.values())
 
 

@@ -223,6 +223,46 @@ def test_cycle_weight():
     assert abs(val - direct / 2) < 1e-4
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_hecke_value_is_invariant_under_mirror(m):
+    # z -> -conj(z) normalises PSL2(Z) and permutes the matrices of
+    # determinant m, so G_k | T_m (z1, z2) = G_k | T_m (-conj z1, -conj z2)
+    z1, z2 = mpc("0.31", "1.17"), mpc("-0.22", "0.93")
+    p = GreenParams(k=4, tol=1e-9)
+    val, _ = G_k_hecke(z1, z2, 4, m, p)
+    mirrored, _ = G_k_hecke(-z1.conjugate(), -z2.conjugate(), 4, m, p)
+    assert abs(val - mirrored) < 1e-8
+
+
+def test_cycle_sums_each_mirror_pair_once(monkeypatch):
+    # cm_points(-23) = CM(1,1,6), CM(2,-1,3), CM(2,1,3); the last two are
+    # mirrors and CM(1,1,2) is its own, so 3 pairs need 2 orbit sums per m
+    calls = []
+
+    def fake(z1, z2, k, m, params):
+        calls.append((z1, z2, m))
+        val = mpf(len(calls))
+        return val, {"converged": True, "cosets": [{"terms": len(calls), "upgraded": 1}]}
+
+    monkeypatch.setattr(G, "G_k_hecke", fake)
+    val, diag = G_kf_at_cycle(4, {1: Fraction(1), 2: Fraction(3)}, -7, -23, GreenParams(k=4))
+    assert len(calls) == 4
+    assert [(p["pair"][1], p["m"], p["value"], p["terms"]) for p in diag["per_pair"]] == [
+        ("CM(1,1,6)", 1, 1.0, 1), ("CM(1,1,6)", 2, 2.0, 2),
+        ("CM(2,-1,3)", 1, 3.0, 3), ("CM(2,-1,3)", 2, 4.0, 4),
+        ("CM(2,1,3)", 1, 3.0, 3), ("CM(2,1,3)", 2, 4.0, 4),
+    ]
+    assert diag["weight"] == 1.0 and val == (1 + 3 * 8 * 2) + (3 + 3 * 8 * 4) * 2
+    # (h1 h2 + t1 t2)/2 sums for t self-mirrored points among h
+    for d1, d2 in [(-7, -23), (-3, -23), (-7, -71), (-15, -23)]:
+        calls.clear()
+        pts1, pts2 = cm_points(d1), cm_points(d2)
+        t1 = sum(G._mirror(P) == P for P in pts1)
+        t2 = sum(G._mirror(P) == P for P in pts2)
+        G_kf_at_cycle(4, {1: Fraction(1)}, d1, d2, GreenParams(k=4))
+        assert len(calls) == (len(pts1) * len(pts2) + t1 * t2) // 2
+
+
 def test_cycle_rejects_bad_inputs():
     with pytest.raises(InvalidInputError):
         G_kf_at_cycle(4, {1: Fraction(1)}, -7, -7, GreenParams(k=4))

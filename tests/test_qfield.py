@@ -265,6 +265,29 @@ def test_field_elem_arithmetic():
     assert (F.fundamental_unit()).is_totally_positive()  # norm +1 here
 
 
+def test_field_elem_hash_agrees_with_eq():
+    F = field(21)
+    assert F.elem(3, 0) == 3
+    assert {3: "x"}.get(F.elem(3, 0)) == "x"
+    assert {Fraction(-5, 7): "y"}.get(F.elem(Fraction(-5, 7))) == "y"
+    assert hash(F.elem(0)) == hash(0)
+    assert F.elem(3, 0) in {3} and 3 in {F.elem(3, 0)}
+    # irrational elements keep their hash
+    e = F.elem(Fraction(1, 2), Fraction(-3, 2))
+    assert hash(e) == hash((21, Fraction(1, 2), Fraction(-3, 2)))
+
+
+def test_field_elem_refuses_floats():
+    F = field(21)
+    e = F.elem(1, 0)
+    for make in (lambda: F.elem(0.1), lambda: F.elem(1, 0.5),
+                 lambda: F.from_uv(0.5, 1), lambda: F.from_uv(1, 2.0),
+                 lambda: e * 0.1, lambda: 0.1 * e, lambda: e + 0.5,
+                 lambda: 0.5 - e, lambda: e / 2.0, lambda: e < 0.5):
+        with pytest.raises(TypeError):
+            make()
+
+
 # ---------------------------------------------------------------------------
 # integer helpers, with sympy as the independent oracle
 # ---------------------------------------------------------------------------
