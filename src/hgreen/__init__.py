@@ -16,7 +16,7 @@ from .qfield import (
     kronecker,
 )
 from .finquad import FQM, GenusChar, genus_characters, rho_KF
-from .mforms import QSeries, check_principal_part, cusp_basis, delta_form, eisenstein
+from .mforms import check_principal_part, cusp_basis, delta_form, eisenstein
 from .greens import CMPoint, GreenParams, G_k_hecke, G_kf_at_cycle, cm_points, g_k, legendre_Q
 from .factor import FactorReport, gamma_exponents, legendre_P, reconcile, trace_slice
 
@@ -24,7 +24,7 @@ __all__ = [
     "FieldElem", "FracIdeal", "InvalidInputError", "QuadField", "field",
     "is_fundamental_discriminant", "kronecker",
     "FQM", "GenusChar", "genus_characters", "rho_KF",
-    "QSeries", "check_principal_part", "cusp_basis", "delta_form", "eisenstein",
+    "check_principal_part", "cusp_basis", "delta_form", "eisenstein",
     "CMPoint", "GreenParams", "G_k_hecke", "G_kf_at_cycle", "cm_points", "g_k",
     "legendre_Q",
     "FactorReport", "gamma_exponents", "legendre_P", "reconcile", "trace_slice",

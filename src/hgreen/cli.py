@@ -111,6 +111,7 @@ def _convergence(diag):
         "converged": diag["converged"],
         "diagnostics": {
             "pairs": diag["pairs"],
+            "orbit_sums": diag["orbit_sums"],
             "weight": diag["weight"],
             "per_pair": diag["per_pair"],
         },

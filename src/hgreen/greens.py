@@ -786,7 +786,9 @@ def G_kf_at_cycle(k: int, pp, d1: int, d2: int,
     the coprime fundamental discriminants d1, d2 < 0.  G_k | T_m (z1, z2) =
     G_k | T_m (-conj z1, -conj z2), since conjugating by diag(-1, 1) permutes
     the matrices of determinant m, so a pair whose mirror pair is already
-    summed reuses that value and its per-pair record.
+    summed reuses that value and its per-pair record, marked "reused".  The
+    records not reused are the G_k | T_m sums evaluated ("orbit_sums"), and
+    their terms add up to the work done.
     """
     check_cycle_input(k, pp, d1, d2)
     params = params or GreenParams(k=k)
@@ -804,7 +806,8 @@ def G_kf_at_cycle(k: int, pp, d1: int, d2: int,
             for P2 in pts2:
                 for m, c in sorted(pp.items()):
                     hit = done.get((_mirror(P1), _mirror(P2), m))
-                    if hit is None:
+                    reused = hit is not None
+                    if not reused:
                         val, pd = G_k_hecke(P1.z(), P2.z(), k, m, params)
                         hit = done[(P1, P2, m)] = val, {
                             "value": float(val),
@@ -817,9 +820,11 @@ def G_kf_at_cycle(k: int, pp, d1: int, d2: int,
                     total += (mpf(cf.numerator) / cf.denominator
                               * mpf(m) ** (k - 1) * val)
                     converged = converged and rec["converged"]
-                    diags.append({"pair": [repr(P1), repr(P2)], "m": m, **rec})
+                    diags.append({"pair": [repr(P1), repr(P2)], "m": m, **rec,
+                                  "reused": reused})
         return +(weight * total), {
             "pairs": len(pts1) * len(pts2),
+            "orbit_sums": len(done),
             "weight": float(weight),
             "converged": converged,
             "per_pair": diags,

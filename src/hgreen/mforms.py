@@ -1,116 +1,42 @@
-"""Exact q-expansions of level-one modular forms over the rationals.
+"""Integer q-expansions of level-one modular forms.
 
-Provides Eisenstein series, the discriminant cusp form, echelonized bases of
-cusp spaces, and the residue-theorem obstruction check for principal parts of
-weakly holomorphic forms of negative weight.
+Provides E4, E6, the discriminant cusp form, the integral bases
+Delta^j E4^a E6^b of cusp spaces, and the residue-theorem obstruction check
+for principal parts of weakly holomorphic forms of negative weight.  A
+q-series is a list of ints, entry n the coefficient of q^n.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 
 from .qfield import InvalidInputError, QuadField, is_fundamental_discriminant
 
 # Largest principal-part index m accepted.  Both engines grow with m.  On a
-# 2-core Xeon with Python 3.11, at m = 100 check_principal_part(6, {m: 1})
-# takes 0.4 s and `factor` on Delta = 999996 19 s (a trace slice of
-# ~m*sqrt(Delta) = 1e5 elements); at m = 1000 the obstruction check alone
-# takes 15.6 s.
+# 2-core Xeon with Python 3.11, at m = 100 `factor` on Delta = 999996 takes
+# 24 s (a trace slice of ~m*sqrt(Delta) = 1e5 elements), while
+# check_principal_part(k, {m: 1}) takes 0.002 s at k = 6 and 0.005 s at
+# k = 12; at m = 1000 the check takes 0.3 s and 0.7 s.
 MAX_PP_INDEX = 100
-# Largest k accepted.  The obstruction check grows with k and m: on the same
-# machine check_principal_part(k, {100: 1}) takes 0.9 s at k = 12 and 1.2 s
-# at k = 14 (with {1: 1}: 0.17 s at k = 48, 1.8 s at k = 96).
+# Largest k accepted.  The obstruction check does not limit k (at m = 100 it
+# takes 0.02 s at k = 24 and 0.1 s at k = 48).  The numeric engine does: the
+# accuracy of its float Q_{k-1} series is measured only for k - 1 <= 7 (see
+# the `greens` docstring), short of even k = 10 and 12, so a larger k needs
+# that measurement, the upgrade bound and mpmath legendre_Q at each new
+# k - 1 first.
 MAX_K = 12
 
 
-class QSeries:
-    """Truncated q-expansion with exact rational coefficients.
-
-    Coefficients are a dict {exponent: Fraction}; `prec` means coefficients are
-    reliable for exponents < prec.
-    """
-
-    def __init__(self, coeffs, prec: int):
-        self.prec = prec
-        self.coeffs = {
-            e: Fraction(c) for e, c in coeffs.items() if c != 0 and e < prec
-        }
-
-    def __getitem__(self, e: int) -> Fraction:
-        if e >= self.prec:
-            raise IndexError(f"coefficient {e} beyond precision {self.prec}")
-        return self.coeffs.get(e, Fraction(0))
-
-    def leading_exponent(self) -> int:
-        if not self.coeffs:
-            return self.prec
-        return min(self.coeffs)
-
-    def __add__(self, o: "QSeries") -> "QSeries":
-        prec = min(self.prec, o.prec)
-        out = dict(self.coeffs)
-        for e, c in o.coeffs.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return QSeries(out, prec)
-
-    def __sub__(self, o: "QSeries") -> "QSeries":
-        return self + o.scale(-1)
-
-    def scale(self, c) -> "QSeries":
-        c = Fraction(c)
-        return QSeries({e: c * v for e, v in self.coeffs.items()}, self.prec)
-
-    def __mul__(self, o: "QSeries") -> "QSeries":
-        a1 = self.leading_exponent()
-        a2 = o.leading_exponent()
-        prec = min(self.prec + a2, o.prec + a1)
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in o.coeffs.items():
-                e = e1 + e2
-                if e < prec:
-                    out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return QSeries(out, prec)
-
-    def __pow__(self, n: int) -> "QSeries":
-        if n < 0:
-            raise ValueError(f"QSeries power needs n >= 0, got {n}")
-        if n == 0:
-            return QSeries({0: 1}, self.prec)
-        out = None
-        base = self
-        while n:
-            if n & 1:
-                out = base if out is None else out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
-
-    def __eq__(self, o):
-        if not isinstance(o, QSeries):
-            return NotImplemented
-        prec = min(self.prec, o.prec)
-        return all(self[e] == o[e] for e in range(min(self.leading_exponent(), o.leading_exponent(), 0), prec))
-
-    def __repr__(self):
-        terms = [f"{c}*q^{e}" for e, c in sorted(self.coeffs.items())[:6]]
-        return " + ".join(terms) + f" + O(q^{self.prec})"
-
-
-@lru_cache(maxsize=None)
-def bernoulli_number(k: int) -> Fraction:
-    """B_k with B_1 = -1/2, by the standard recurrence."""
-    if k == 0:
-        return Fraction(1)
-    # sum_{j=0}^{k} C(k+1, j) B_j = 0
-    from math import comb
-    s = Fraction(0)
-    for j in range(k):
-        s += comb(k + 1, j) * bernoulli_number(j)
-    return -s / (k + 1)
+def _mul(f, g):
+    """Product of two q-series, truncated to the shorter of the two."""
+    n = min(len(f), len(g))
+    out = [0] * n
+    for i, a in enumerate(f[:n]):
+        if a:
+            for j, b in enumerate(g[:n - i], i):
+                out[j] += a * b
+    return out
 
 
 def _sigma(k: int, n: int) -> int:
@@ -125,88 +51,55 @@ def _sigma(k: int, n: int) -> int:
     return out
 
 
-def eisenstein(k: int, prec: int) -> QSeries:
-    """E_k = 1 - (2k/B_k) sum sigma_{k-1}(n) q^n, exact."""
-    if k < 4 or k % 2 != 0:
-        raise InvalidInputError("eisenstein needs even k >= 4")
+def eisenstein(k: int, prec: int) -> list[int]:
+    """E_k = 1 + c_k sum sigma_{k-1}(n) q^n for k = 4 (c = 240) or 6 (c = -504)."""
+    c = {4: 240, 6: -504}.get(k)
+    if c is None:
+        raise InvalidInputError("eisenstein needs k = 4 or k = 6")
     if prec < 1:
         raise InvalidInputError("precision must be >= 1")
-    c = Fraction(-2 * k) / bernoulli_number(k)
-    coeffs = {0: Fraction(1)}
-    for n in range(1, prec):
-        coeffs[n] = c * _sigma(k - 1, n)
-    return QSeries(coeffs, prec)
+    return [1] + [c * _sigma(k - 1, n) for n in range(1, prec)]
 
 
-def delta_form(prec: int) -> QSeries:
-    """Delta = q prod (1-q^n)^24, via eta^24 with the pentagonal number theorem."""
+def delta_form(prec: int) -> list[int]:
+    """Delta = q prod (1-q^n)^24, as q (prod (1-q^n)^3)^8 with Jacobi's identity
+
+    prod (1-q^n)^3 = sum_{n >= 0} (-1)^n (2n+1) q^{n(n+1)/2}.
+    """
     if prec < 1:
         raise InvalidInputError("precision must be >= 1")
-    # eta-quotient without the q^{1/24}: prod (1 - q^n) via pentagonal numbers
-    euler = {0: Fraction(1)}
-    j = 1
-    while True:
-        g1 = j * (3 * j - 1) // 2
-        g2 = j * (3 * j + 1) // 2
-        if g1 >= prec and g2 >= prec:
-            break
-        s = Fraction(-1) ** j
-        if g1 < prec:
-            euler[g1] = euler.get(g1, Fraction(0)) + s
-        if g2 < prec:
-            euler[g2] = euler.get(g2, Fraction(0)) + s
-        j += 1
-    e = QSeries(euler, prec)
-    out = (e ** 24) * QSeries({1: 1}, prec + 1)
-    return QSeries(out.coeffs, prec + 1)
+    f = [0] * prec
+    n = 0
+    while n * (n + 1) // 2 < prec:
+        f[n * (n + 1) // 2] = (-1) ** n * (2 * n + 1)
+        n += 1
+    for _ in range(3):
+        f = _mul(f, f)
+    return [0] + f[:-1]
 
 
-def _dim_cusp(weight: int) -> int:
-    """dim S_weight for level one, even weight >= 0."""
-    if weight < 12 or weight % 2 == 1:
-        return 0
-    k = weight
-    if k % 12 == 2:
-        return k // 12 - 1
-    return k // 12
+def cusp_basis(weight: int, prec: int) -> list[list[int]]:
+    """The basis g_j = Delta^j E4^a E6^b of S_weight, j = 1..dim, to q^(prec-1).
 
-
-def cusp_basis(weight: int, prec: int):
-    """Echelonized basis of S_weight from monomials E4^a E6^b Delta^c."""
+    12j + 4a + 6b = weight with b in {0, 1}; a j whose remainder weight is 2
+    has no such (a, b) and is skipped, which leaves dim S_weight forms.  Each
+    g_j = q^j + O(q^(j+1)) with integer coefficients.
+    """
     if weight < 4 or weight % 2 != 0:
         raise InvalidInputError("cusp_basis needs even weight >= 4")
-    dim = _dim_cusp(weight)
-    if dim == 0:
-        return []
-    prec = max(prec, dim + 2)
-    e4 = eisenstein(4, prec)
-    e6 = eisenstein(6, prec)
-    dl = delta_form(prec)
-    monomials = []
-    for c in range(1, weight // 12 + 1):
-        rem = weight - 12 * c
-        for a in range(rem // 4 + 1):
-            if (rem - 4 * a) % 6 == 0:
-                b = (rem - 4 * a) // 6
-                monomials.append((dl ** c) * (e4 ** a) * (e6 ** b))
-    # row-reduce to echelon form with leading exponents 1..dim
+    e4, e6, dl = eisenstein(4, prec), eisenstein(6, prec), delta_form(prec)
     basis = []
-    for lead in range(1, dim + 1):
-        pivot = None
-        for f in monomials:
-            if all(f[e] == 0 for e in range(1, lead)) and f[lead] != 0:
-                pivot = f.scale(Fraction(1) / f[lead])
-                break
-        if pivot is None:
-            raise RuntimeError(f"no echelon pivot at q^{lead} in S_{weight}")
-        monomials = [
-            f - pivot.scale(f[lead]) for f in monomials if f is not pivot
-        ]
-        basis.append(pivot)
-    # clear above-diagonal entries
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            basis[i] = basis[i] - basis[j].scale(basis[i][j + 1])
+    dl_j = [1] + [0] * (prec - 1)
+    for j in range(1, weight // 12 + 1):
+        dl_j = _mul(dl_j, dl)
+        rem = weight - 12 * j
+        if rem == 2:
+            continue
+        b = rem % 4 // 2
+        g = _mul(dl_j, e6) if b else dl_j
+        for _ in range((rem - 6 * b) // 4):
+            g = _mul(g, e4)
+        basis.append(g)
     return basis
 
 
@@ -242,19 +135,18 @@ def check_principal_part(k: int, pp):
     """Residue-theorem obstruction for f = sum c(-m) q^{-m} + O(1) in M^!_{2-2k}.
 
     Returns None when valid; otherwise the vector of pairings
-    sum_m pp[m]*a_g(m) against the echelon basis g of S_{2k}.
+    sum_m pp[m]*a_g(m) against the basis g of S_{2k} from `cusp_basis`.
+    Indices below 1 are not principal-part terms and pair to 0.
     """
     if k < 2:
         raise InvalidInputError("weight parameter k must be >= 2")
     if not pp:
         raise InvalidInputError("empty principal part")
-    m0 = max(pp)
-    basis = cusp_basis(2 * k, 2 * m0 + 10)
-    if not basis:
+    pp = {m: c for m, c in pp.items() if m >= 1}
+    if not pp:
         return None
-    obstruction = []
-    for g in basis:
-        obstruction.append(sum(Fraction(c) * g[m] for m, c in pp.items()))
+    basis = cusp_basis(2 * k, max(pp) + 1)
+    obstruction = [sum(Fraction(c) * g[m] for m, c in pp.items()) for g in basis]
     if any(obstruction):
         return obstruction
     return None

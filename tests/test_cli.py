@@ -60,8 +60,9 @@ def test_verify_k2_case(capsys):
                         "residual", "rhs_value", "converged"}
     # one CM pair, one principal-part term: one orbit-sum record
     per_pair = doc["diagnostics"]["per_pair"]
-    assert len(per_pair) == doc["diagnostics"]["pairs"] == 1
+    assert len(per_pair) == doc["diagnostics"]["pairs"] == doc["diagnostics"]["orbit_sums"] == 1
     assert per_pair[0]["terms"] > 0 and per_pair[0]["converged"] is True
+    assert per_pair[0]["reused"] is False
 
 
 def test_greens_json(capsys, tmp_path):

@@ -263,6 +263,17 @@ def test_cycle_sums_each_mirror_pair_once(monkeypatch):
         assert len(calls) == (len(pts1) * len(pts2) + t1 * t2) // 2
 
 
+def test_reused_pair_records_are_marked():
+    # CM(2,1,3) is the mirror of CM(2,-1,3) and CM(1,1,2) its own, so the third
+    # pair of (-7, -23) reuses the second one's sum
+    val, diag = G_kf_at_cycle(4, {1: Fraction(1)}, -7, -23, GreenParams(k=4))
+    assert diag["pairs"] == 3 and diag["orbit_sums"] == 2
+    reused = [p for p in diag["per_pair"] if p["reused"]]
+    assert [p["pair"] for p in reused] == [["CM(1,1,2)", "CM(2,1,3)"]]
+    (mirror,) = [p for p in diag["per_pair"] if p["pair"][1] == "CM(2,-1,3)"]
+    assert not mirror["reused"] and reused[0]["value"] == mirror["value"]
+
+
 def test_cycle_rejects_bad_inputs():
     with pytest.raises(InvalidInputError):
         G_kf_at_cycle(4, {1: Fraction(1)}, -7, -7, GreenParams(k=4))

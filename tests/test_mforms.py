@@ -5,8 +5,8 @@ from math import gcd
 import pytest
 
 from hgreen.mforms import (
-    QSeries,
-    bernoulli_number,
+    MAX_K,
+    MAX_PP_INDEX,
     check_principal_part,
     cusp_basis,
     delta_form,
@@ -22,11 +22,9 @@ def classical_dim(weight):
     return weight // 12 - 1 if weight % 12 == 2 else weight // 12
 
 
-def test_bernoulli():
-    assert bernoulli_number(0) == 1
-    assert bernoulli_number(1) == Fraction(-1, 2)
-    assert bernoulli_number(4) == Fraction(-1, 30)
-    assert bernoulli_number(12) == Fraction(-691, 2730)
+def mul(f, g):
+    n = min(len(f), len(g))
+    return [sum(f[i] * g[j - i] for i in range(j + 1)) for j in range(n)]
 
 
 def test_eisenstein_series():
@@ -47,7 +45,8 @@ def test_delta_form():
 
 def test_classical_identity():
     e4, e6, d = eisenstein(4, 50), eisenstein(6, 50), delta_form(50)
-    assert (e4 ** 3) - (e6 ** 2) == d.scale(1728)
+    lhs = [a - b for a, b in zip(mul(mul(e4, e4), e4), mul(e6, e6))]
+    assert lhs == [1728 * c for c in d]
 
 
 def test_tau_multiplicativity():
@@ -58,21 +57,13 @@ def test_tau_multiplicativity():
                 assert d[m] * d[n] == d[m * n]
 
 
-def test_series_precision_tracking():
-    a = QSeries({1: 1, 3: 2}, 10)     # leading exponent 1
-    b = QSeries({2: 1}, 8)            # leading exponent 2
-    c = a * b
-    assert c.prec == min(10 + 2, 8 + 1)
-    assert c[3] == 1 and c[5] == 2
-
-
 @pytest.mark.parametrize("weight", range(4, 62, 2))
 def test_cusp_dims_and_echelon(weight):
     basis = cusp_basis(weight, 30)
     assert len(basis) == classical_dim(weight)
-    for i, f in enumerate(basis):
-        for j in range(len(basis)):
-            assert f[j + 1] == (1 if i == j else 0)
+    for j, g in enumerate(basis, 1):  # g_j = q^j + O(q^(j+1))
+        assert g[:j + 1] == [0] * j + [1]
+        assert all(type(c) is int for c in g)
 
 
 def test_cusp_basis_examples():
@@ -89,6 +80,82 @@ def test_check_principal_part():
     assert obs == [1, 0]
     with pytest.raises(InvalidInputError):
         check_principal_part(1, {1: Fraction(1)})
+
+
+# Zero-or-not answers of the echelon-basis check this one replaced, on seeded
+# principal parts with index <= 100.  Where S_2k != 0 the unobstructed ones were
+# built from a nullspace of that basis, and the first obstructed one is a near
+# miss: a nullspace case with one coefficient moved by 1.
+OBSTRUCTION_TABLE = [
+    (2, {7: -41, 9: "-7/4"}, False),
+    (3, {1: 4, 3: -44}, False),
+    (4, {2: "-6/5", 3: -13}, False),
+    (5, {2: 29, 4: 20}, False),
+    (6, {6: -130387, 7: 6048, 9: 6048}, False),
+    (6, {6: "4350635/3", 8: 420, 26: 630}, False),
+    (6, {44: -4279167, 58: -54832, 94: 54832}, False),
+    (6, {3: "484/5", 6: "1/5", 10: "6/5"}, True),
+    (6, {19: -42, 23: 13, 27: "-1/4"}, True),
+    (6, {3: 32}, True),
+    (7, {2: "1/2", 6: 13, 12: "5/3", 23: 35}, False),
+    (8, {51: "-5155278946304/5", 64: "-2756287848564/5"}, False),
+    (8, {14: -271075005, 27: 2822456}, False),
+    (8, {46: -14714075641, 49: -372050496, 88: -372050496}, False),
+    (8, {2: 41027573223, 63: 2}, True),
+    (8, {1: -3, 3: 29}, True),
+    (8, {100: 37}, True),
+    (9, {14: 1256416335421, 51: 2765136, 52: 5530272}, False),
+    (9, {4: -171600, 8: -2885}, False),
+    (9, {3: 1289640, 10: "51/5"}, False),
+    (9, {4: 403249, 7: -18463}, True),
+    (9, {16: "3/2", 19: "1/6", 62: -40}, True),
+    (9, {68: 38, 70: 47, 89: "-9/2"}, True),
+    (10, {12: 20424656864227283, 83: 190760256, 90: -63586752}, False),
+    (10, {4: -1380266325, 6: 316352, 9: -316352}, False),
+    (10, {4: 2114693, 7: -39544}, False),
+    (10, {1: 22992256468273, 26: -1}, True),
+    (10, {11: "-1/2", 26: 11, 93: -4}, True),
+    (10, {84: 32}, True),
+    (11, {4: -13715693, 7: 35968}, False),
+    (11, {3: -3592818224368, 24: 3579, 26: 3579}, False),
+    (11, {3: 115418400, 10: -2386}, False),
+    (11, {20: 3058423353135, 45: 2014208, 85: 2014209}, True),
+    (11, {4: "1/5", 25: -23}, True),
+    (11, {2: -5, 9: -34}, True),
+    (12, {
+        17: 20737469825182715374501700,
+        27: 141983877135805648208795,
+        29: -45531524850489752256840,
+        30: 22765762425244876128420,
+    }, False),
+    (12, {1: "273205541630585373333125/2", 20: -146138040, 25: "40159357/2"}, False),
+    (12, {
+        8: 1540706926604193222637329,
+        42: 1096229781504000,
+        72: 17122270084003,
+    }, False),
+    (12, {
+        8: -7564431428809276449492870798,
+        14: -522395834212213312342400,
+        72: -1739123952091848,
+        100: -1739123952091848,
+    }, True),
+    (12, {1: 28, 2: -19, 3: "7/5"}, True),
+    (12, {4: -23, 8: 35}, True),
+]
+
+
+@pytest.mark.parametrize("k,pp,obstructed", OBSTRUCTION_TABLE)
+def test_obstruction_table(k, pp, obstructed):
+    pp = {m: Fraction(c) for m, c in pp.items()}
+    assert (check_principal_part(k, pp) is not None) == obstructed
+
+
+def test_check_at_the_scope_corner_is_fast():
+    import time
+    t0 = time.perf_counter()
+    check_principal_part(MAX_K, {MAX_PP_INDEX: Fraction(1)})
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_check_principal_part_linearity():
