@@ -18,7 +18,7 @@ from .qfield import (
 from .finquad import FQM, GenusChar, genus_characters, rho_KF
 from .mforms import check_principal_part, cusp_basis, delta_form, eisenstein
 from .greens import CMPoint, GreenParams, G_k_hecke, G_kf_at_cycle, cm_points, g_k, legendre_Q
-from .factor import FactorReport, gamma_exponents, legendre_P, reconcile, trace_slice
+from .factor import FactorReport, gamma_exponents, reconcile, trace_slice
 
 __all__ = [
     "FieldElem", "FracIdeal", "InvalidInputError", "QuadField", "field",
@@ -27,7 +27,7 @@ __all__ = [
     "check_principal_part", "cusp_basis", "delta_form", "eisenstein",
     "CMPoint", "GreenParams", "G_k_hecke", "G_kf_at_cycle", "cm_points", "g_k",
     "legendre_Q",
-    "FactorReport", "gamma_exponents", "legendre_P", "reconcile", "trace_slice",
+    "FactorReport", "gamma_exponents", "reconcile", "trace_slice",
 ]
 
 __version__ = "0.1.0"

@@ -8,7 +8,9 @@ Subcommands
 
 All output is a single JSON document on stdout (or --output).  Exact fields
 (exponents, kappa) are byte-reproducible; floating fields carry an explicit
-precision entry.
+precision entry.  A `greens` or `verify` document that exits 1 ends with
+`failure_reason`: the first non-converged CM pair and its m, and/or
+`residual R >= threshold T`.
 """
 
 from __future__ import annotations
@@ -81,10 +83,9 @@ def _emit(doc, args) -> None:
 def _exponent_entries(report):
     out = []
     for (ell, b), e in sorted(report.exponents.items()):
-        pr = report.prime_ideal((ell, b))
         out.append({
             "p": ell,
-            "hnf": [pr.a, pr.b, 1],
+            "hnf": [ell, b, 1],
             "e_num": e.numerator,
             "e_den": e.denominator,
         })
@@ -118,6 +119,26 @@ def _convergence(diag):
     }
 
 
+def _failure_reason(diag, report=None):
+    """Why `greens` or `verify` fails (exit 1), or None when it passes."""
+    reasons = []
+    stuck = next((rec for rec in diag["per_pair"] if not rec["converged"]), None)
+    if stuck:
+        reasons.append(f"not converged: pair {stuck['pair'][0]} x {stuck['pair'][1]},"
+                       f" m = {stuck['m']}")
+    if report is not None and not report.verified:
+        reasons.append(f"residual {report.residual} >= threshold {report.residual_threshold}")
+    return "; ".join(reasons) or None
+
+
+def _close(doc, reason, args) -> int:
+    """Emit the document, with `failure_reason` when there is one; the exit code."""
+    if reason:
+        doc["failure_reason"] = reason
+    _emit(doc, args)
+    return EXIT_VERIFY_FAILED if reason else EXIT_OK
+
+
 def cmd_greens(args) -> int:
     pp = parse_principal_part(args.pp)
     params = _params(args)
@@ -129,8 +150,7 @@ def cmd_greens(args) -> int:
         "value": mpmath.nstr(value, params.digits),
         **_convergence(diag),
     }
-    _emit(doc, args)
-    return EXIT_OK if diag["converged"] else EXIT_VERIFY_FAILED
+    return _close(doc, _failure_reason(diag), args)
 
 
 def cmd_factor(args) -> int:
@@ -171,10 +191,7 @@ def cmd_verify(args) -> int:
         "rhs_value": report.rhs_value,
         **_convergence(diag),
     }
-    _emit(doc, args)
-    if not diag["converged"] or not report.verified:
-        return EXIT_VERIFY_FAILED
-    return EXIT_OK
+    return _close(doc, _failure_reason(diag, report), args)
 
 
 def _selftest_grid(rng, quick):

@@ -4,8 +4,9 @@ For even k and a valid principal part, the averaged Green's function value
 satisfies  kappa * G = -Delta^{(1-k)/2} log|gamma/gamma'|  for an element
 gamma of F supported on split primes with chi = -1.  The exponent of such a
 prime l is an explicit finite sum over totally positive trace slices of the
-inverse different, weighted by odd Legendre polynomials (exact rationals) and
-the ideal count rho_{K/F}.
+inverse different, weighted by the odd Legendre polynomial P_{k-1} (exact
+rationals, from the three-term recurrence greens uses for Q_{k-1}) and the
+ideal count rho_{K/F}.
 
 The raw slice sum is antisymmetric under conjugation (ord_l = -ord_l'); the
 report clears conjugates by the rational rescaling gamma -> n*gamma, leaving
@@ -26,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd, isqrt, lcm, prod
+from math import gcd, isqrt, lcm, prod
 
 import mpmath
 from mpmath import mpf
@@ -42,44 +43,8 @@ from .qfield import (
     kronecker,
 )
 from .finquad import GenusChar, rho_KF
+from .greens import _legendre_p_values
 from .mforms import check_cycle_input
-
-
-# ---------------------------------------------------------------------------
-# Legendre polynomials, exact
-# ---------------------------------------------------------------------------
-
-def _gen_binom(a: Fraction, m: int) -> Fraction:
-    """Generalized binomial a(a-1)...(a-m+1)/m! for rational a."""
-    num = Fraction(1)
-    for i in range(m):
-        num *= a - i
-    return num / factorial(m)
-
-
-@dataclass(frozen=True)
-class LegendreP:
-    """P_n as exact coefficients c[b] of x^b, b = 0..n."""
-
-    n: int
-    coeffs: tuple
-
-    def __call__(self, x):
-        out = 0
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
-
-
-def legendre_P(n: int) -> LegendreP:
-    """P_n via the explicit formula c_{n,b} = 2^n C(n,b) C((n+b-1)/2, n)."""
-    if n < 0:
-        raise InvalidInputError("legendre_P needs n >= 0")
-    coeffs = []
-    for b in range(n + 1):
-        c = (2 ** n) * comb(n, b) * _gen_binom(Fraction(n + b - 1, 2), n)
-        coeffs.append(Fraction(c))
-    return LegendreP(n, tuple(coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -137,24 +102,13 @@ class FactorReport:
     verified: bool | None = None
     residual_threshold: float | None = None
 
-    def prime_ideal(self, key) -> FracIdeal:
-        ell, b = key
-        return FracIdeal(self.Delta, 1, ell, b)
 
+def _slice_weight(k: int, n: int, m: int, Delta: int) -> Fraction:
+    """((sqrt(D) m)^{k-1}/2) P_{k-1}(n/(sqrt(D) m)), exact.
 
-def _slice_weight(k: int, n: int, m: int, Delta: int, P: LegendreP) -> Fraction:
-    """((sqrt(D) m)^{k-1}/2) P_{k-1}(n/(sqrt(D) m)), exact for even k.
-
-    P_{k-1} is odd, so only odd powers b contribute and (sqrt(D))^{k-1-b} is an
-    integer power of Delta.
+    That is H_{k-1}(n, y)/2 for the homogeneous y^j P_j(x/y) at y^2 = m^2 Delta.
     """
-    total = Fraction(0)
-    for b in range(1, k, 2):
-        c = P.coeffs[b]
-        if c:
-            total += c * Fraction(n) ** b * Fraction(Delta) ** ((k - 1 - b) // 2) \
-                * Fraction(m) ** (k - 1 - b)
-    return total / 2
+    return _legendre_p_values(k - 1, Fraction(n), m * m * Delta)[k - 1] / 2
 
 
 def _ord(n: int, p: int) -> int:
@@ -242,16 +196,14 @@ def gamma_exponents(k: int, pp, d1: int, d2: int) -> FactorReport:
     """
     check_cycle_input(k, pp, d1, d2)
     Delta = d1 * d2
-    F = field(Delta)
     chi = GenusChar(d1, d2)
-    P = legendre_P(k - 1)
     raw = {}
     for m, cf in sorted(pp.items()):
         cf = Fraction(cf)
         if cf == 0:
             continue
         for mu0 in trace_slice(m, Delta).elements:
-            w = cf * _slice_weight(k, int(mu0.trace()), m, Delta, P)
+            w = cf * _slice_weight(k, int(mu0.trace()), m, Delta)
             for key, r in integer_exponent_vector(mu0, chi).items():
                 raw[key] = raw.get(key, Fraction(0)) + w * r
     raw = {key: v for key, v in raw.items() if v}
@@ -261,8 +213,8 @@ def gamma_exponents(k: int, pp, d1: int, d2: int) -> FactorReport:
     for (ell, b), v in raw.items():
         if (ell, b) in seen:
             continue
-        pr, prc = F.primes_above(ell)
-        bb = prc.b if pr.b == b else pr.b
+        b0, b1 = _split_roots(Delta, ell)
+        bb = b1 if b0 == b else b0
         seen.add((ell, b))
         seen.add((ell, bb))
         vc = raw.get((ell, bb), Fraction(0))

@@ -24,8 +24,9 @@ Arithmetic is hybrid: orbit enumeration and the bulk of the sum run in IEEE
 doubles (descending-series evaluation of Q, no cancellation for cosh > 2),
 while every term with cosh distance below an upgrade bound is recomputed
 with mpmath at the configured working precision.  The bound is 4 for
-tol >= 1e-12, where the float series is within 2e-14 relative (1.4e-17
-absolute) of Q_n for n <= 7, and 64 below that tol.  The first T is at least
+tol >= 1e-12, where on [4, 64] the float series is within 1.8e-14 relative
+of Q_n for n <= 7, 4.6e-14 at n = 9 and 1.1e-13 at n = 11 (at most 1.4e-17
+absolute, reached at n = 1), and 64 below that tol.  The first T is at least
 four times the bound, so all of these terms lie in the first shell and the
 mpmath pass runs once per orbit sum.
 
@@ -120,13 +121,14 @@ def cm_points(d: int):
 T_SWITCH = 2.0
 
 
-def _legendre_p_values(n: int, t):
-    """[P_0(t), ..., P_n(t)] by the three-term recurrence (mp or float)."""
+def _legendre_p_values(n: int, t, y2=1):
+    """[H_0, ..., H_n] with H_j = y^j P_j(t/y) and y2 = y^2, by the three-term
+    recurrence (mp, float, numpy or Fraction).  y2 = 1 gives [P_0(t), ..., P_n(t)]."""
     vals = [t * 0 + 1]
     if n >= 1:
         vals.append(t)
     for j in range(1, n):
-        vals.append(((2 * j + 1) * t * vals[j] - j * vals[j - 1]) / (j + 1))
+        vals.append(((2 * j + 1) * t * vals[j] - j * y2 * vals[j - 1]) / (j + 1))
     return vals
 
 

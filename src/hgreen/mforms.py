@@ -21,10 +21,10 @@ from .qfield import InvalidInputError, QuadField, is_fundamental_discriminant
 MAX_PP_INDEX = 100
 # Largest k accepted.  The obstruction check does not limit k (at m = 100 it
 # takes 0.02 s at k = 24 and 0.1 s at k = 48).  The numeric engine does: the
-# accuracy of its float Q_{k-1} series is measured only for k - 1 <= 7 (see
-# the `greens` docstring), short of even k = 10 and 12, so a larger k needs
-# that measurement, the upgrade bound and mpmath legendre_Q at each new
-# k - 1 first.
+# accuracy of its float Q_{k-1} series is measured only for k - 1 <= 11 (up
+# to 1.1e-13 relative at k - 1 = 11, see the `greens` docstring), so a
+# larger k needs that measurement, the upgrade bound and mpmath legendre_Q at
+# each new k - 1 first.
 MAX_K = 12
 
 

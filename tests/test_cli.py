@@ -77,6 +77,42 @@ def test_greens_json(capsys, tmp_path):
     float(doc["value"])  # parses as a number
 
 
+def test_exit_1_states_its_reason(capsys, monkeypatch):
+    import hgreen.greens as G
+    cycle = ["--k", "4", "--d1", "-7", "--d2", "-23", "--pp", "1=1", "--tol", "1e-6"]
+    code, doc = run_cli(capsys, "verify", *cycle)
+    assert code == 0 and "failure_reason" not in doc
+    # a wrong lhs fails the fit
+    real_cycle = G.G_kf_at_cycle
+
+    def shifted_cycle(*args):
+        value, diag = real_cycle(*args)
+        return value + 1, diag
+
+    monkeypatch.setattr(G, "G_kf_at_cycle", shifted_cycle)
+    code, doc = run_cli(capsys, "verify", *cycle)
+    assert code == 1 and doc["converged"] is True
+    assert doc["failure_reason"] == \
+        f"residual {doc['residual']} >= threshold {doc['residual_threshold']}"
+    monkeypatch.setattr(G, "G_kf_at_cycle", real_cycle)
+    # every orbit sum after the first fails to converge: the reason names
+    # the first non-converged pair and its m
+    real_hecke = G.G_k_hecke
+    calls = []
+
+    def stalled_hecke(*args):
+        value, diag = real_hecke(*args)
+        calls.append(args)
+        return value, {**diag, "converged": len(calls) == 1}
+
+    monkeypatch.setattr(G, "G_k_hecke", stalled_hecke)
+    code, doc = run_cli(capsys, "greens", *cycle)
+    per_pair = doc["diagnostics"]["per_pair"]
+    assert code == 1 and [rec["converged"] for rec in per_pair] == [True, False, False]
+    assert doc["failure_reason"] == \
+        f"not converged: pair {per_pair[1]['pair'][0]} x {per_pair[1]['pair'][1]}, m = 1"
+
+
 def test_selftest_quick(capsys):
     code, doc = run_cli(capsys, "selftest", "--seed", "7", "--quick")
     assert code == 0
@@ -187,7 +223,9 @@ def test_selftest_full_grid_counts(capsys):
 
 
 def test_product_path_loads_no_oracle_code():
-    # factor, greens and verify never import the theta routes or the property suites
+    # factor, greens and verify never import the theta routes or the property
+    # suites, and factor (run first) does not import numpy, which only the
+    # orbit sums need
     import subprocess
     import sys
     from pathlib import Path
@@ -198,7 +236,8 @@ for command in ("factor", "greens", "verify"):
     with contextlib.redirect_stdout(io.StringIO()):
         code = main([command, "--k", "4", "--d1", "-7", "--d2", "-23", "--pp", "1=1",
                      "--tol", "1e-6"])
-    loaded = sorted(m for m in ("hgreen.thetacoef", "hgreen.properties") if m in sys.modules)
+    loaded = sorted(m for m in ("hgreen.thetacoef", "hgreen.properties", "numpy")
+                    if m in sys.modules)
     print(command, code, loaded)
 """
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -206,4 +245,5 @@ for command in ("factor", "greens", "verify"):
     env = dict(os.environ, PYTHONPATH=path)
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, timeout=120, check=True).stdout
-    assert out.split("\n")[:3] == ["factor 0 []", "greens 0 []", "verify 0 []"]
+    assert out.split("\n")[:3] == ["factor 0 []", "greens 0 ['numpy']",
+                                    "verify 0 ['numpy']"]

@@ -1,7 +1,7 @@
 import random
 import time
 from fractions import Fraction
-from math import gcd
+from math import comb, factorial, gcd, isqrt
 
 import mpmath
 import pytest
@@ -14,12 +14,13 @@ from hgreen.qfield import (
     is_fundamental_discriminant,
 )
 from hgreen.finquad import GenusChar, genus_characters
+from hgreen.greens import _legendre_p_values
 from hgreen.factor import (
     _log_ratio,
+    _slice_weight,
     alt_exponent_check,
     gamma_exponents,
     integer_exponent_vector,
-    legendre_P,
     reconcile,
     rho_exponent_vector,
     trace_slice,
@@ -32,33 +33,22 @@ def paper_prime(F, ell, elem):
 
 
 def test_legendre_p_examples():
-    assert legendre_P(1).coeffs == (0, 1)
-    assert legendre_P(3).coeffs == (0, Fraction(-3, 2), 0, Fraction(5, 2))
-    assert legendre_P(0).coeffs == (1,)
+    x = Fraction(2, 7)
+    assert _legendre_p_values(3, x) == [1, x, (3 * x * x - 1) / 2, (5 * x ** 3 - 3 * x) / 2]
+    assert _legendre_p_values(0, x) == [1]
 
 
 def test_legendre_p_parity_and_normalization():
-    for n in range(13):
-        P = legendre_P(n)
-        assert sum(P.coeffs) == 1            # P_n(1) = 1
-        for b, c in enumerate(P.coeffs):
-            if (b - n) % 2:
-                assert c == 0
-
-
-def test_legendre_p_recurrence():
-    x = Fraction(5, 11)
-    for n in range(1, 12):
-        lhs = (n + 1) * legendre_P(n + 1)(x)
-        rhs = (2 * n + 1) * x * legendre_P(n)(x) - n * legendre_P(n - 1)(x)
-        assert lhs == rhs
+    assert _legendre_p_values(12, Fraction(1)) == [1] * 13     # P_n(1) = 1
+    x = Fraction(3, 5)
+    for n, (p, q) in enumerate(zip(_legendre_p_values(12, x), _legendre_p_values(12, -x))):
+        assert q == (-1) ** n * p
 
 
 def test_legendre_p_generating_function():
     # coefficients of 1/sqrt(1-2xt+t^2) in t, exact series to order 8
     x = Fraction(3, 7)
     # (1 - (2xt - t^2))^{-1/2} = sum_j binom(2j, j)/4^j (2xt - t^2)^j
-    from math import comb
     N = 9
     series = [Fraction(0)] * N
     for j in range(N):
@@ -68,8 +58,35 @@ def test_legendre_p_generating_function():
             power = j + i
             if power < N:
                 series[power] += cj * comb(j, i) * (2 * x) ** (j - i) * (-1) ** i
-    for n in range(N):
-        assert series[n] == legendre_P(n)(x)
+    assert series == _legendre_p_values(N - 1, x)
+
+
+def _explicit_legendre_coeffs(n: int) -> list:
+    """Coefficients c_{n,b} = 2^n C(n,b) C((n+b-1)/2, n) of x^b in P_n, b = 0..n."""
+    out = []
+    for b in range(n + 1):
+        a = Fraction(n + b - 1, 2)
+        gen_binom = Fraction(1)      # a(a-1)...(a-n+1)/n!
+        for i in range(n):
+            gen_binom *= a - i
+        out.append(2 ** n * comb(n, b) * gen_binom / factorial(n))
+    return out
+
+
+def test_slice_weight_matches_explicit_formula():
+    # ((sqrt(D) m)^{k-1}/2) P_{k-1}(n/(sqrt(D) m)) summed over the odd powers
+    # of the explicit coefficients, where (sqrt(D))^{k-1-b} is a power of D
+    assert _explicit_legendre_coeffs(3) == [0, Fraction(-3, 2), 0, Fraction(5, 2)]
+    rng = random.Random(12)
+    coeffs = {k: _explicit_legendre_coeffs(k - 1) for k in range(2, 25, 2)}
+    for _ in range(600):
+        k = rng.randrange(2, 25, 2)
+        Delta = rng.randrange(5, 10 ** 6)
+        m = rng.randrange(1, 101)
+        n = rng.randrange(-isqrt(m * m * Delta), isqrt(m * m * Delta) + 1)
+        want = sum(c * Fraction(n) ** b * Delta ** ((k - 1 - b) // 2) * m ** (k - 1 - b)
+                   for b, c in enumerate(coeffs[k]) if b % 2) / 2
+        assert _slice_weight(k, n, m, Delta) == want, (k, n, m, Delta)
 
 
 def test_trace_slice_28():
@@ -137,6 +154,37 @@ def test_gamma_exponents_k2_pure_unit():
     rep = gamma_exponents(2, {1: Fraction(1)}, -4, -7)
     assert rep.exponents == {}
     assert rep.kappa == 1
+
+
+# kappa and the cleared exponents {(ell, b): e} on (-7, -23) for every even
+# k <= MAX_K, each with an unobstructed principal part
+PINNED_EXPONENTS = [
+    (2, {1: 1}, 1, {(5, 4): 2, (17, 7): 20, (19, 16): 12}),
+    (4, {1: 1}, 1, {(5, 0): 2878, (17, 2): 3580, (19, 13): 2628}),
+    (6, {1: 24, 2: 1}, 1, {
+        (5, 0): 78184624, (17, 7): 36990912, (19, 16): 52647840,
+        (61, 6): 8654800, (97, 61): 4762688, (157, 156): 5515888}),
+    (8, {1: 216, 2: -1}, 1, {
+        (5, 0): 16675957520, (17, 7): 490319136, (19, 16): 10244237472,
+        (61, 16): 2605333600, (97, 61): 4090789504, (157, 156): 3685186784}),
+    (10, {1: 456, 2: -1}, 1, {
+        (5, 0): 15939780368656, (17, 7): 3801023437248, (19, 13): 7392485619360,
+        (61, 6): 2031832313200, (97, 61): 529435881152, (157, 154): 2267781008048}),
+    (12, {1: -195660, 2: 48, 3: 1}, 1, {
+        (5, 4): 110899539898462812, (17, 7): 557625649249631802,
+        (19, 13): 524273742485577168, (61, 6): 230573833703153388,
+        (83, 32): 80946258211854882, (89, 67): 344077607383213410,
+        (97, 61): 72013131229820928, (103, 87): 242996592053894700,
+        (157, 154): 61860090208261632, (181, 40): 68136443703859692}),
+]
+
+
+@pytest.mark.parametrize("k, pp, kappa, exponents", PINNED_EXPONENTS,
+                         ids=[f"k{case[0]}" for case in PINNED_EXPONENTS])
+def test_gamma_exponents_pinned_every_k(k, pp, kappa, exponents):
+    rep = gamma_exponents(k, {m: Fraction(c) for m, c in pp.items()}, -7, -23)
+    assert rep.kappa == kappa
+    assert rep.exponents == exponents
 
 
 def test_gamma_exponents_validation():
