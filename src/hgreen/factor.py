@@ -152,10 +152,10 @@ def integer_exponent_vector(mu0: FieldElem, chi: GenusChar) -> dict:
     chi = kronecker(Delta1, p)), an inert p has exponent ord_p(Nm)/2 and
     chi = +1, a ramified p has exponent ord_p(Nm) and chi from its class.
     """
-    u, v = mu0.uv()
-    if u.denominator != 1 or v.denominator != 1 or mu0.is_zero():
+    uv = mu0.integral_uv()
+    if uv is None or mu0.is_zero():
         raise InvalidInputError("integer_exponent_vector needs integral mu0 != 0")
-    u, v = int(u), int(v)
+    u, v = uv
     Delta = chi.Delta
     c = gcd(u, v)
     local = []      # (p, split?, chi at the primes above p, their exponents)
@@ -239,10 +239,9 @@ def _prime_key(pr: FracIdeal):
     Inert primes all share the HNF shape p*[1, 0], so the bare (a, b) pair
     would collide across them; the rational prime disambiguates.
     """
-    n = int(pr.norm())
     if pr.a == 1:                # inert: norm p^2, scale p
-        return (int(pr.s), 0, "inert")
-    return (n, pr.b)
+        return (pr.num, 0, "inert")
+    return (pr.a, pr.b)          # split or ramified: scale 1, norm a
 
 
 def alt_exponent_check(mu0: FieldElem, chi: GenusChar) -> dict:

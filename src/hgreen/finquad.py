@@ -20,6 +20,7 @@ from .qfield import (
     FracIdeal,
     InvalidInputError,
     QuadField,
+    _ideal,
     _xgcd,
     factorint,
     field,
@@ -77,10 +78,10 @@ class FQM:
 
     def from_numerator(self, beta: FieldElem):
         """Class of beta/sqrt(Delta) in d^{-1}/O_F from integral beta's (u, v)."""
-        u, v = beta.uv()
-        if u.denominator != 1 or v.denominator != 1:
+        uv = beta.integral_uv()
+        if uv is None:
             raise ValueError("beta/sqrt(Delta) is not in the inverse different")
-        return self.elem(u.numerator, v.numerator)
+        return self.elem(*uv)
 
     def DQ(self, h) -> int:
         """Delta * Q(h) in [0, Delta): Nm(sqrt(Delta)) = -Delta, so Nm(lift(h))
@@ -434,7 +435,7 @@ class SqrtSupport:
         if key not in self._cands:
             b = self.ncg.reps[i]
             nb, nb_inv = self._class_data(i)
-            J = a * b * b * FracIdeal(self.F.D, Fraction(1, nb), 1, 0)
+            J = a * b * b * _ideal(self.F.D, 1, nb, 1, 0)
             out = []
             for mu in self.F.positive_generators_mod_epsD(J):
                 hmu = self.fqm.smul(nb_inv, self.fqm.from_numerator(mu * nb))

@@ -133,12 +133,17 @@ def _legendre_p_values(n: int, t, y2=1):
 
 
 def _q_series_coeffs(n: int, terms: int):
-    """Fractions a_j of the descending expansion Q_n(t) = lead * t^{-n-1} sum a_j t^{-2j}."""
-    out = [Fraction(1)]
+    """a_j of the descending expansion Q_n(t) = lead * t^{-n-1} sum a_j t^{-2j},
+    each as (numerator, denominator) in lowest terms, by the ratio
+    a_{j+1}/a_j = (n+2+2j)(n+1+2j) / (2(2n+3+2j)(j+1))."""
+    p, q = 1, 1
+    out = [(p, q)]
     for j in range(terms - 1):
-        num = (Fraction(n, 2) + 1 + j) * (Fraction(n + 1, 2) + j)
-        den = (Fraction(n) + Fraction(3, 2) + j) * (j + 1)
-        out.append(out[-1] * num / den)
+        p *= (n + 2 + 2 * j) * (n + 1 + 2 * j)
+        q *= 2 * (2 * n + 3 + 2 * j) * (j + 1)
+        g = gcd(p, q)
+        p, q = p // g, q // g
+        out.append((p, q))
     return out
 
 
@@ -154,9 +159,9 @@ def _q_coeffs_mpf(n: int, dps: int, count: int):
     key = (n, dps)
     have = _MP_COEFF_CACHE.get(key)
     if have is None or len(have[0]) < count:
-        fracs = _q_series_coeffs(n, max(count, 16))
+        exact = _q_series_coeffs(n, max(count, 16))
         with mpmath.mp.workdps(dps):
-            vals = [mpf(a.numerator) / a.denominator for a in fracs]
+            vals = [mpf(p) / q for p, q in exact]
             lead = mpf(_q_lead(n).numerator) / _q_lead(n).denominator
         have = (vals, lead)
         _MP_COEFF_CACHE[key] = have
@@ -218,7 +223,7 @@ def _q_float_factory(n: int):
     """Vectorized float64 Q_n(t) for t > T_SWITCH: 12 terms of the descending series."""
     import numpy as np
 
-    coeffs = [float(a) for a in _q_series_coeffs(n, 12)]
+    coeffs = [p / q for p, q in _q_series_coeffs(n, 12)]
     lead = float(_q_lead(n))
 
     def qf(t):

@@ -3,8 +3,8 @@
 An element x + y*sqrt(Delta) is stored as three integers (a, b, n) meaning
 (a + b*sqrt(Delta))/n, with n > 0 and gcd(a, b, n) = 1, and sqrt(Delta) > 0
 under the fixed real embedding; each sum or product costs one gcd.
-Fractional ideals are kept in scaled Hermite normal form and multiplied on
-its integer rows.
+Fractional ideals are kept in Hermite normal form with a scale num/den on two
+integers and multiplied on its integer rows.
 Class-group work (narrow equivalence, principality, generators) goes through
 the reduction theory of indefinite binary quadratic forms of discriminant
 Delta, so everything stays in exact integer arithmetic.
@@ -228,9 +228,16 @@ class FieldElem:
         """Coordinates (u, v) w.r.t. the integral basis (1, omega)."""
         return Fraction(self.a - self.b * self.D, self.n), Fraction(2 * self.b, self.n)
 
-    def is_integral(self) -> bool:
+    def integral_uv(self):
+        """(u, v) as ints with self = u + v*omega, or None if self is not integral."""
         n = self.n
-        return (2 * self.b) % n == 0 and (self.a - self.b * self.D) % n == 0
+        u, v = self.a - self.b * self.D, 2 * self.b
+        if u % n or v % n:
+            return None
+        return u // n, v // n
+
+    def is_integral(self) -> bool:
+        return self.integral_uv() is not None
 
     def _coerce(self, o):
         if type(o) is FieldElem:
@@ -393,7 +400,7 @@ def _rational(x):
         return x, 1
     if isinstance(x, Rational):
         return int(x.numerator), int(x.denominator)
-    raise TypeError(f"field coordinates must be int or Fraction, not {type(x).__name__}")
+    raise TypeError(f"exact values must be int or Fraction, not {type(x).__name__}")
 
 
 def _sign(a: int, b: int, D: int) -> int:
@@ -410,10 +417,10 @@ def _sign(a: int, b: int, D: int) -> int:
 
 def integral_content(e: FieldElem) -> int:
     """Largest t in N with e/t integral (e itself integral, nonzero)."""
-    u, v = e.uv()
-    if u.denominator != 1 or v.denominator != 1:
+    uv = e.integral_uv()
+    if uv is None:
         raise ValueError(f"integral_content needs an integral element, got {e}")
-    return gcd(int(u), int(v))
+    return gcd(*uv)
 
 
 # ---------------------------------------------------------------------------
@@ -425,21 +432,28 @@ class FracIdeal:
 
     The general HNF shape s*[a, b + c*omega] always allows the content c to be
     pulled into the scale for an ideal, so c = 1 is the stored normal form.
-    Products, conjugates and integrality work on the integers a, b and the
-    rational scale s alone.
+    Since s*L = -s*L, the scale is positive and kept in lowest terms as two
+    integers s = num/den, so the form is canonical; products, conjugates,
+    inverses and integrality work on the integers num, den, a and b alone.
     """
 
-    __slots__ = ("D", "s", "a", "b")
+    __slots__ = ("D", "num", "den", "a", "b")
 
     def __init__(self, D: int, s, a: int, b: int):
-        self.D = D
-        self.s = Fraction(s)
-        self.a = a
-        self.b = b % a
+        num, den = _rational(s)
+        if num == 0:
+            raise ValueError("zero scale: the zero module is not a fractional ideal")
+        if a <= 0:
+            raise ValueError(f"HNF needs a > 0, got a = {a}")
+        self.D, self.num, self.den, self.a, self.b = D, abs(num), den, a, b % a
+
+    @property
+    def s(self) -> Fraction:
+        return Fraction(self.num, self.den)
 
     @staticmethod
-    def from_hnf_rows(D: int, rows, scale=Fraction(1)) -> "FracIdeal":
-        """HNF of the Z-module spanned by integer (u, v) rows, then scaled.
+    def from_hnf_rows(D: int, rows, num: int = 1, den: int = 1) -> "FracIdeal":
+        """HNF of the Z-module spanned by integer (u, v) rows, scaled by num/den > 0.
 
         Raises ValueError unless the module is an ideal: with c = 1 it is
         omega-stable iff a | Nm(b + omega) = b^2 + Delta*b + psi.
@@ -476,42 +490,41 @@ class FracIdeal:
         a, b = a0 // c0, (b0 // c0) % (a0 // c0)
         if (b * b + b * D + (D * D - D) // 4) % a:
             raise ValueError("module is not omega-stable, not an ideal")
-        return FracIdeal(D, scale * c0, a, b)
+        num *= c0
+        g = gcd(num, den)
+        return _ideal(D, num // g, den // g, a, b)
 
     @staticmethod
     def from_generators(D: int, gens) -> "FracIdeal":
         """Ideal generated over O_F by the given field elements."""
         omega = FieldElem.from_uv(D, 0, 1)
-        pairs = []
+        rows = []     # (n*u, n*v, n) for each u + v*omega
         den = 1
         for g in gens:
             for e in (g, g * omega):
-                u, v = e.uv()
-                pairs.append((u, v))
-                d = u.denominator * v.denominator // gcd(u.denominator, v.denominator)
-                den = den * d // gcd(den, d)
-        rows = [(int(u * den), int(v * den)) for (u, v) in pairs]
-        return FracIdeal.from_hnf_rows(D, rows, Fraction(1, den))
+                rows.append((e.a - e.b * D, 2 * e.b, e.n))
+                den = den * e.n // gcd(den, e.n)
+        rows = [(u * (den // n), v * (den // n)) for (u, v, n) in rows]
+        return FracIdeal.from_hnf_rows(D, rows, 1, den)
 
     def basis(self):
         """Z-basis as field elements: (s*a, s*(b + omega))."""
-        s = FieldElem(self.D, self.s, 0)
-        return (
-            FieldElem(self.D, self.s * self.a, 0),
-            FieldElem.from_uv(self.D, self.b, 1) * s,
-        )
+        s = _canon(self.D, self.num, 0, self.den)
+        return (s * self.a, FieldElem.from_uv(self.D, self.b, 1) * s)
 
     def norm(self) -> Fraction:
-        return self.s * self.s * self.a
+        return Fraction(self.num * self.num * self.a, self.den * self.den)
 
     def contains(self, e: FieldElem) -> bool:
-        u, v = (e / FieldElem(self.D, self.s, 0)).uv()
-        if u.denominator != 1 or v.denominator != 1:
+        # e/s = (A + B*sqrt(Delta))*den/(n*num) = u + v*omega
+        m = e.n * self.num
+        u, v = (e.a - e.b * self.D) * self.den, 2 * e.b * self.den
+        if u % m or v % m:
             return False
-        return (int(u) - int(v) * self.b) % self.a == 0
+        return (u // m - (v // m) * self.b) % self.a == 0
 
     def is_integral(self) -> bool:
-        return self.s.denominator == 1
+        return self.den == 1
 
     def __mul__(self, o: "FracIdeal") -> "FracIdeal":
         """HNF of the four products of the Z-bases, omega^2 = Delta*omega - psi."""
@@ -522,11 +535,11 @@ class FracIdeal:
         D, a1, b1, a2, b2 = self.D, self.a, self.b, o.a, o.b
         rows = [(a1 * a2, 0), (a1 * b2, a1), (a2 * b1, a2),
                 (b1 * b2 - (D * D - D) // 4, b1 + b2 + D)]
-        return FracIdeal.from_hnf_rows(D, rows, self.s * o.s)
+        return FracIdeal.from_hnf_rows(D, rows, self.num * o.num, self.den * o.den)
 
     def __pow__(self, n: int):
         if n == 0:
-            return FracIdeal(self.D, 1, 1, 0)
+            return _ideal(self.D, 1, 1, 1, 0)
         if n < 0:
             return self.inverse() ** (-n)
         out = None
@@ -540,24 +553,27 @@ class FracIdeal:
 
     def conj(self) -> "FracIdeal":
         # omega' = Delta - omega, so (b + omega)' = -((-b - Delta) + omega)
-        return FracIdeal(self.D, self.s, self.a, -self.b - self.D)
+        return _ideal(self.D, self.num, self.den, self.a, (-self.b - self.D) % self.a)
 
     def inverse(self) -> "FracIdeal":
-        c = self.conj()
-        n = self.norm()
-        return FracIdeal(c.D, c.s / n, c.a, c.b)
+        # I * I' = (Nm I), so I^-1 = I'/Nm(I) has scale den/(num*a);
+        # gcd(den, num*a) = gcd(den, a) as num/den is in lowest terms
+        a = self.a
+        g = gcd(self.den, a)
+        return _ideal(self.D, self.den // g, self.num * (a // g), a, (-self.b - self.D) % a)
 
     def __eq__(self, o):
         return (
             isinstance(o, FracIdeal)
-            and (self.D, self.s, self.a, self.b) == (o.D, o.s, o.a, o.b)
+            and (self.D, self.num, self.den, self.a, self.b) == (o.D, o.num, o.den, o.a, o.b)
         )
 
     def __hash__(self):
-        return hash((self.D, self.s, self.a, self.b))
+        return hash((self.D, self.num, self.den, self.a, self.b))
 
     def __repr__(self):
-        return f"Ideal({self.s}*[{self.a}, {self.b}+w], D={self.D})"
+        s = self.num if self.den == 1 else f"{self.num}/{self.den}"
+        return f"Ideal({s}*[{self.a}, {self.b}+w], D={self.D})"
 
     def valuation(self, prime: "FracIdeal") -> int:
         """ord_prime(self), by repeated exact division."""
@@ -584,6 +600,13 @@ class FracIdeal:
         if nm % a != 0:
             raise ValueError("not an ideal HNF")
         return (nm // a, 2 * b + D, a)
+
+
+def _ideal(D: int, num: int, den: int, a: int, b: int) -> FracIdeal:
+    """The ideal (num/den)*[a, b + omega] of integers already in canonical form."""
+    I = object.__new__(FracIdeal)
+    I.D, I.num, I.den, I.a, I.b = D, num, den, a, b
+    return I
 
 
 def ideal_divisors(F: "QuadField", I: FracIdeal):
@@ -864,9 +887,7 @@ class QuadField:
         D = self.D
         sq = self.sqrt_isq
         f = I.form()
-        e1 = self.from_uv(I.b, 1)
-        e2 = self.elem(I.a, 0)
-        s = self.elem(I.s, 0)
+        s = _canon(D, I.num, 0, I.den)
         U = (1, 0, 0, 1)
         steps = 0
         first_reduced = None
@@ -874,8 +895,10 @@ class QuadField:
             A, _, _ = f
             if A in (1, -1):
                 u11, _, u21, _ = U
-                g = (e1 * u11 + e2 * u21) * s
-                if abs(g.norm()) != I.norm() or not I.contains(g):
+                g = self.from_uv(I.b * u11 + I.a * u21, u11) * s
+                # |Nm(g)| = Nm(I) = num^2 a / den^2, cross-multiplied
+                nm = abs(g.a * g.a - g.b * g.b * D)
+                if nm * I.den ** 2 != I.num ** 2 * I.a * g.n ** 2 or not I.contains(g):
                     raise RuntimeError(f"reduction walk produced {g}, not a generator of {I}")
                 return g
             f, U = _rho_with_transform(f, U, D, sq)
@@ -897,12 +920,16 @@ class QuadField:
         of norm +-1, s = unit^2 and unit^-1 = Nm(unit) * unit', and the test
         |mu/mu'| = mu^2/|Nm(mu)| >= lo reads mu^2 >= lo*|Nm(mu)|.
         """
-        nu, n = unit.norm(), abs(mu.norm())
-        if abs(nu) != 1 or unit.b == 0 or n == 0:
-            raise InvalidInputError(f"no orbit window for {mu} under {unit} (norm {nu}): "
+        D = self.D
+        nu = unit.a * unit.a - unit.b * unit.b * D      # Nm(unit) * unit.n^2
+        n = abs(mu.a * mu.a - mu.b * mu.b * D)          # |Nm(mu)| * mu.n^2
+        if abs(nu) != unit.n * unit.n or unit.b == 0 or n == 0:
+            raise InvalidInputError(f"no orbit window for {mu} under {unit} "
+                                    f"(norm {unit.norm()}): "
                                     "needs mu != 0 and a unit other than +-1")
-        inv = unit.conj() if nu == 1 else -unit.conj()
-        step, lo_n, sq = unit * unit, lo * n, mu * mu
+        inv = unit.conj() if nu > 0 else -unit.conj()
+        step, sq = unit * unit, mu * mu
+        lo_n = _canon(D, lo.a * n, lo.b * n, lo.n * mu.n * mu.n)
         for _ in range(10 ** 5):
             if sq < lo_n:
                 mu, sq = mu * unit, sq * step

@@ -20,6 +20,7 @@ from .qfield import (
     FracIdeal,
     InvalidInputError,
     QuadField,
+    _canon,
     field,
     integral_content,
 )
@@ -81,10 +82,11 @@ def solve_norm_in_coset(F: QuadField, lattice: FracIdeal, offset: FieldElem,
     # mu = (U + V*omega)/den with (U, V) integral; eps_plus*offset, an
     # O_F-multiple of offset, has the same den.  The lattice s*(a*Z + (b +
     # omega)*Z) is already in HNF: with k = s*den, V runs over V0 + k*Z and U
-    # over U0 + (V - V0)*b + k*a*Z.
-    u0, v0 = offset.uv()
-    den = math.lcm(lattice.s.denominator, u0.denominator, v0.denominator)
-    k = abs(int(lattice.s * den))
+    # over U0 + (V - V0)*b + k*a*Z.  offset = (A + B*sqrt(Delta))/n has the
+    # coordinates u = (A - B*Delta)/n and v = 2B/n.
+    A, B, n = offset.a, offset.b, offset.n
+    den = math.lcm(lattice.den, n // gcd(A - B * D, 2 * B, n))
+    k = lattice.num * den // lattice.den
     # Nm(U + V*omega) = ((2U + D*V)^2 - D*V^2) / 4, so with s = |2U + D*V|
     # the interval reads t_lo <= s^2 - D*V^2 <= t_hi
     t_lo = math.ceil(4 * den * den * lo)
@@ -96,7 +98,8 @@ def solve_norm_in_coset(F: QuadField, lattice: FracIdeal, offset: FieldElem,
     vmax = _window_height(F, float(max(abs(lo), abs(hi))), den, window_margin)
     out = {}
     for base, mults in passes:
-        U0, V0 = (int(c * den) for c in base.uv())
+        A, B, n = base.a, base.b, base.n
+        U0, V0 = (A - B * D) * den // n, 2 * B * den // n
         # V runs over the progression V0 mod k covering [-vmax, vmax]
         for V in range(V0 % k + (-vmax - V0 % k) // k * k, vmax + 1, k):
             dv2 = D * V * V
@@ -117,7 +120,8 @@ def solve_norm_in_coset(F: QuadField, lattice: FracIdeal, offset: FieldElem,
                     twoU = sgn - D * V
                     if twoU % 2 or (twoU // 2 - U_shift) % (k * lattice.a):
                         continue
-                    x = FieldElem.from_uv(D, Fraction(twoU // 2, den), Fraction(V, den))
+                    # (twoU/2 + V*omega)/den = (sgn + V*sqrt(Delta))/(2*den)
+                    x = _canon(D, sgn, V, 2 * den)
                     for m in mults:
                         mu = F.unit_orbit_rep(x * m, epsD, one)
                         out[(mu.a, mu.b, mu.n)] = mu
@@ -187,13 +191,13 @@ class LatticeRoute:
         cap = n_max * nb * nb
         counts = {}
         for beta in solve_norm_in_coset(F, b * b, F.elem(0), 1, cap):
-            nm = beta.norm()
-            if not 0 < nm <= cap:
+            # Nm(beta) = nm / n^2
+            nm, n2 = beta.a * beta.a - beta.b * beta.b * F.D, beta.n * beta.n
+            if not 0 < nm <= cap * n2:
                 raise RuntimeError(f"enumerated {beta} has norm outside (0, {cap}]")
-            num = nm / (nb * nb)
-            if num.denominator != 1:
+            if nm % (n2 * nb * nb):
                 continue
-            key = (int(num), fqm.smul(nb_inv, fqm.from_numerator(beta)))
+            key = (nm // (n2 * nb * nb), fqm.smul(nb_inv, fqm.from_numerator(beta)))
             counts[key] = counts.get(key, 0) + beta.sign()
         return counts
 
@@ -275,11 +279,11 @@ def C_chi(chi: GenusChar, mu0: FieldElem) -> int:
     for t in range(1, c + 1):
         if c % t:
             continue
-        mu = mu0 / F.elem(t)
-        n = mu.norm()
-        if n <= 0 or n.denominator != 1:
+        mu = mu0 / t
+        n, n2 = mu.a * mu.a - mu.b * mu.b * F.D, mu.n * mu.n   # Nm(mu) = n / n2
+        if n <= 0 or n % n2:
             continue  # cusp form: only positive indices contribute
         h = fqm.from_numerator(mu)
-        total += route.c_chi(chi, int(n), h)
+        total += route.c_chi(chi, n // n2, h)
     return total
 

@@ -1,3 +1,4 @@
+import inspect
 import math
 import os
 import random
@@ -426,6 +427,32 @@ def test_float_q_accurate_above_upgrade_bound():
         for x, g in zip(t, got):
             ref = legendre_Q(n, float(x), dps=40)
             assert abs(g - ref) <= bound * ref, (n, x)
+
+
+def _q_series_reference(n, terms):
+    """The Q_n series coefficients by the Fraction recurrence of the ratio
+    a_{j+1}/a_j = (n/2 + 1 + j)(n/2 + 1/2 + j) / ((n + 3/2 + j)(j + 1))."""
+    out = [Fraction(1)]
+    for j in range(terms - 1):
+        num = (Fraction(n, 2) + 1 + j) * (Fraction(n + 1, 2) + j)
+        den = (Fraction(n) + Fraction(3, 2) + j) * (j + 1)
+        out.append(out[-1] * num / den)
+    return out
+
+
+@pytest.mark.parametrize("n", range(MAX_K))
+def test_q_series_coefficients_match_fraction_recurrence(n):
+    ref = _q_series_reference(n, 60)
+    got = G._q_series_coeffs(n, 60)
+    assert got == [(a.numerator, a.denominator) for a in ref]
+    # the float series inside qf, bit for bit
+    floats = inspect.getclosurevars(G._q_float_factory(n)).nonlocals["coeffs"]
+    assert [c.hex() for c in floats] == [float(a).hex() for a in ref[:12]]
+    for dps in (30, 50):
+        vals, _ = G._q_coeffs_mpf(n, dps, 60)
+        with mpmath.workdps(dps):
+            want = [mpf(a.numerator) / a.denominator for a in ref]
+        assert [v._mpf_ for v in vals[:60]] == [w._mpf_ for w in want]
 
 
 def _psi_mp(x):
