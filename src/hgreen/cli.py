@@ -9,7 +9,8 @@ Subcommands
 All output is a single JSON document on stdout (or --output).  Exact fields
 (exponents, kappa) are byte-reproducible; floating fields carry an explicit
 precision entry.  A `greens` or `verify` document that exits 1 ends with
-`failure_reason`: the first non-converged CM pair and its m, and/or
+`failure_reason`: the first non-converged CM pair and its m (orbit route) or
+the last T of an n-sum that did not converge, and/or
 `residual R >= threshold T`.
 """
 
@@ -107,25 +108,26 @@ def _header(args, pp):
 
 
 def _convergence(diag):
-    """The numeric side's closing fields, shared by `greens` and `verify`."""
+    """The numeric side's closing fields, shared by `greens` and `verify`: the
+    route's diagnostics (see greens.cycle_value) under `diagnostics`."""
     return {
         "converged": diag["converged"],
-        "diagnostics": {
-            "pairs": diag["pairs"],
-            "orbit_sums": diag["orbit_sums"],
-            "weight": diag["weight"],
-            "per_pair": diag["per_pair"],
-        },
+        "diagnostics": {key: val for key, val in diag.items() if key != "converged"},
     }
 
 
 def _failure_reason(diag, report=None):
     """Why `greens` or `verify` fails (exit 1), or None when it passes."""
     reasons = []
-    stuck = next((rec for rec in diag["per_pair"] if not rec["converged"]), None)
-    if stuck:
-        reasons.append(f"not converged: pair {stuck['pair'][0]} x {stuck['pair'][1]},"
-                       f" m = {stuck['m']}")
+    if diag["route"] == "nsum":
+        if not diag["converged"]:
+            reasons.append(f"not converged: n-sum at T = {diag['T']} after "
+                           f"{len(diag['history'])} shells")
+    else:
+        stuck = next((rec for rec in diag["per_pair"] if not rec["converged"]), None)
+        if stuck:
+            reasons.append(f"not converged: pair {stuck['pair'][0]} x {stuck['pair'][1]},"
+                           f" m = {stuck['m']}")
     if report is not None and not report.verified:
         reasons.append(f"residual {report.residual} >= threshold {report.residual_threshold}")
     return "; ".join(reasons) or None
@@ -142,7 +144,7 @@ def _close(doc, reason, args) -> int:
 def cmd_greens(args) -> int:
     pp = parse_principal_part(args.pp)
     params = _params(args)
-    value, diag = G.G_kf_at_cycle(args.k, pp, args.d1, args.d2, params)
+    value, diag = G.cycle_value(args.k, pp, args.d1, args.d2, params)
     doc = {
         **_header(args, pp),
         "precision": params.digits,
@@ -174,7 +176,7 @@ def cmd_verify(args) -> int:
     pp = parse_principal_part(args.pp)
     params = _params(args)
     report = FA.gamma_exponents(args.k, pp, args.d1, args.d2)
-    value, diag = G.G_kf_at_cycle(args.k, pp, args.d1, args.d2, params)
+    value, diag = G.cycle_value(args.k, pp, args.d1, args.d2, params)
     report = FA.reconcile(report, value, args.tol, params.digits)
     doc = {
         **_header(args, pp),

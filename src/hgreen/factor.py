@@ -126,18 +126,52 @@ def _split_roots(Delta: int, p: int) -> tuple:
     return tuple(pr.b for pr in field(Delta).primes_above(p))
 
 
-@lru_cache(maxsize=None)
-def _ramified_chi(chi: GenusChar, p: int) -> int:
-    """chi at the prime above a ramified p, read from its narrow class."""
-    return chi(chi.F.prime_above(p))
-
-
 def _rho_local(chi_p: int, exps) -> int:
     """Factor of rho_{K/F} at one rational prime: exps holds the exponents at
     the primes above it, all with the character value chi_p."""
     if chi_p == 1:
         return prod(e + 1 for e in exps)
     return int(all(e % 2 == 0 for e in exps))
+
+
+@lru_cache(maxsize=4096)
+def prime_character(chi: GenusChar, p: int) -> tuple:
+    """(kronecker(Delta, p), chi at the primes above p) for a rational prime p:
+    an inert p has chi = +1, a ramified p the value read from its narrow
+    class, a split p kronecker(Delta1, p)."""
+    kind = kronecker(chi.Delta, p)
+    if kind == -1:
+        return kind, 1
+    if kind == 0:
+        return kind, chi(chi.F.prime_above(p))
+    return kind, kronecker(chi.Delta1, p)
+
+
+def _local_exponents(kind: int, e: int, ec: int) -> tuple:
+    """Exponents of (mu0) at the primes above p, for p^e || Nm(mu0) and
+    p^ec || c = gcd(u, v) with mu0 = u + v*omega.
+
+    An inert p has exponent e/2 and a ramified p exponent e.  At a split p
+    the primitive part mu0/c lies in at most one of the two primes, so the
+    exponents are (e - ec, ec), the prime that holds mu0/c first.
+    """
+    if kind == -1:
+        return (e // 2,)
+    if kind == 0:
+        return (e,)
+    return (e - ec, ec)
+
+
+@lru_cache(maxsize=None)
+def rho_factor(kind: int, chi_p: int, e: int, ec: int) -> int:
+    """Factor of rho_{K/F}((mu0)) at a rational prime p of kind and character
+    value chi_p (see prime_character), p^e || Nm(mu0), p^ec || gcd(u, v).
+
+    rho is the product of these factors over p | Nm(mu0); the n-sum of the
+    numeric side reads rho from them, integer_exponent_vector reads the same
+    exponents.
+    """
+    return _rho_local(chi_p, _local_exponents(kind, e, ec))
 
 
 def integer_exponent_vector(mu0: FieldElem, chi: GenusChar) -> dict:
@@ -148,9 +182,8 @@ def integer_exponent_vector(mu0: FieldElem, chi: GenusChar) -> dict:
     gcd(u, v), the primitive part mu0/c lies in at most one of the primes
     l = [p, b + omega] and l' above a split p, so
         ord_l(mu0) = ord_p(c) + [p | u/c - (v/c) b] (ord_p(Nm) - 2 ord_p(c)).
-    rho is multiplicative over p | Nm: split p use these two exponents (with
-    chi = kronecker(Delta1, p)), an inert p has exponent ord_p(Nm)/2 and
-    chi = +1, a ramified p has exponent ord_p(Nm) and chi from its class.
+    rho is multiplicative over p | Nm, with the local exponents and
+    characters of _local_exponents and prime_character.
     """
     uv = mu0.integral_uv()
     if uv is None or mu0.is_zero():
@@ -158,32 +191,24 @@ def integer_exponent_vector(mu0: FieldElem, chi: GenusChar) -> dict:
     u, v = uv
     Delta = chi.Delta
     c = gcd(u, v)
-    local = []      # (p, split?, chi at the primes above p, their exponents)
+    local = []      # (p, kind, chi at the primes above p, their exponents)
     for p, e in factorint(abs(u * u + Delta * u * v + chi.F.psi * v * v)).items():
-        kind = kronecker(Delta, p)
-        if kind == -1:
-            local.append((p, False, 1, (e // 2,)))
-        elif kind == 0:
-            local.append((p, False, _ramified_chi(chi, p), (e,)))
-        else:
-            ec = _ord(c, p)
-            e_prim = e - 2 * ec     # ord_p Nm(mu0/c), all at one prime above p
-            exps = tuple(ec + (e_prim if (u // c - (v // c) * b) % p == 0 else 0)
-                         for b in _split_roots(Delta, p))
-            local.append((p, True, kronecker(chi.Delta1, p), exps))
+        kind, x = prime_character(chi, p)
+        local.append((p, kind, x, _local_exponents(kind, e, _ord(c, p))))
     factors = [_rho_local(x, exps) for _, _, x, exps in local]
     out = {}
-    for i, (ell, split, x, exps) in enumerate(local):
-        if not split or x != -1:
+    for i, (ell, kind, x, exps) in enumerate(local):
+        if kind != 1 or x != -1:
             continue
         rest = prod(factors[:i]) * prod(factors[i + 1:])
         if not rest:
             continue
         # times l itself the exponents at chi = -1 are (e_l + 1, e_l'): rho
         # survives only for e_l odd and e_l' even
-        for j, b in enumerate(_split_roots(Delta, ell)):
-            if exps[j] % 2 == 1 and exps[1 - j] % 2 == 0:
-                out[(ell, b)] = rest * (1 + exps[j])
+        for b in _split_roots(Delta, ell):
+            e_l, e_conj = exps if (u // c - (v // c) * b) % ell == 0 else exps[::-1]
+            if e_l % 2 == 1 and e_conj % 2 == 0:
+                out[(ell, b)] = rest * (1 + e_l)
     return out
 
 
@@ -203,8 +228,11 @@ def gamma_exponents(k: int, pp, d1: int, d2: int) -> FactorReport:
         if cf == 0:
             continue
         for mu0 in trace_slice(m, Delta).elements:
+            vec = integer_exponent_vector(mu0, chi)
+            if not vec:
+                continue
             w = cf * _slice_weight(k, int(mu0.trace()), m, Delta)
-            for key, r in integer_exponent_vector(mu0, chi).items():
+            for key, r in vec.items():
                 raw[key] = raw.get(key, Fraction(0)) + w * r
     raw = {key: v for key, v in raw.items() if v}
     # conjugate clearing: pairs carry (e, -e); keep 2e at the positive member

@@ -37,6 +37,12 @@ the mpmath Q value of each distinct (n, t, digits), the tail at each
 d^-1 mod c that grows with the largest c seen.  The cosets of one T come from
 whole-array numpy passes: the d-ranges of every c at once, expanded with
 repeat/cumsum and gathered from the flat inverse table.
+
+The cycle value has a second route, nsum.cycle_nsum: the same terms grouped
+by the integer n = m sqrt(Delta) cosh d.  cycle_value picks it for k >= 4 and
+a short span of n.  The float Q series, psi, the taper rule and the tail
+integral serve both routes on plain floats; only the orbit enumeration
+imports numpy.
 """
 
 from __future__ import annotations
@@ -220,20 +226,27 @@ def legendre_Q_integral(n: int, T):
 
 @functools.cache
 def _q_float_factory(n: int):
-    """Vectorized float64 Q_n(t) for t > T_SWITCH: 12 terms of the descending series."""
-    import numpy as np
-
+    """Float64 Q_n(t) for t > T_SWITCH: 12 terms of the descending series, on a
+    float or elementwise on a float array."""
     coeffs = [p / q for p, q in _q_series_coeffs(n, 12)]
     lead = float(_q_lead(n))
 
     def qf(t):
-        # in place: t may hold millions of terms
-        inv2 = t * t
-        np.divide(1.0, inv2, out=inv2)
-        acc = np.full_like(t, coeffs[-1])
-        for c in coeffs[-2::-1]:
-            acc *= inv2
-            acc += c
+        if isinstance(t, float):
+            inv2 = 1.0 / (t * t)
+            acc = coeffs[-1]
+            for c in coeffs[-2::-1]:
+                acc = acc * inv2 + c
+        else:
+            import numpy as np
+
+            # in place: t may hold millions of terms
+            inv2 = t * t
+            np.divide(1.0, inv2, out=inv2)
+            acc = np.full_like(t, coeffs[-1])
+            for c in coeffs[-2::-1]:
+                acc *= inv2
+                acc += c
         # lead * t^{-n-1} as powers of 1/t^2
         for _ in range((n + 1) // 2):
             acc *= inv2
@@ -246,12 +259,21 @@ def _q_float_factory(n: int):
 
 
 def _psi(x):
-    """psi(x) for a float array: the exp(-1/x) step, 1 for x <= 1/2, 0 for x >= 1."""
+    """psi(x) for a float or a float array: the exp(-1/x) step, 1 for x <= 1/2,
+    0 for x >= 1."""
+    # psi = f(1-s) / (f(1-s) + f(s)) with f(y) = exp(-1/y); the ends give
+    # exp(-inf) = 0 and exp(inf) = inf, which are the right limits
+    if isinstance(x, float):
+        s = 2 * x - 1
+        if not 0 < s < 1:
+            return 1.0 if s <= 0 else 0.0
+        try:
+            return 1 / (1 + math.exp((2 * s - 1) / (s * (1 - s))))
+        except OverflowError:
+            return 0.0
     import numpy as np
 
     s = np.clip(2 * x - 1, 0.0, 1.0)
-    # psi = f(1-s) / (f(1-s) + f(s)) with f(y) = exp(-1/y); the ends give
-    # exp(-inf) = 0 and exp(inf) = inf, which are the right limits
     with np.errstate(divide="ignore", over="ignore"):
         return 1 / (1 + np.exp((2 * s - 1) / (s * (1 - s))))
 
@@ -262,29 +284,31 @@ def _taper_rule():
 
     64-node Gauss-Legendre, 1 - psi folded into the weights; relative error
     ~1e-15 for f = Q_n(T x), n <= 5.  The nodes are Newton-polished roots of
-    P_64 (elementwise numpy: a LAPACK eigensolver would map ~1 MB more).
+    P_64, in floats.
     """
-    import numpy as np
-
     n = 64
-    x = np.cos(np.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5))
-    # from this guess Newton reaches rounding level in 4 steps
-    for _ in range(6):
-        p = _legendre_p_values(n, x)
-        dp = n * (x * p[n] - p[n - 1]) / (x * x - 1)
-        x = x - p[n] / dp
-    w = 2 / ((1 - x * x) * dp * dp)
-    # [-1, 1] -> [1/2, 1]
-    x = 0.75 + x / 4
-    w = w / 4 * (1 - _psi(x))
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
+    nodes, weights = [], []
+    for i in range(1, n + 1):
+        x = math.cos(math.pi * (i - 0.25) / (n + 0.5))
+        # from this guess Newton reaches rounding level in 4 steps; a step
+        # that leaves x unchanged would repeat itself
+        for _ in range(6):
+            p = _legendre_p_values(n, x)
+            dp = n * (x * p[n] - p[n - 1]) / (x * x - 1)
+            x, x_prev = x - p[n] / dp, x
+            if x == x_prev:
+                break
+        w = 2 / ((1 - x * x) * dp * dp)
+        # [-1, 1] -> [1/2, 1]
+        x = 0.75 + x / 4
+        nodes.append(x)
+        weights.append(w / 4 * (1 - _psi(x)))
+    return tuple(nodes), tuple(weights)
 
 
 def _taper_integral(qf, T: float) -> float:
     """int_{T/2}^T (1 - psi(t/T)) Q(t) dt for the float Q `qf`; needs T/2 > T_SWITCH."""
-    x, w = _taper_rule()
-    return T * float((w * qf(T * x)).sum())
+    return T * math.fsum(w * qf(T * x) for x, w in zip(*_taper_rule()))
 
 
 # ---------------------------------------------------------------------------
@@ -359,14 +383,15 @@ def _q_exact(n: int, t, dps: int):
 
 
 @functools.lru_cache(maxsize=1 << 10)
-def _orbit_tail(n: int, T: float, dps: int):
-    """-2 * 6 [int_{T/2}^T (1 - psi(t/T)) Q_n + int_T^oo Q_n] at dps digits.
+def _tail_integral(n: int, T: float, dps: int):
+    """int_{T/2}^T (1 - psi(t/T)) Q_n + int_T^oo Q_n at dps digits: the terms
+    the sum at T leaves out, per unit of term density.
 
-    Every orbit sum climbs the same doubling ladder of T, so the tails repeat.
+    Every orbit sum, and every m of the n-sum, climbs the same doubling ladder
+    of T, so the integrals repeat.
     """
     with mpmath.workdps(dps):
-        return -2 * ORBIT_DENSITY * (_taper_integral(_q_float_factory(n), T)
-                                     + legendre_Q_integral(n, T))
+        return _taper_integral(_q_float_factory(n), T) + legendre_Q_integral(n, T)
 
 
 # d^-1 mod c for every c <= _inv_rows, shared by all orbit sums; see _inverse_table
@@ -710,7 +735,7 @@ class _PairOrbitSum:
             # psi(cosh/T) is 1 on the earlier shells and weights this one
             S = -2 * (q_up + (qsum_f + qw))
             qsum_f += q
-            tail = _orbit_tail(self.k - 1, T, mpmath.mp.dps)
+            tail = -2 * ORBIT_DENSITY * _tail_integral(self.k - 1, T, mpmath.mp.dps)
             S_corr = S + tail
             history.append(
                 {"T": T, "terms": count, "partial": float(S), "tail": float(tail)}
@@ -836,3 +861,49 @@ def G_kf_at_cycle(k: int, pp, d1: int, d2: int,
             "converged": converged,
             "per_pair": diags,
         }
+
+
+# The n-sum (nsum.cycle_nsum) serves k >= 4 while its span
+# sum_{m in pp} m sqrt(Delta) is at most this.  Its work is the number of n,
+# about span * T/2, where the orbit route pays the numpy import and then
+# counts terms in whole arrays.  Measured: time of one cycle value in a fresh
+# process, best of 5, n-sum / orbit route, 2-core Xeon, Python 3.11, pp {1: 1}
+# at k = 4, {1: 24, 2: 1} at k = 6, {1: -216, 2: 1} at k = 8:
+#   span  k  Delta   tol 1e-10   tol 1e-8
+#   12.7  4    161     0.32        0.35
+#   17.3  4    301     0.32        0.36
+#   32.4  4   1048     1.14        0.83
+#   32.9  4   1081     0.83        0.70
+#   38.1  6    161     0.72        0.74     k = 8: 0.61, 0.92
+#   45.1  4   2033     1.59        0.90
+#   52.0  6    301     0.93        1.06     k = 8: 1.01, 1.09
+#   56.5  4   3193     1.05        1.08
+#   67.8  4   4601     2.86        1.44
+#   77.3  4   5969     2.57        1.21
+#   97.1  6   1048     1.20        1.48     k = 8: 1.11, 1.21
+#  100.2  4  10033     4.85        1.45
+#  107.6  4  11573     7.03        1.77
+#  135.3  6   2033     1.92        1.77     k = 8: 1.58, 1.94
+# Up to 40 the n-sum is faster at every point but span 32.4, k = 4,
+# tol 1e-10 (1.14); above 40 it is slower at most points, up to 7 times at
+# span 107.6.  k = 2 stays on the orbit route: Q_1 decays like t^-2,
+# so T runs to ~1e5 and the n-sum would sieve about as many n as the orbit
+# route sums terms.
+NSUM_MAX_SPAN = 40
+
+
+def cycle_value(k: int, pp, d1: int, d2: int, params: GreenParams | None = None):
+    """G_{k,f}(Z_chi) and its diagnostics from the route that suits the input.
+
+    k >= 4 with sum_{m in pp} m sqrt(Delta) <= NSUM_MAX_SPAN takes the sum over
+    n (nsum.cycle_nsum): its cost grows with the span of n, while Q_{k-1}
+    decays fast enough that a short span converges.  Everything else takes
+    the orbit route G_kf_at_cycle.  The diagnostics name the route.
+    """
+    Delta = d1 * d2
+    if k >= 4 and Delta > 0 and sum(pp) * math.sqrt(Delta) <= NSUM_MAX_SPAN:
+        from .nsum import cycle_nsum
+
+        return cycle_nsum(k, pp, d1, d2, params)
+    value, diag = G_kf_at_cycle(k, pp, d1, d2, params)
+    return value, {"route": "orbit", **diag}

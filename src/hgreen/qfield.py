@@ -107,6 +107,9 @@ def sqrt_mod(a: int, p: int):
         return a
     if pow(a, (p - 1) // 2, p) != 1:
         return None
+    if p % 4 == 3:
+        r = pow(a, (p + 1) // 4, p)
+        return min(r, p - r)
     q, s = p - 1, 0
     while q % 2 == 0:
         q //= 2

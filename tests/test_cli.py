@@ -78,25 +78,37 @@ def test_greens_json(capsys, tmp_path):
 
 
 def test_exit_1_states_its_reason(capsys, monkeypatch):
+    from dataclasses import replace
+    import hgreen.cli as cli
     import hgreen.greens as G
     cycle = ["--k", "4", "--d1", "-7", "--d2", "-23", "--pp", "1=1", "--tol", "1e-6"]
     code, doc = run_cli(capsys, "verify", *cycle)
     assert code == 0 and "failure_reason" not in doc
+    assert doc["diagnostics"]["route"] == "nsum"
     # a wrong lhs fails the fit
-    real_cycle = G.G_kf_at_cycle
+    real_cycle = G.cycle_value
 
     def shifted_cycle(*args):
         value, diag = real_cycle(*args)
         return value + 1, diag
 
-    monkeypatch.setattr(G, "G_kf_at_cycle", shifted_cycle)
+    monkeypatch.setattr(G, "cycle_value", shifted_cycle)
     code, doc = run_cli(capsys, "verify", *cycle)
     assert code == 1 and doc["converged"] is True
     assert doc["failure_reason"] == \
         f"residual {doc['residual']} >= threshold {doc['residual_threshold']}"
-    monkeypatch.setattr(G, "G_kf_at_cycle", real_cycle)
-    # every orbit sum after the first fails to converge: the reason names
-    # the first non-converged pair and its m
+    monkeypatch.setattr(G, "cycle_value", real_cycle)
+    # an n-sum that runs out of doublings before its witness holds twice
+    real_params = cli._params
+    monkeypatch.setattr(cli, "_params", lambda args: replace(real_params(args), max_doublings=2))
+    code, doc = run_cli(capsys, "greens", *cycle)
+    assert code == 1 and doc["converged"] is False
+    assert [h["T"] for h in doc["diagnostics"]["history"]] == [400.0, 800.0]
+    assert doc["failure_reason"] == "not converged: n-sum at T = 800.0 after 2 shells"
+    monkeypatch.setattr(cli, "_params", real_params)
+    # k = 2 takes the orbit route; every orbit sum after the first fails to
+    # converge: the reason names the first non-converged pair and its m
+    cycle[1] = "2"
     real_hecke = G.G_k_hecke
     calls = []
 
@@ -108,6 +120,7 @@ def test_exit_1_states_its_reason(capsys, monkeypatch):
     monkeypatch.setattr(G, "G_k_hecke", stalled_hecke)
     code, doc = run_cli(capsys, "greens", *cycle)
     per_pair = doc["diagnostics"]["per_pair"]
+    assert doc["diagnostics"]["route"] == "orbit"
     assert code == 1 and [rec["converged"] for rec in per_pair] == [True, False, False]
     assert doc["failure_reason"] == \
         f"not converged: pair {per_pair[1]['pair'][0]} x {per_pair[1]['pair'][1]}, m = 1"
@@ -224,17 +237,17 @@ def test_selftest_full_grid_counts(capsys):
 
 def test_product_path_loads_no_oracle_code():
     # factor, greens and verify never import the theta routes or the property
-    # suites, and factor (run first) does not import numpy, which only the
-    # orbit sums need
+    # suites; numpy, which only the orbit sums need, stays unloaded until a
+    # k = 2 cycle takes the orbit route (k = 4 on Delta = 161 takes the n-sum)
     import subprocess
     import sys
     from pathlib import Path
     script = """
 import contextlib, io, sys
 from hgreen.cli import main
-for command in ("factor", "greens", "verify"):
+for command, k in (("factor", "4"), ("greens", "4"), ("verify", "4"), ("greens", "2")):
     with contextlib.redirect_stdout(io.StringIO()):
-        code = main([command, "--k", "4", "--d1", "-7", "--d2", "-23", "--pp", "1=1",
+        code = main([command, "--k", k, "--d1", "-7", "--d2", "-23", "--pp", "1=1",
                      "--tol", "1e-6"])
     loaded = sorted(m for m in ("hgreen.thetacoef", "hgreen.properties", "numpy")
                     if m in sys.modules)
@@ -245,5 +258,5 @@ for command in ("factor", "greens", "verify"):
     env = dict(os.environ, PYTHONPATH=path)
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, timeout=120, check=True).stdout
-    assert out.split("\n")[:3] == ["factor 0 []", "greens 0 ['numpy']",
-                                    "verify 0 ['numpy']"]
+    assert out.split("\n")[:4] == ["factor 0 []", "greens 0 []", "verify 0 []",
+                                    "greens 0 ['numpy']"]

@@ -1,0 +1,142 @@
+"""The n-sum route of the cycle value against the orbit route and the ideal count.
+
+cycle_nsum reads rho_{K/F}((mu0)) from a sieve of Nm(mu0) and sums
+rho Q_{k-1}(n/(m sqrt(Delta))) over n; G_kf_at_cycle sums g_k over the
+PSL_2(Z)-orbits of the CM pairs.  The two share only the Q evaluators, the
+taper and the tail integral, so their agreement checks the identity, the
+sieve and the enumeration at once.
+"""
+
+from fractions import Fraction
+from math import gcd, isqrt, sqrt
+
+import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
+
+import hgreen.greens as G
+import hgreen.nsum as NS
+from hgreen.finquad import GenusChar, rho_KF
+from hgreen.greens import G_kf_at_cycle, GreenParams, cm_points, unit_weight
+from hgreen.mforms import cusp_basis
+from hgreen.nsum import cycle_nsum
+from hgreen.qfield import FracIdeal, field
+
+SMALL = [-3, -4, -7, -8, -11, -15, -19, -20, -23, -24]
+PAIRS = [(a, b) for a in SMALL for b in SMALL if b < a and gcd(a, b) == 1]
+
+
+def _principal_part(k, m):
+    """An unobstructed principal part with the Hecke term q^-m: {m: 1} at
+    k = 4 (S_8 = 0), {1: -a(m), m: 1} against the one cusp form sum a(n) q^n
+    of weight 2k at k = 6, 8 (m >= 2)."""
+    if k == 4:
+        return {m: Fraction(1)}
+    (g,) = cusp_basis(2 * k, m + 1)
+    return {1: Fraction(-g[m]), m: Fraction(1)}
+
+
+@st.composite
+def cycles(draw):
+    d1, d2 = draw(st.sampled_from(PAIRS))
+    k = draw(st.sampled_from([4, 6, 8]))
+    m = draw(st.integers(1 if k == 4 else 2, 6 if d1 * d2 <= 100 else 2))
+    return k, _principal_part(k, m), d1, d2
+
+
+def _cycle_tol(k, pp, d1, d2, tol):
+    """The orbit route's witness tol on each G_k|T_m sum, carried to the cycle
+    value through its weight 4/(w1 w2) c(-m) m^{k-1} and the h1 h2 sigma(m)
+    orbit sums of each m."""
+    pairs = len(cm_points(d1)) * len(cm_points(d2))
+    scale = sum(abs(c) * m ** (k - 1) * sum(a for a in range(1, m + 1) if m % a == 0)
+                for m, c in pp.items())
+    return tol * 4 / (unit_weight(d1) * unit_weight(d2)) * pairs * float(scale)
+
+
+@seed(2018)
+@settings(max_examples=40, deadline=None, database=None)
+@given(cycles())
+@example((4, {1: Fraction(1)}, -3, -7))                          # two elliptic
+@example((4, {1: Fraction(1)}, -4, -23))                         # d = -4
+@example((4, {2: Fraction(1)}, -4, -15))                         # 2 | m, 2 | Delta
+@example((4, {3: Fraction(1)}, -3, -8))                          # 3 | m, 3 | Delta
+@example((4, {6: Fraction(1)}, -3, -4))                          # m = 6, 2 and 3
+@example((6, {1: Fraction(24), 2: Fraction(1)}, -7, -23))        # the Hecke case
+@example((8, {1: Fraction(-216), 2: Fraction(1)}, -4, -7))       # k = 8, 2 | Delta
+def test_nsum_matches_orbit_route(case):
+    k, pp, d1, d2 = case
+    tol = 1e-9
+    params = GreenParams(k=k, tol=tol)
+    got, diag = cycle_nsum(k, pp, d1, d2, params)
+    want, odiag = G_kf_at_cycle(k, pp, d1, d2, params)
+    assert diag["converged"] and odiag["converged"]
+    assert diag["route"] == "nsum" and diag["terms"] <= diag["n_values"]
+    assert abs(got - want) <= tol + _cycle_tol(k, pp, d1, d2, tol), (case, got, want)
+
+
+@pytest.mark.parametrize("d1,d2,m", [(-7, -23, 1), (-7, -23, 2), (-7, -23, 4), (-4, -15, 2),
+                                     (-3, -8, 3), (-3, -4, 6), (-4, -7, 1)])
+def test_sieve_rho_is_the_ideal_count(d1, d2, m):
+    # rho from the sieve against rho_KF on the ideal (mu0), factored in F
+    chi = GenusChar(d1, d2)
+    D = d1 * d2
+    F = field(D)
+    n0 = isqrt(m * m * D) + 1
+    n0 += (n0 - m * D) % 2
+    count = 300
+    got = NS._rho_block(NS._Primes(chi), m, n0, count)
+    want = []
+    for i in range(count):
+        n = n0 + 2 * i
+        mu0 = F.elem(Fraction(n, 2), Fraction(m, 2))
+        want.append(rho_KF(chi, FracIdeal.from_generators(D, [mu0])))
+    assert got == want
+    assert any(want) and not all(want)
+
+
+@pytest.mark.parametrize("d1,d2,m", [(-7, -23, 1), (-7, -23, 2), (-3, -7, 1)])
+def test_rho_density_matches_orbit_density(d1, d2, m):
+    # sum rho per n of the parity class has mean 48 h1 h2 sigma(m) / (w1 w2 m sqrt(Delta)):
+    # the orbit density 6 per unit of cosh over the h1 h2 sigma(m) orbit sums,
+    # times the cycle weight 4/(w1 w2), per step 2/(m sqrt(Delta)) of t
+    D = d1 * d2
+    h1h2 = len(cm_points(d1)) * len(cm_points(d2))
+    sigma = sum(a for a in range(1, m + 1) if m % a == 0)
+    want = 48 * h1h2 * sigma / (unit_weight(d1) * unit_weight(d2) * m * sqrt(D))
+    primes = NS._Primes(GenusChar(d1, d2))
+    n0 = isqrt(m * m * D) + 1
+    n0 += (n0 - m * D) % 2
+    rho = []
+    for start in range(n0, n0 + 2 * 60000, 2 * NS.BLOCK):
+        rho += NS._rho_block(primes, m, start, min(NS.BLOCK, (n0 + 2 * 60000 - start) // 2))
+    # over 60,000 values the three cases stray by 7e-5 to 7.5e-4 relative;
+    # a wrong local factor at one small prime moves the mean by percents
+    mean = sum(rho) / len(rho)
+    assert abs(mean - want) <= 0.01 * want, (mean, want)
+
+
+def test_cycle_value_selects_the_route(monkeypatch):
+    calls = []
+
+    def fake(name):
+        def run(k, pp, d1, d2, params=None):
+            calls.append(name)
+            return 0, {"converged": True}
+        return run
+
+    monkeypatch.setattr(G, "G_kf_at_cycle", fake("orbit"))
+    monkeypatch.setattr(NS, "cycle_nsum", fake("nsum"))
+    one = {1: Fraction(1)}
+    G.cycle_value(4, one, -7, -23)                                 # 12.7
+    G.cycle_value(6, {1: Fraction(24), 2: Fraction(1)}, -7, -23)    # 38.1
+    G.cycle_value(2, one, -7, -23)                                 # k = 2
+    G.cycle_value(4, one, -3, -333332)                             # 1000
+    assert calls == ["nsum", "nsum", "orbit", "orbit"]
+    # at the bound: the span sum_m m sqrt(Delta) decides, not Delta alone
+    m = int(G.NSUM_MAX_SPAN / sqrt(161))
+    calls.clear()
+    G.cycle_value(4, {m: Fraction(1)}, -7, -23)
+    G.cycle_value(4, {m + 1: Fraction(1)}, -7, -23)
+    G.cycle_value(4, {1: Fraction(1), m: Fraction(1)}, -7, -23)
+    assert calls == ["nsum", "orbit", "orbit"]
