@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -295,6 +296,20 @@ def test_params_validation():
         GreenParams(k=2, tol=1e-40, digits=20)
 
 
+@pytest.mark.parametrize("route, k, d1, d2", [("nsum", 4, -7, -23), ("orbit", 2, -4, -7)])
+def test_params_without_a_doubling_or_finite_start_refused(route, k, d1, d2):
+    # without the check, max_doublings = 0 left no value (TypeError on the
+    # orbit route, UnboundLocalError in the n-sum) and a nan initial_T failed
+    # to convert to an integer
+    pp = {1: Fraction(1)}
+    for bad in ({"max_doublings": 0}, {"max_doublings": -1},
+                {"initial_T": math.nan}, {"initial_T": math.inf}):
+        with pytest.raises(InvalidInputError):
+            G.cycle_value(k, pp, d1, d2, GreenParams(k=k, **bad))
+    _, diag = G.cycle_value(k, pp, d1, d2, GreenParams(k=k, tol=1e-6, max_doublings=1))
+    assert diag["route"] == route and not diag["converged"]
+
+
 def test_laplacian_eigenvalue_k4():
     # -y^2 (d_xx + d_yy) G_4(., 2i) = k(1-k) G_4 = -12 G_4, to O(h^2)
     z2 = mpc(0, 2)
@@ -578,6 +593,15 @@ def test_cycle_value_is_the_same_on_a_second_call():
     assert second[0] == first[0] and second[1] == first[1]
 
 
+def _brute_d_range(s, c, X):
+    """The candidate d of c: (c u0 + d)^2 <= X - (c v0)^2, in scalar floats."""
+    rad2 = X - (c * s.vf) ** 2
+    if rad2 <= 0:
+        return range(0)
+    rad = math.sqrt(rad2)
+    return range(math.ceil(-c * s.uf - rad), math.floor(-c * s.uf + rad) + 1)
+
+
 def _brute_cosets(s, T, T_lo):
     """(c, d, a, u, v, inner) of every coset in the d-ranges at T, one at a time.
 
@@ -585,20 +609,12 @@ def _brute_cosets(s, T, T_lo):
     the whole-array generator.
     """
     u0, v0 = s.uf, s.vf
-
-    def d_range(c, X):
-        rad2 = X - (c * v0) ** 2
-        if rad2 <= 0:
-            return range(0)
-        rad = math.sqrt(rad2)
-        return range(math.ceil(-c * u0 - rad), math.floor(-c * u0 + rad) + 1)
-
     X, cmax = s._coset_bound(T)
     X_lo, cmax_lo = s._coset_bound(T_lo) if T_lo is not None else (0.0, 0)
     out = [(0, 1, 1, u0, v0, T_lo is not None)]
     for c in range(1, cmax + 1):
-        inner = d_range(c, X_lo) if c <= cmax_lo else range(0)
-        for d in d_range(c, X):
+        inner = _brute_d_range(s, c, X_lo) if c <= cmax_lo else range(0)
+        for d in _brute_d_range(s, c, X):
             if gcd(c, d) != 1:
                 continue
             a = pow(d, -1, c)
@@ -620,16 +636,34 @@ def test_coset_blocks_match_brute_force():
             blocks = [list(zip(*(col.tolist() for col in b)))
                       for b in s._coset_blocks(T, T_lo)]
             got = [row for b in blocks for row in b]
-            # in order of (c, d), each c in one block, and a block closes with
-            # the c that brings it to COSET_BLOCK cosets
+            # in order of (c, d), each c in one block, and a block covers
+            # consecutive c with at most COSET_BLOCK candidate d, or one c
             assert got == sorted(got, key=lambda row: row[:2])
+            X = s._coset_bound(T)[0]
             for b, nxt in zip(blocks, blocks[1:]):
-                last_c = sum(row[0] == b[-1][0] for row in b)
-                assert len(b) - last_c < G.COSET_BLOCK <= len(b)
+                c_lo, c_hi = b[0][0], b[-1][0]
+                assert c_lo == c_hi or sum(
+                    len(_brute_d_range(s, c, X)) for c in range(c_lo, c_hi + 1)
+                ) <= G.COSET_BLOCK
                 assert nxt[0][0] > b[-1][0]
             multi += len(blocks) > 1
             assert got == _brute_cosets(s, T, T_lo), (z1, w, T, T_lo)
     assert multi > 0
+
+
+def test_orbit_sum_memory_is_bounded_by_a_block():
+    # each coset block is reduced to its two Q sums before the next is built;
+    # a buffer of a whole shell (~307k floats in the last one here) and its Q
+    # temporaries would peak near 18 MB
+    z2 = (-1 + mpmath.sqrt(-7)) / 2
+    tracemalloc.start()
+    try:
+        _, diag = G_k_hecke(mpc(0, 1), z2, 2, 1, GreenParams(k=2, tol=1e-7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert diag["converged"]
+    assert peak < 8 * 2 ** 20, peak
 
 
 def test_float_power_squares_like_python_floats():
