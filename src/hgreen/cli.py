@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 
@@ -33,14 +32,6 @@ from . import factor as FA
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INVALID = 2
-
-
-def _default_digits() -> int:
-    text = os.environ.get("HGREEN_DIGITS", "30")
-    try:
-        return int(text)
-    except ValueError:
-        raise InvalidInputError(f"HGREEN_DIGITS={text!r} is not an integer") from None
 
 
 def _build_parser():
@@ -61,9 +52,9 @@ def _build_parser():
         p.add_argument("--pp", type=str, required=True,
                        help='principal part "m=c,m=c" with rational c like 3=-2/5')
         p.add_argument("--tol", type=float, default=1e-8, help="numeric tolerance")
-        p.add_argument("--digits", type=int, default=None,
-                       help="working precision in decimal digits (>= 15; "
-                            "default $HGREEN_DIGITS or 30)")
+        p.add_argument("--digits", type=int, default=30,
+                       help=f"working precision in decimal digits (15 to "
+                            f"{G.MAX_DIGITS}; default 30)")
         p.add_argument("--output", type=str, default=None, help="write JSON here instead of stdout")
     ps = sub.add_parser("selftest", help="run the seeded property suites")
     ps.add_argument("--seed", type=int, default=0)
@@ -91,11 +82,6 @@ def _exponent_entries(report):
             "e_den": e.denominator,
         })
     return out
-
-
-def _params(args):
-    digits = args.digits if args.digits is not None else _default_digits()
-    return G.GreenParams(k=args.k, tol=args.tol, digits=digits)
 
 
 def _header(args, pp):
@@ -143,7 +129,7 @@ def _close(doc, reason, args) -> int:
 
 def cmd_greens(args) -> int:
     pp = parse_principal_part(args.pp)
-    params = _params(args)
+    params = G.GreenParams(tol=args.tol, digits=args.digits)
     value, diag = G.cycle_value(args.k, pp, args.d1, args.d2, params)
     doc = {
         **_header(args, pp),
@@ -174,7 +160,7 @@ def cmd_factor(args) -> int:
 
 def cmd_verify(args) -> int:
     pp = parse_principal_part(args.pp)
-    params = _params(args)
+    params = G.GreenParams(tol=args.tol, digits=args.digits)
     report = FA.gamma_exponents(args.k, pp, args.d1, args.d2)
     value, diag = G.cycle_value(args.k, pp, args.d1, args.d2, params)
     report = FA.reconcile(report, value, args.tol, params.digits)

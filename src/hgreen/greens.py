@@ -5,8 +5,11 @@ the second variable; Hecke translates sum the same kernel over integral
 matrices of determinant m modulo +-1, organized as upper-triangular coset
 representatives composed with the full PSL_2(Z) sum.
 
-Truncation is adaptive: T doubles until the corrected sums stabilize to the
-requested tolerance (witnessed twice).  Each doubling enumerates only its new
+Truncation is adaptive, on the one doubling ladder `_ladder` that the orbit
+sums and the n-sum both climb: T starts at INITIAL_T = 400 (at least four
+times the upgrade bound below) and doubles, at most MAX_DOUBLINGS = 28 times,
+until the corrected sum moves by less than tol/10 on two consecutive rungs.
+Each route supplies one step per rung.  Each doubling enumerates only its new
 shell T/2 < cosh <= T and adds it to running sums of the term count and the
 float sum; the shells use the same float windows as a full enumeration, so
 the count at every T is the one a full enumeration from cosh = 1 gives.  The
@@ -51,7 +54,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -343,15 +346,10 @@ MAX_DIGITS = 1000
 class GreenParams:
     """Evaluation parameters; tolerance must respect the working precision."""
 
-    k: int = 2
     tol: float = 1e-8
     digits: int = 30
-    initial_T: float = 400.0
-    max_doublings: int = 28
 
     def __post_init__(self):
-        if self.k < 2 or self.k % 2 != 0:
-            raise InvalidInputError("k must be an even integer >= 2")
         if self.digits < 15:
             raise InvalidInputError("working precision must be >= 15 digits")
         if self.digits > MAX_DIGITS:
@@ -362,17 +360,46 @@ class GreenParams:
             raise InvalidInputError(f"tolerance must be finite, got {self.tol}")
         if self.tol < 10.0 ** (1 - self.digits):
             raise InvalidInputError("tolerance below working precision")
-        if not math.isfinite(self.initial_T):
-            raise InvalidInputError(f"initial_T must be finite, got {self.initial_T}")
-        if self.max_doublings < 1:
-            # no doubling computes a value for either route to report
-            raise InvalidInputError(
-                f"max_doublings must be >= 1, got {self.max_doublings}")
 
     @property
     def upgrade_cosh(self) -> float:
         """Terms with cosh at most this are summed in mpmath, the rest in floats."""
         return 4.0 if self.tol >= 1e-12 else 64.0
+
+
+# The doubling ladder of T that both routes climb: the first T (raised to four
+# times the upgrade bound) and the most rungs before a value is reported as
+# not converged.
+INITIAL_T = 400.0
+MAX_DOUBLINGS = 28
+
+
+def _ladder(step, params: GreenParams):
+    """(value, history, converged) of a sum truncated at a doubling T.
+
+    step(T, T_prev) adds the terms T_prev < cosh <= T (every term up to T on
+    the first rung, T_prev None) and returns (partial, tail, record): the sum
+    at T, the estimate of what it leaves out, and the route's counters for
+    the history.  The value partial + tail is converged once it moves by less
+    than tol/10 on two consecutive rungs.
+    """
+    T = max(INITIAL_T, params.upgrade_cosh * 4)
+    T_prev = prev = None
+    stable = 0
+    history = []
+    for _ in range(MAX_DOUBLINGS):
+        partial, tail, record = step(T, T_prev)
+        value = partial + tail
+        history.append({"T": T, **record, "partial": float(partial), "tail": float(tail)})
+        if prev is not None and abs(value - prev) < params.tol / 10:
+            stable += 1
+            if stable >= 2:
+                break
+        else:
+            stable = 0
+        prev = value
+        T_prev, T = T, T * 2
+    return value, history, stable >= 2
 
 
 # Elements of PSL_2(Z) per unit of cosh d(z1, gamma w), for every z1 and w:
@@ -702,21 +729,16 @@ class _PairOrbitSum:
 
     # -- adaptive evaluation ---------------------------------------------------
     def evaluate(self):
-        """(value, diagnostics) with the doubling convergence witness."""
-        p = self.params
-        T = max(p.initial_T, p.upgrade_cosh * 4)
-        prev_S = None
-        prev_count = 0
-        prev_T = 1.0
-        stable = 0
-        history = []
-        count = 0
+        """(value, diagnostics) of the sum on the doubling ladder (_ladder)."""
+        count = upgraded = 0
         qsum_f = 0.0
-        upgraded = 0
-        for it in range(p.max_doublings):
-            n, q, qw, upgrades = self._terms_below(T, None if it == 0 else prev_T)
+        q_up = None
+
+        def step(T, T_prev):
+            nonlocal count, upgraded, qsum_f, q_up
+            n, q, qw, upgrades = self._terms_below(T, T_prev)
             count += n
-            if it == 0:
+            if T_prev is None:
                 # every term with cosh <= upgrade bound lies in the first
                 # shell (_accumulate raises otherwise): one mpmath pass; its
                 # terms lie below T/2, where psi is 1
@@ -726,32 +748,15 @@ class _PairOrbitSum:
             S = -2 * (q_up + (qsum_f + qw))
             qsum_f += q
             tail = -2 * ORBIT_DENSITY * _tail_integral(self.k - 1, T, mpmath.mp.dps)
-            S_corr = S + tail
-            history.append(
-                {"T": T, "terms": count, "partial": float(S), "tail": float(tail)}
-            )
-            if prev_S is not None and abs(S_corr - prev_S) < p.tol / 10:
-                stable += 1
-                if stable >= 2:
-                    return S_corr, {
-                        "pair_T": T,
-                        "terms": count,
-                        "upgraded": upgraded,
-                        "history": history,
-                        "converged": True,
-                    }
-            else:
-                stable = 0
-            prev_S = S_corr
-            prev_count = count
-            prev_T = T
-            T *= 2
-        return prev_S, {
-            "pair_T": T / 2,
-            "terms": prev_count,
+            return S, tail, {"terms": count}
+
+        value, history, converged = _ladder(step, self.params)
+        return value, {
+            "pair_T": history[-1]["T"],
+            "terms": count,
             "upgraded": upgraded,
             "history": history,
-            "converged": False,
+            "converged": converged,
         }
 
 
@@ -772,9 +777,9 @@ def G_k_hecke(z1, z2, k: int, m: int, params: GreenParams | None = None):
 
     Returns (value, diagnostics).  For m = 1 this is G_k(z1, z2).
     """
-    params = params or GreenParams(k=k)
-    if params.k != k:
-        params = replace(params, k=k)
+    params = params or GreenParams()
+    if k < 2 or k % 2 != 0:
+        raise InvalidInputError("k must be an even integer >= 2")
     if m < 1:
         raise InvalidInputError("Hecke index m must be >= 1")
     with mpmath.mp.workdps(params.digits):
@@ -813,7 +818,7 @@ def G_kf_at_cycle(k: int, pp, d1: int, d2: int,
     their terms add up to the work done.
     """
     check_cycle_input(k, pp, d1, d2)
-    params = params or GreenParams(k=k)
+    params = params or GreenParams()
     pts1 = cm_points(d1)
     pts2 = cm_points(d2)
     w1 = unit_weight(d1)

@@ -108,7 +108,10 @@ def cusp_basis(weight: int, prec: int) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 def parse_principal_part(text: str):
-    """Parse "m=c,m=c" with rational c ("p/q") into {m: Fraction}."""
+    """Parse "m=c,m=c" with rational c ("p/q") into {m: Fraction}.
+
+    Terms of the same m add up; an m whose terms sum to 0 is left out.
+    """
     out = {}
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -124,9 +127,9 @@ def parse_principal_part(text: str):
             raise InvalidInputError(f"bad principal part term {chunk!r}: {exc}") from None
         if m < 1:
             raise InvalidInputError("principal part indices must be >= 1")
-        if c != 0:
-            out[m] = out.get(m, Fraction(0)) + c
-    if not out or all(c == 0 for c in out.values()):
+        out[m] = out.get(m, 0) + c
+    out = {m: c for m, c in out.items() if c}
+    if not out:
         raise InvalidInputError("principal part must have a nonzero entry")
     return out
 

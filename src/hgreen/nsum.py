@@ -21,9 +21,10 @@ a time, and the cofactor left over is 1 or a split prime q of exponent 1.
 Its factor needs no test: chi is trivial on the totally positive mu0, so
 where rho is not already 0, chi = +1 at the prime above q that divides mu0.
 
-The numerics are the orbit route's: the same doubling ladder of T, psi(t/T)
-weights on the newest shell, mpmath Q_{k-1} up to the upgrade bound and the
-float series above it.  Sum rho per unit of t has mean 24 h1 h2 sigma(m)/(w1 w2),
+The numerics are the orbit route's: the one doubling ladder greens._ladder
+(T from INITIAL_T, at most MAX_DOUBLINGS rungs), psi(t/T) weights on the
+newest shell, mpmath Q_{k-1} up to the upgrade bound and the float series
+above it.  Sum rho per unit of t has mean 24 h1 h2 sigma(m)/(w1 w2),
 the orbit density 6 of the h1 h2 CM pairs with sigma(m) Hecke cosets each,
 times the cycle weight 4/(w1 w2); so the tail is that density times the orbit
 route's tail integral, and equals the sum of the orbit route's tails.  The
@@ -45,6 +46,7 @@ from .factor import _ord, prime_character, rho_factor
 from .finquad import GenusChar
 from .greens import (
     GreenParams,
+    _ladder,
     _psi,
     _q_exact,
     _q_float_factory,
@@ -246,11 +248,11 @@ def cycle_nsum(k: int, pp, d1: int, d2: int, params: GreenParams | None = None):
     """(G_{k,f}(Z_chi), diagnostics) from the sum over n.
 
     The same value as G_kf_at_cycle (its oracle) from no orbit enumeration:
-    per doubling of T each principal-part term sums its new shell of n, and
-    the cycle value with its tail must move by less than tol/10 twice.
+    on each rung of greens._ladder every principal-part term sums its new
+    shell of n, and the ladder's witness applies to the cycle value.
     """
     check_cycle_input(k, pp, d1, d2)
-    params = params or GreenParams(k=k)
+    params = params or GreenParams()
     D = d1 * d2
     primes = _Primes(GenusChar(d1, d2))
     # orbit density 6 over the h1 h2 CM pairs, times the weight 4/(w1 w2)
@@ -260,12 +262,10 @@ def cycle_nsum(k: int, pp, d1: int, d2: int, params: GreenParams | None = None):
         dps = mpmath.mp.dps
         slices = [_Slice(m, Fraction(c), k, D, cycle_density, params.upgrade_cosh)
                   for m, c in sorted(pp.items()) if c]
-        T = max(params.initial_T, params.upgrade_cosh * 4)
-        prev = None
-        stable = 0
-        history = []
         n_values = nonzero = 0
-        for _ in range(params.max_doublings):
+
+        def step(T, T_prev):
+            nonlocal n_values, nonzero
             partial = tail = mpf(0)
             tail_integral = _tail_integral(k - 1, T, dps)
             for s in slices:
@@ -274,17 +274,9 @@ def cycle_nsum(k: int, pp, d1: int, d2: int, params: GreenParams | None = None):
                 nonzero += nz
                 partial += s.coeff * S
                 tail += s.coeff * s.density * tail_integral
-            value = partial + tail
-            history.append({"T": T, "n_values": n_values, "terms": nonzero,
-                            "partial": float(partial), "tail": float(tail)})
-            if prev is not None and abs(value - prev) < params.tol / 10:
-                stable += 1
-                if stable >= 2:
-                    break
-            else:
-                stable = 0
-            prev = value
-            T *= 2
+            return partial, tail, {"n_values": n_values, "terms": nonzero}
+
+        value, history, converged = _ladder(step, params)
         return +value, {
             "route": "nsum",
             "T": history[-1]["T"],
@@ -292,5 +284,5 @@ def cycle_nsum(k: int, pp, d1: int, d2: int, params: GreenParams | None = None):
             "terms": nonzero,
             "upgraded": sum(s.upgraded for s in slices),
             "history": history,
-            "converged": stable >= 2,
+            "converged": converged,
         }

@@ -90,7 +90,7 @@ def test_criterion_2_numeric_value(capsys):
 # -- criterion 3: end-to-end verify on Delta = 161 ---------------------------------
 
 def test_criterion_3_end_to_end_161():
-    params = GreenParams(k=4, tol=1e-8, digits=30)
+    params = GreenParams(tol=1e-8, digits=30)
     lhs, diag = G_kf_at_cycle(4, {1: Fraction(1)}, -7, -23, params)
     rep = gamma_exponents(4, {1: Fraction(1)}, -7, -23)
     rep = reconcile(rep, lhs, 1e-8)
@@ -111,7 +111,7 @@ def test_criterion_4_k2_crosscheck():
         z1 = mpc(0, 1)
         z7 = mpc(mpf(-1) / 2, s7 / 2)
         for tol in (1e-6, 1e-9):
-            val, diag = G_k_hecke(z1, z7, 2, 1, GreenParams(k=2, tol=tol, digits=30))
+            val, diag = G_k_hecke(z1, z7, 2, 1, GreenParams(tol=tol, digits=30))
             err = abs(val - closed)
             report(
                 f"criterion 4a: G_2(i, z_7) matches -(8/sqrt28) log((8+3sqrt7)/(8-3sqrt7))"
@@ -120,7 +120,7 @@ def test_criterion_4_k2_crosscheck():
                 f"err={mpmath.nstr(err, 3)}",
             )
         lhs, diag2 = G_kf_at_cycle(2, {1: Fraction(1)}, -4, -7,
-                                   GreenParams(k=2, tol=1e-6, digits=30))
+                                   GreenParams(tol=1e-6, digits=30))
         rep = gamma_exponents(2, {1: Fraction(1)}, -4, -7)
         rep = reconcile(rep, lhs, 1e-6)
         report(
@@ -179,7 +179,7 @@ def test_criterion_7c_laplacian_eigenvalue():
         z2 = mpc(0, 2)
         z0 = mpc("0.07", "1.13")
         h = mpf(10) ** -3
-        p = GreenParams(k=4, tol=1e-12, digits=30)
+        p = GreenParams(tol=1e-12, digits=30)
 
         def val(z):
             v, _ = G_k_hecke(z, z2, 4, 1, p)

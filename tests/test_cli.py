@@ -1,6 +1,7 @@
 import json
 import os
 
+import pytest
 
 from hgreen.cli import main
 from hgreen.greens import MAX_DIGITS
@@ -78,8 +79,6 @@ def test_greens_json(capsys, tmp_path):
 
 
 def test_exit_1_states_its_reason(capsys, monkeypatch):
-    from dataclasses import replace
-    import hgreen.cli as cli
     import hgreen.greens as G
     cycle = ["--k", "4", "--d1", "-7", "--d2", "-23", "--pp", "1=1", "--tol", "1e-6"]
     code, doc = run_cli(capsys, "verify", *cycle)
@@ -99,13 +98,13 @@ def test_exit_1_states_its_reason(capsys, monkeypatch):
         f"residual {doc['residual']} >= threshold {doc['residual_threshold']}"
     monkeypatch.setattr(G, "cycle_value", real_cycle)
     # an n-sum that runs out of doublings before its witness holds twice
-    real_params = cli._params
-    monkeypatch.setattr(cli, "_params", lambda args: replace(real_params(args), max_doublings=2))
+    real_max = G.MAX_DOUBLINGS
+    monkeypatch.setattr(G, "MAX_DOUBLINGS", 2)
     code, doc = run_cli(capsys, "greens", *cycle)
     assert code == 1 and doc["converged"] is False
     assert [h["T"] for h in doc["diagnostics"]["history"]] == [400.0, 800.0]
     assert doc["failure_reason"] == "not converged: n-sum at T = 800.0 after 2 shells"
-    monkeypatch.setattr(cli, "_params", real_params)
+    monkeypatch.setattr(G, "MAX_DOUBLINGS", real_max)
     # k = 2 takes the orbit route; every orbit sum after the first fails to
     # converge: the reason names the first non-converged pair and its m
     cycle[1] = "2"
@@ -190,33 +189,39 @@ def test_out_of_range_discriminant_fails_fast(capsys):
 def test_invalid_hgreen_digits_is_invalid(capsys, monkeypatch):
     argv = ["greens", "--k", "4", "--d1", "-4", "--d2", "-7", "--pp", "1=1", "--tol", "1e-6"]
     too_many = f"digits = {MAX_DIGITS + 1} beyond supported range {MAX_DIGITS}"
-    for value, reason in (("abc", "not an integer"), ("5", ">= 15 digits"),
-                          (str(MAX_DIGITS + 1), too_many)):
-        monkeypatch.setenv("HGREEN_DIGITS", value)
-        for command in ("greens", "verify"):
-            assert main([command] + argv[1:]) == 2
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert reason in json.loads(captured.err)["error"]
-        # an explicit --digits overrides the variable
-        code, doc = run_cli(capsys, *argv, "--digits", "40")
-        assert code == 0 and doc["precision"] == 40
-        # commands that never read the precision ignore the variable
-        code, doc = run_cli(capsys, "factor", "--k", "4", "--d1", "-7", "--d2", "-23",
-                            "--pp", "1=1")
-        assert code == 0 and doc["command"] == "factor"
-        assert main(["selftest", "--quick", "--output", os.devnull]) == 0
-        capsys.readouterr()
-    monkeypatch.setenv("HGREEN_DIGITS", "40")
+    # --digits is the one setting of the working precision; the environment
+    # variable that once set its default is read no more
+    monkeypatch.setenv("HGREEN_DIGITS", "5")
     code, doc = run_cli(capsys, *argv)
+    assert code == 0 and doc["precision"] == 30
+    code, doc = run_cli(capsys, *argv, "--digits", "40")
     assert code == 0 and doc["precision"] == 40
-    # the flag has the same bounds as the variable
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--digits", "abc"])
+    assert exc.value.code == 2 and capsys.readouterr().out == ""
     for digits, reason in (("5", ">= 15 digits"), (str(MAX_DIGITS + 1), too_many)):
         for command in ("greens", "verify"):
             assert main([command] + argv[1:] + ["--digits", digits]) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
             assert reason in json.loads(captured.err)["error"]
+
+
+def test_cancelling_principal_part_term_is_dropped(capsys):
+    # an index whose terms sum to 0 is no term of the principal part
+    cycle = ["--d1", "-4", "--d2", "-7", "--tol", "1e-5"]
+    code, doc = run_cli(capsys, "greens", "--k", "2", *cycle, "--pp", "1=1,2=1,2=-1")
+    _, plain = run_cli(capsys, "greens", "--k", "2", *cycle, "--pp", "1=1")
+    # it costs no orbit sum and leaves the value as it is
+    assert code == 0 and doc["pp"] == plain["pp"] == {"1": "1"}
+    assert doc["value"] == plain["value"]
+    assert [rec["m"] for rec in doc["diagnostics"]["per_pair"]] == [1]
+    # it does not widen the span of n that picks the route
+    code, doc = run_cli(capsys, "greens", "--k", "4", *cycle, "--pp", "1=1,7=1,7=-1")
+    assert code == 0 and doc["diagnostics"]["route"] == "nsum"
+    # and its index is not held against the index bound
+    code, doc = run_cli(capsys, "greens", "--k", "4", *cycle, "--pp", "1=1,101=1,101=-1")
+    assert code == 0 and doc["pp"] == {"1": "1"}
 
 
 def test_malformed_principal_part_is_invalid(capsys):

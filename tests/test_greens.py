@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import math
 import os
@@ -128,7 +129,7 @@ def test_g_k_symmetry_and_singularity():
 
 
 def test_green_singular_configuration_detected():
-    p = GreenParams(k=4, tol=1e-6)
+    p = GreenParams(tol=1e-6)
     where = r"at coset \(0, 1\), translate 0$"
     with pytest.raises(SingularConfigurationError, match=where):
         G_k_hecke(mpc(0, 1), mpc(0, 1), 4, 1, p)   # same point, m = 1
@@ -138,7 +139,7 @@ def test_green_singular_configuration_detected():
 
 
 def test_green_symmetry_m1():
-    p = GreenParams(k=4, tol=1e-9)
+    p = GreenParams(tol=1e-9)
     z1 = mpc(mpf(-1) / 2, mpmath.sqrt(7) / 2)
     z2 = mpc(mpf(1) / 4, mpmath.sqrt(23) / 4)
     a, _ = G_k_hecke(z1, z2, 4, 1, p)
@@ -147,7 +148,7 @@ def test_green_symmetry_m1():
 
 
 def test_green_gamma_invariance():
-    p = GreenParams(k=4, tol=1e-9)
+    p = GreenParams(tol=1e-9)
     z1 = mpc("0.13", "1.21")
     z2 = mpc("-0.4", "0.9")
     base, _ = G_k_hecke(z1, z2, 4, 1, p)
@@ -165,7 +166,7 @@ def test_green_k2_closed_form_quick():
     z1 = mpc(0, 1)
     z7 = mpc(mpf(-1) / 2, mpmath.sqrt(7) / 2)
     closed = -(8 / mpmath.sqrt(28)) * mpmath.log((8 + 3 * mpmath.sqrt(7)) / (8 - 3 * mpmath.sqrt(7)))
-    val, diag = G_k_hecke(z1, z7, 2, 1, GreenParams(k=2, tol=1e-5))
+    val, diag = G_k_hecke(z1, z7, 2, 1, GreenParams(tol=1e-5))
     assert diag["converged"]
     assert abs(val - closed) < 1e-6
 
@@ -173,8 +174,8 @@ def test_green_k2_closed_form_quick():
 def test_truncation_stability():
     z1 = mpc(0, 1)
     z7 = mpc(mpf(-1) / 2, mpmath.sqrt(7) / 2)
-    coarse, _ = G_k_hecke(z1, z7, 4, 1, GreenParams(k=4, tol=1e-6))
-    fine, _ = G_k_hecke(z1, z7, 4, 1, GreenParams(k=4, tol=5e-7))
+    coarse, _ = G_k_hecke(z1, z7, 4, 1, GreenParams(tol=1e-6))
+    fine, _ = G_k_hecke(z1, z7, 4, 1, GreenParams(tol=5e-7))
     assert abs(coarse - fine) < 1e-6
 
 
@@ -182,9 +183,9 @@ def test_higher_precision_consistency():
     # digits=40/tol=1e-10 agrees with the 30-digit default run
     from fractions import Fraction
     a, _ = G_kf_at_cycle(4, {1: Fraction(1)}, -7, -23,
-                         GreenParams(k=4, tol=1e-8, digits=30))
+                         GreenParams(tol=1e-8, digits=30))
     b, _ = G_kf_at_cycle(4, {1: Fraction(1)}, -7, -23,
-                         GreenParams(k=4, tol=1e-10, digits=40))
+                         GreenParams(tol=1e-10, digits=40))
     assert abs(a - b) < 1e-8
 
 
@@ -192,7 +193,7 @@ def test_hecke_m1_reduces_to_plain_green():
     # one coset only: T_1 sum must equal the PSL2 orbit sum of g_k
     z1 = mpc("0.3", "1.7")
     z2 = mpc("0.1", "1.1")
-    val, diag = G_k_hecke(z1, z2, 4, 1, GreenParams(k=4, tol=1e-8))
+    val, diag = G_k_hecke(z1, z2, 4, 1, GreenParams(tol=1e-8))
     assert len(diag["cosets"]) == 1
     # crude independent check: partial sum over explicit small matrices
     import itertools
@@ -209,7 +210,7 @@ def test_hecke_m1_reduces_to_plain_green():
 
 
 def test_cycle_value_linearity_in_pp():
-    p = GreenParams(k=4, tol=1e-7)
+    p = GreenParams(tol=1e-7)
     v1, _ = G_kf_at_cycle(4, {1: Fraction(1)}, -4, -7, p)
     v2, _ = G_kf_at_cycle(4, {1: Fraction(2)}, -4, -7, p)
     assert abs(v2 - 2 * v1) < 2e-7
@@ -217,11 +218,11 @@ def test_cycle_value_linearity_in_pp():
 
 def test_cycle_weight():
     # d1 = -4, d2 = -7: single pair, weight 4/(4*2) = 1/2
-    p = GreenParams(k=2, tol=1e-4)
+    p = GreenParams(tol=1e-4)
     val, diag = G_kf_at_cycle(2, {1: Fraction(1)}, -4, -7, p)
     z1 = mpc(0, 1)
     z7 = mpc(mpf(-1) / 2, mpmath.sqrt(7) / 2)
-    direct, _ = G_k_hecke(z1, z7, 2, 1, GreenParams(k=2, tol=1e-4))
+    direct, _ = G_k_hecke(z1, z7, 2, 1, GreenParams(tol=1e-4))
     assert diag["weight"] == 0.5
     assert abs(val - direct / 2) < 1e-4
 
@@ -231,7 +232,7 @@ def test_hecke_value_is_invariant_under_mirror(m):
     # z -> -conj(z) normalises PSL2(Z) and permutes the matrices of
     # determinant m, so G_k | T_m (z1, z2) = G_k | T_m (-conj z1, -conj z2)
     z1, z2 = mpc("0.31", "1.17"), mpc("-0.22", "0.93")
-    p = GreenParams(k=4, tol=1e-9)
+    p = GreenParams(tol=1e-9)
     val, _ = G_k_hecke(z1, z2, 4, m, p)
     mirrored, _ = G_k_hecke(-z1.conjugate(), -z2.conjugate(), 4, m, p)
     assert abs(val - mirrored) < 1e-8
@@ -248,7 +249,7 @@ def test_cycle_sums_each_mirror_pair_once(monkeypatch):
         return val, {"converged": True, "cosets": [{"terms": len(calls), "upgraded": 1}]}
 
     monkeypatch.setattr(G, "G_k_hecke", fake)
-    val, diag = G_kf_at_cycle(4, {1: Fraction(1), 2: Fraction(3)}, -7, -23, GreenParams(k=4))
+    val, diag = G_kf_at_cycle(4, {1: Fraction(1), 2: Fraction(3)}, -7, -23, GreenParams())
     assert len(calls) == 4
     assert [(p["pair"][1], p["m"], p["value"], p["terms"]) for p in diag["per_pair"]] == [
         ("CM(1,1,6)", 1, 1.0, 1), ("CM(1,1,6)", 2, 2.0, 2),
@@ -262,14 +263,14 @@ def test_cycle_sums_each_mirror_pair_once(monkeypatch):
         pts1, pts2 = cm_points(d1), cm_points(d2)
         t1 = sum(G._mirror(P) == P for P in pts1)
         t2 = sum(G._mirror(P) == P for P in pts2)
-        G_kf_at_cycle(4, {1: Fraction(1)}, d1, d2, GreenParams(k=4))
+        G_kf_at_cycle(4, {1: Fraction(1)}, d1, d2, GreenParams())
         assert len(calls) == (len(pts1) * len(pts2) + t1 * t2) // 2
 
 
 def test_reused_pair_records_are_marked():
     # CM(2,1,3) is the mirror of CM(2,-1,3) and CM(1,1,2) its own, so the third
     # pair of (-7, -23) reuses the second one's sum
-    val, diag = G_kf_at_cycle(4, {1: Fraction(1)}, -7, -23, GreenParams(k=4))
+    val, diag = G_kf_at_cycle(4, {1: Fraction(1)}, -7, -23, GreenParams())
     assert diag["pairs"] == 3 and diag["orbit_sums"] == 2
     reused = [p for p in diag["per_pair"] if p["reused"]]
     assert [p["pair"] for p in reused] == [["CM(1,1,2)", "CM(2,1,3)"]]
@@ -279,35 +280,76 @@ def test_reused_pair_records_are_marked():
 
 def test_cycle_rejects_bad_inputs():
     with pytest.raises(InvalidInputError):
-        G_kf_at_cycle(4, {1: Fraction(1)}, -7, -7, GreenParams(k=4))
+        G_kf_at_cycle(4, {1: Fraction(1)}, -7, -7, GreenParams())
     with pytest.raises(InvalidInputError):
-        G_kf_at_cycle(4, {1: Fraction(1)}, -7, 5, GreenParams(k=4))
+        G_kf_at_cycle(4, {1: Fraction(1)}, -7, 5, GreenParams())
     with pytest.raises(InvalidInputError):
         # S_24 is nontrivial: principal part q^{-1} is obstructed at k = 12
-        G_kf_at_cycle(12, {1: Fraction(1)}, -4, -7, GreenParams(k=12))
+        G_kf_at_cycle(12, {1: Fraction(1)}, -4, -7, GreenParams())
 
 
 def test_params_validation():
+    # k is an argument of the sum, not a parameter: G_k_hecke checks it
+    for k in (3, 0, -2):
+        with pytest.raises(InvalidInputError, match="k must be an even integer"):
+            G_k_hecke(mpc(0, 1), mpc("0.3", "1.2"), k, 1)
+    assert [f.name for f in dataclasses.fields(GreenParams)] == ["tol", "digits"]
     with pytest.raises(InvalidInputError):
-        GreenParams(k=3)
+        GreenParams(digits=10)
     with pytest.raises(InvalidInputError):
-        GreenParams(k=2, digits=10)
-    with pytest.raises(InvalidInputError):
-        GreenParams(k=2, tol=1e-40, digits=20)
+        GreenParams(tol=1e-40, digits=20)
 
 
 @pytest.mark.parametrize("route, k, d1, d2", [("nsum", 4, -7, -23), ("orbit", 2, -4, -7)])
-def test_params_without_a_doubling_or_finite_start_refused(route, k, d1, d2):
-    # without the check, max_doublings = 0 left no value (TypeError on the
-    # orbit route, UnboundLocalError in the n-sum) and a nan initial_T failed
-    # to convert to an integer
+def test_params_without_a_doubling_or_finite_start_refused(route, k, d1, d2, monkeypatch):
+    # the ladder's start and length are constants now, so nothing is left to
+    # refuse; a ladder of one rung still reports a value on both routes
     pp = {1: Fraction(1)}
-    for bad in ({"max_doublings": 0}, {"max_doublings": -1},
-                {"initial_T": math.nan}, {"initial_T": math.inf}):
-        with pytest.raises(InvalidInputError):
-            G.cycle_value(k, pp, d1, d2, GreenParams(k=k, **bad))
-    _, diag = G.cycle_value(k, pp, d1, d2, GreenParams(k=k, tol=1e-6, max_doublings=1))
+    monkeypatch.setattr(G, "MAX_DOUBLINGS", 1)
+    _, diag = G.cycle_value(k, pp, d1, d2, GreenParams(tol=1e-6))
     assert diag["route"] == route and not diag["converged"]
+
+
+def _run_ladder(values, tol=20.0):
+    """_ladder on a step whose value at rung i is values[i] (tol/10 = 2)."""
+    calls = []
+
+    def step(T, T_prev):
+        calls.append((T, T_prev))
+        return values[len(calls) - 1] - 3, 3, {"rung": len(calls)}
+
+    value, history, converged = G._ladder(step, GreenParams(tol=tol))
+    return value, history, converged, calls
+
+
+def test_ladder_stops_on_the_second_small_move(monkeypatch):
+    # moves 10, 1, 1: the witness holds on the fourth rung
+    value, history, converged, calls = _run_ladder([0, 10, 11, 12, 50])
+    assert converged and value == 12
+    assert calls == [(400.0, None), (800.0, 400.0), (1600.0, 800.0), (3200.0, 1600.0)]
+    assert history[0] == {"T": 400.0, "rung": 1, "partial": -3.0, "tail": 3.0}
+    assert [h["partial"] + h["tail"] for h in history] == [0, 10, 11, 12]
+    # a large move between two small ones resets the count
+    value, history, converged, _ = _run_ladder([0, 1, 10, 11, 12, 50])
+    assert converged and value == 12 and len(history) == 5
+    # out of rungs: the last value, not converged
+    monkeypatch.setattr(G, "MAX_DOUBLINGS", 3)
+    value, history, converged, _ = _run_ladder([0, 10, 11, 12])
+    assert not converged and value == 11
+    assert [h["T"] for h in history] == [400.0, 800.0, 1600.0]
+    # the first T is at least four times the upgrade bound
+    monkeypatch.setattr(G, "INITIAL_T", 100.0)
+    assert _run_ladder([0, 0, 0], tol=1e-8)[3][0] == (100.0, None)
+    assert _run_ladder([0, 0, 0], tol=1e-13)[3][0] == (256.0, None)
+
+
+def test_ladder_history_keys_of_both_routes():
+    _, diag = G_k_hecke(mpc(0, 1), mpc("0.3", "1.2"), 4, 1, GreenParams(tol=1e-6))
+    keys = {tuple(h) for h in diag["cosets"][0]["history"]}
+    assert keys == {("T", "terms", "partial", "tail")}
+    _, diag = G.cycle_value(4, {1: Fraction(1)}, -7, -23, GreenParams(tol=1e-6))
+    assert diag["route"] == "nsum"
+    assert {tuple(h) for h in diag["history"]} == {("T", "n_values", "terms", "partial", "tail")}
 
 
 def test_laplacian_eigenvalue_k4():
@@ -315,7 +357,7 @@ def test_laplacian_eigenvalue_k4():
     z2 = mpc(0, 2)
     z0 = mpc("0.07", "1.13")
     h = mpf(10) ** -3
-    p = GreenParams(k=4, tol=1e-12, digits=30)
+    p = GreenParams(tol=1e-12, digits=30)
 
     def val(z):
         v, _ = G_k_hecke(z, z2, 4, 1, p)
@@ -373,9 +415,11 @@ def _brute_counts(z1, w, Ts):
 @pytest.mark.parametrize("z1,z2,m,T0", [
     (I, RHO, 1, 400), (RHO, I, 1, 800), (I, RHO, 2, 400), (RHO, I, 3, 400),
 ], ids=["i-rho-m1", "rho-i-m1", "i-rho-m2", "rho-i-m3"])
-def test_shell_counts_match_brute_force(z1, z2, m, T0):
+def test_shell_counts_match_brute_force(z1, z2, m, T0, monkeypatch):
     # tol below reach: every run does all three doublings T0, 2 T0, 4 T0
-    p = GreenParams(k=4, tol=1e-25, initial_T=T0, max_doublings=3)
+    monkeypatch.setattr(G, "INITIAL_T", T0)
+    monkeypatch.setattr(G, "MAX_DOUBLINGS", 3)
+    p = GreenParams(tol=1e-25)
     _, diag = G_k_hecke(z1, z2, 4, m, p)
     assert len(diag["cosets"]) == sum(m // a for a in range(1, m + 1) if m % a == 0)
     for cd in diag["cosets"]:
@@ -394,7 +438,7 @@ def test_cycle_values_pinned(k, d1, d2, tol, value, terms):
     # k = 4: value and term counts of the enumeration that re-ran every
     # doubling from cosh = 1.  k = 2: those of the smooth truncation, 1.7e-10
     # from half of criterion 4a's closed form for G_2(i, z_7)
-    got, diag = G_kf_at_cycle(k, {1: Fraction(1)}, d1, d2, GreenParams(k=k, tol=tol))
+    got, diag = G_kf_at_cycle(k, {1: Fraction(1)}, d1, d2, GreenParams(tol=tol))
     assert diag["converged"]
     assert abs(got - mpf(value)) < 1e-12
     assert [p["terms"] for p in diag["per_pair"]] == terms
@@ -411,7 +455,7 @@ def test_upgrade_pass_runs_once_per_orbit_sum(monkeypatch):
 
     monkeypatch.setattr(G._PairOrbitSum, "_upgrade_sum", counted)
     _, diag = G_k_hecke(mpc("0.13", "1.21"), mpc("-0.4", "0.9"), 4, 2,
-                        GreenParams(k=4, tol=1e-9))
+                        GreenParams(tol=1e-9))
     assert len(calls) == len(diag["cosets"]) == 3
     for n, cd in zip(calls, diag["cosets"]):
         assert len(cd["history"]) >= 3
@@ -421,7 +465,7 @@ def test_upgrade_pass_runs_once_per_orbit_sum(monkeypatch):
 def test_later_shell_below_upgrade_bound_is_an_error():
     # a shell starting below upgrade_cosh (4 at this tol) would hold terms the
     # mpmath pass skips; this pair has terms with cosh in (2, 4]
-    s = G._PairOrbitSum(I, mpc("0.3", "1.2"), 4, GreenParams(k=4))
+    s = G._PairOrbitSum(I, mpc("0.3", "1.2"), 4, GreenParams())
     count, _, _, upgrades = s._terms_below(400.0)
     assert count > 0 and upgrades
     with pytest.raises(RuntimeError, match="upgrade bound"):
@@ -430,8 +474,8 @@ def test_later_shell_below_upgrade_bound_is_an_error():
 
 def test_float_q_accurate_above_upgrade_bound():
     # above the upgrade bound the float series stands in for mpmath
-    assert GreenParams(k=4, tol=1e-12).upgrade_cosh == 4.0
-    assert GreenParams(k=4, tol=1e-13).upgrade_cosh == 64.0
+    assert GreenParams(tol=1e-12).upgrade_cosh == 4.0
+    assert GreenParams(tol=1e-13).upgrade_cosh == 64.0
     # relative error bound per n = k - 1 up to MAX_K - 1; measured maxima on
     # [4, 64] are 6.1e-16, 1.8e-15, 6.0e-15, 1.75e-14, 4.6e-14 and 1.1e-13
     bounds = {1: 2e-15, 3: 4e-15, 5: 1.2e-14, 7: 2e-14, 9: 6e-14, 11: 1.5e-13}
@@ -500,11 +544,12 @@ Z7 = mpc(mpf(-1) / 2, mpmath.sqrt(7) / 2)
 @pytest.mark.parametrize("z1,z2,m", [
     (I, RHO, 1), (RHO, I, 3), (mpc("0.13", "1.21"), mpc("-0.4", "0.9"), 2), (I, Z7, 1),
 ], ids=["i-rho-m1", "rho-i-m3", "generic-m2", "i-z7"])
-def test_shell_density_is_six(z1, z2, m):
+def test_shell_density_is_six(z1, z2, m, monkeypatch):
     # every coset's orbit has 6 elements of PSL_2(Z) per unit of cosh, elliptic
     # points included; the tail assumes it, so a shell that strays flags a
     # broken enumeration
-    p = GreenParams(k=4, tol=1e-25, max_doublings=8)   # T = 400 ... 51200
+    monkeypatch.setattr(G, "MAX_DOUBLINGS", 8)   # T = 400 ... 51200
+    p = GreenParams(tol=1e-25)
     _, diag = G_k_hecke(z1, z2, 4, m, p)
     for cd in diag["cosets"]:
         hist = cd["history"]
@@ -521,7 +566,7 @@ def test_orbit_sum_loads_no_polynomial_or_scipy():
         "import sys\n"
         "from mpmath import mpc\n"
         "from hgreen.greens import G_k_hecke, GreenParams\n"
-        "G_k_hecke(mpc(0, 1), mpc('-0.5', '1.3'), 2, 2, GreenParams(k=2, tol=1e-6))\n"
+        "G_k_hecke(mpc(0, 1), mpc('-0.5', '1.3'), 2, 2, GreenParams(tol=1e-6))\n"
         "print(' '.join(m for m in sys.modules\n"
         "               if m.split('.')[0] == 'scipy' or m.startswith('numpy.polynomial')))\n"
     )
@@ -538,7 +583,7 @@ def test_coset_bound_exact_at_every_doubling():
     # v-window edge: the float X is at least the exact one (within 1e-12),
     # and finite at every T the 28 doublings from T = 400 reach
     z1, w = mpc("0.13", "1.21"), mpc("-0.4", "0.9")
-    s = G._PairOrbitSum(z1, w, 2, GreenParams(k=2))
+    s = G._PairOrbitSum(z1, w, 2, GreenParams())
     with mpmath.workdps(60):
         for k in range(28):
             T = 400.0 * 2 ** k
@@ -576,8 +621,8 @@ def test_cached_values_keep_their_precision():
     # same mpf at 30 and at 50 digits, and every T on the ladder is too, so a
     # cache keyed without the precision would serve 30-digit values at 50
     z1, z2 = I, mpc("0.25", "0.5")
-    p30 = GreenParams(k=4, tol=1e-8, digits=30)
-    p50 = GreenParams(k=4, tol=1e-8, digits=50)
+    p30 = GreenParams(tol=1e-8, digits=30)
+    p50 = GreenParams(tol=1e-8, digits=50)
     _clear_caches()
     cold = G_k_hecke(z1, z2, 4, 2, p50)
     _clear_caches()
@@ -587,7 +632,7 @@ def test_cached_values_keep_their_precision():
 
 
 def test_cycle_value_is_the_same_on_a_second_call():
-    p = GreenParams(k=4, tol=1e-8)
+    p = GreenParams(tol=1e-8)
     first = G_kf_at_cycle(4, {1: Fraction(1), 2: Fraction(3)}, -4, -23, p)
     second = G_kf_at_cycle(4, {1: Fraction(1), 2: Fraction(3)}, -4, -23, p)
     assert second[0] == first[0] and second[1] == first[1]
@@ -630,7 +675,7 @@ def test_coset_blocks_match_brute_force():
     for _ in range(12):
         z1 = mpc(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 2.5))
         w = mpc(rng.uniform(-0.5, 0.5), rng.uniform(0.05, 2.5))
-        s = G._PairOrbitSum(z1, w, 4, GreenParams(k=4))
+        s = G._PairOrbitSum(z1, w, 4, GreenParams())
         T = rng.choice([400.0, 3200.0, 25600.0])
         for T_lo in (None, T / 2):
             blocks = [list(zip(*(col.tolist() for col in b)))
@@ -658,7 +703,7 @@ def test_orbit_sum_memory_is_bounded_by_a_block():
     z2 = (-1 + mpmath.sqrt(-7)) / 2
     tracemalloc.start()
     try:
-        _, diag = G_k_hecke(mpc(0, 1), z2, 2, 1, GreenParams(k=2, tol=1e-7))
+        _, diag = G_k_hecke(mpc(0, 1), z2, 2, 1, GreenParams(tol=1e-7))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -679,7 +724,7 @@ def test_scope_corner_k4_cycle_at_delta_999996():
     # the largest Delta in scope; 348 CM pairs share their Q values and tails
     import time
     t0 = time.perf_counter()
-    val, diag = G_kf_at_cycle(4, {1: Fraction(1)}, -3, -333332, GreenParams(k=4, tol=1e-8))
+    val, diag = G_kf_at_cycle(4, {1: Fraction(1)}, -3, -333332, GreenParams(tol=1e-8))
     assert time.perf_counter() - t0 < 10.0
     assert diag["converged"] and diag["pairs"] == 348
     assert sum(p["terms"] for p in diag["per_pair"]) == 3339210

@@ -181,6 +181,11 @@ def test_check_principal_part_linearity():
 def test_parse_principal_part():
     assert parse_principal_part("1=1,3=-2/5") == {1: Fraction(1), 3: Fraction(-2, 5)}
     assert parse_principal_part(" 2=7 ") == {2: Fraction(7)}
+    # terms of one index add up, and an index whose terms cancel is no term
+    assert parse_principal_part("1=1/2,1=1/2") == {1: Fraction(1)}
+    assert parse_principal_part("1=1,2=1,2=-1") == {1: Fraction(1)}
+    with pytest.raises(InvalidInputError):
+        parse_principal_part("1=1,1=-1")
     with pytest.raises(InvalidInputError):
         parse_principal_part("0=1")
     with pytest.raises(InvalidInputError):

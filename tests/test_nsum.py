@@ -67,7 +67,7 @@ def _cycle_tol(k, pp, d1, d2, tol):
 def test_nsum_matches_orbit_route(case):
     k, pp, d1, d2 = case
     tol = 1e-9
-    params = GreenParams(k=k, tol=tol)
+    params = GreenParams(tol=tol)
     got, diag = cycle_nsum(k, pp, d1, d2, params)
     want, odiag = G_kf_at_cycle(k, pp, d1, d2, params)
     assert diag["converged"] and odiag["converged"]

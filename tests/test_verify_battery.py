@@ -46,7 +46,7 @@ CASES = [
 def test_end_to_end_reconciliation(k, pp, d1, d2, exponents, unit, tol):
     pp = {m: Fraction(c) for m, c in pp.items()}
     assert check_principal_part(k, pp) is None
-    lhs, diag = G_kf_at_cycle(k, pp, d1, d2, GreenParams(k=k, tol=tol, digits=30))
+    lhs, diag = G_kf_at_cycle(k, pp, d1, d2, GreenParams(tol=tol, digits=30))
     assert diag["converged"]
     rep = gamma_exponents(k, pp, d1, d2)
     rep = reconcile(rep, lhs, tol)
@@ -75,7 +75,7 @@ def test_fractional_pp_scales_kappa():
     assert rep.kappa == 3
     assert rep.exponents[(5, 0)] == Fraction(2878, 3)
     lhs, _ = G_kf_at_cycle(4, {1: Fraction(1, 3)}, -7, -23,
-                           GreenParams(k=4, tol=1e-7, digits=30))
+                           GreenParams(tol=1e-7, digits=30))
     rep = reconcile(rep, lhs, 1e-7)
     assert rep.unit_power_rational == Fraction(-584)
     assert rep.verified
