@@ -34,8 +34,13 @@ EXIT_VERIFY_FAILED = 1
 EXIT_INVALID = 2
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):   # a bad or missing flag: main prints it as JSON
+        raise InvalidInputError(f"{self.prog}: {message}")
+
+
 def _build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="hgreen",
         description="Averaged CM values of higher Green's functions and the "
                     "predicted factorization of the associated invariant.",

@@ -25,18 +25,19 @@ Gauss-Legendre rule in floats, the second the exact series.
 
 Arithmetic is hybrid: orbit enumeration and the bulk of the sum run in IEEE
 doubles (descending-series evaluation of Q, no cancellation for cosh > 2),
-while every term with cosh distance below an upgrade bound is recomputed
-with mpmath at the configured working precision.  The bound is 4 for
-tol >= 1e-12, where on [4, 64] the float series is within 1.8e-14 relative
-of Q_n for n <= 7, 4.6e-14 at n = 9 and 1.1e-13 at n = 11 (at most 1.4e-17
-absolute, reached at n = 1), and 64 below that tol.  The first T is at least
-four times the bound, so all of these terms lie in the first shell and the
-mpmath pass runs once per orbit sum.
+while every term with cosh distance up to an upgrade bound is summed in
+mpmath by upgrade_sum from the integer n = m sqrt(Delta) cosh d (points are
+roots of integral forms; Gross-Zagier, "On singular moduli", 1985).  The
+bound is 4 for tol >= 1e-12, where on [4, 64] the float series is within
+1.8e-14 relative of Q_n for n <= 7, 4.6e-14 at n = 9 and 1.1e-13 at n = 11
+(at most 1.4e-17 absolute, reached at n = 1), and 64 below that tol.  The
+first T is at least four times the bound, so all of these terms lie in the
+first shell and the mpmath pass runs once per orbit sum.
 
-Every orbit sum of a cycle meets the same cosh values, the same doubling
-ladder of T and the same d^-1 mod c, so that work is done once per process:
-the mpmath Q value of each distinct (n, t, digits), the tail at each
-(n, T, digits), the float Q series of each n, and one read-only table of
+Every orbit sum of a cycle meets the same n, the same doubling ladder of T
+and the same d^-1 mod c, so that work is done once per process: the mpmath
+Q value of each distinct (k, m, Delta, n, digits), the tail at each
+(k, T, digits), the float Q series of each k, and one read-only table of
 d^-1 mod c that grows with the largest c seen.  The cosets of one T come from
 whole-array numpy passes: the d-ranges of every c at once, expanded with
 repeat/cumsum and gathered from the flat inverse table.  They stream in
@@ -54,6 +55,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -75,19 +77,22 @@ class SingularConfigurationError(ValueError):
 
 @dataclass(frozen=True)
 class CMPoint:
-    """Reduced positive definite form (A, B, C), root z = (-B + i sqrt|d|)/(2A)."""
+    """Integral positive definite form (A, B, C), root z = (-B + i sqrt|d|)/(2A)."""
 
     A: int
     B: int
     C: int
+
+    def __post_init__(self):
+        if self.A <= 0 or self.disc >= 0:
+            raise InvalidInputError(f"{self!r} is not positive definite")
 
     @property
     def disc(self) -> int:
         return self.B * self.B - 4 * self.A * self.C
 
     def z(self) -> mpc:
-        d = -self.disc
-        return mpc(mpf(-self.B), mpmath.sqrt(mpf(d))) / (2 * self.A)
+        return mpc(-self.B, mpmath.sqrt(-self.disc)) / (2 * self.A)
 
     def __repr__(self):
         return f"CM({self.A},{self.B},{self.C})"
@@ -320,13 +325,10 @@ def _taper_integral(qf, T: float) -> float:
 # the hyperbolic kernel
 # ---------------------------------------------------------------------------
 
-def cosh_distance(z1: mpc, z2: mpc):
-    return 1 + abs(z1 - z2) ** 2 / (2 * z1.imag * z2.imag)
-
-
 def g_k(z1, z2, k: int):
     """g_k(z1, z2) = -2 Q_{k-1}(cosh d(z1, z2)); symmetric, singular on z1=z2."""
-    t = cosh_distance(mpc(z1), mpc(z2))
+    z1, z2 = mpc(z1), mpc(z2)
+    t = 1 + abs(z1 - z2) ** 2 / (2 * z1.imag * z2.imag)
     if t <= 1 + mpf(10) ** -10:
         raise SingularConfigurationError("g_k evaluated on the diagonal")
     return -2 * legendre_Q(k - 1, t)
@@ -407,14 +409,19 @@ def _ladder(step, params: GreenParams):
 ORBIT_DENSITY = 6
 
 
-@functools.lru_cache(maxsize=1 << 14)
-def _q_exact(n: int, t, dps: int):
-    """legendre_Q(n, t) at dps digits, once per distinct key.
+# a cycle at Delta ~ 1e6, m <= 2 and the upgrade bound 64 has ~94,500 n
+@functools.lru_cache(maxsize=1 << 17)
+def _q_at(k: int, m: int, Delta: int, n: int, dps: int):
+    """Q_{k-1}(n / (m sqrt(Delta))) at dps digits."""
+    with mpmath.workdps(dps):
+        return legendre_Q(k - 1, mpf(n) / (m * mpmath.sqrt(Delta)), dps)
 
-    The CM pairs of a cycle meet the same few cosh values, so most of their
-    mpmath passes repeat a value.  The key is exact: an mpf compares by value.
-    """
-    return legendre_Q(n, t, dps)
+
+def upgrade_sum(k: int, m: int, Delta: int, weights, dps: int):
+    """sum w Q_{k-1}(n / (m sqrt(Delta))) over the pairs (n, w) of weights at dps
+    digits, each Q once per distinct (k, m, Delta, n, dps) in the process."""
+    with mpmath.workdps(dps):
+        return mpmath.fsum(w * _q_at(k, m, Delta, n, dps) for n, w in weights)
 
 
 @functools.lru_cache(maxsize=1 << 10)
@@ -501,26 +508,28 @@ COSET_BLOCK = 2 ** 14
 
 
 class _PairOrbitSum:
-    """Sum of g_k(z1, gamma*w) over gamma in PSL_2(Z) for one point pair.
+    """Sum of g_k(z1, gamma*w) over gamma in PSL_2(Z) for the roots of P1 and
+    W, a Hecke translate of index m (discriminant m^2 d2) of a point P2.
 
     Enumerates Gamma_infinity-cosets (c, d) and integer translates; for each
     term the cosh distance depends on the coset through u = Re(gamma*w) mod 1
     and v = Im(gamma*w).  Each doubling of the cosh bound enumerates only its
-    new shell of terms; matrices realizing small cosh values, all of them in
-    the first shell, are retained so the dominant terms can be recomputed at
-    full precision once.
+    new shell of terms; the terms up to the upgrade bound, all in the first
+    shell, are summed once by upgrade_sum from n = m sqrt(Delta) cosh.
     """
 
-    def __init__(self, z1: mpc, w: mpc, k: int, params: GreenParams):
+    def __init__(self, P1: CMPoint, W: CMPoint, k: int, params: GreenParams, m: int = 1):
         import numpy as np
 
         self.np = np
-        self.z1 = z1
-        self.w = w
         self.k = k
+        self.m = m
         self.params = params
-        self.x1f, self.y1f = float(z1.real), float(z1.imag)
-        self.uf, self.vf = float(w.real), float(w.imag)
+        self.Delta = P1.disc * W.disc // (m * m)
+        self.msD = m * math.sqrt(self.Delta)
+        z1, w = complex(P1.z()), complex(W.z())
+        self.x1f, self.y1f = z1.real, z1.imag
+        self.uf, self.vf = w.real, w.imag
         self.qf = _q_float_factory(k - 1)
 
     # -- coset data ---------------------------------------------------------
@@ -613,7 +622,7 @@ class _PairOrbitSum:
         sequence add up exactly to the count at its last T.  Each coset block
         is reduced to its float sums before the next is built: Q is evaluated
         once per term and summed twice, plainly and weighted by psi(cosh/T).
-        upgrade_list holds (coset c, d, a = d^-1 mod c, translate j) for
+        upgrade_list holds the integer n = m sqrt(Delta) cosh of each term with
         cosh <= upgrade bound.
         """
         count = 0
@@ -639,7 +648,7 @@ class _PairOrbitSum:
         A coset marked `inner` was enumerated at T_lo, so only its translates
         outside that window are new.  Returns the term count and the float
         array of the cosh values above the upgrade threshold; the terms at or
-        below it are recorded with their matrix data for the mpmath pass.
+        below it are recorded by their integer n for the mpmath pass.
         """
         np = self.np
         x1, y1 = self.x1f, self.y1f
@@ -684,48 +693,35 @@ class _PairOrbitSum:
         t += 1
         small = t <= up
         if small.any():
-            owner = np.repeat(seg, lens)
             if T_lo is not None:
                 # the single mpmath pass sees the first shell only
                 raise RuntimeError(
                     f"shell ({T_lo}, {T}] holds a term with cosh "
                     f"{float(t[small].min())} <= upgrade bound {up}"
                 )
-            if float(t[small].min()) <= 1 + 1e-10:
-                bad = int(np.argmin(t))
-                i = owner[bad]
+            # 4e-11 from n at Delta ~ 1e6 and the bound 64 (measured)
+            x = t[small] * self.msD
+            n = np.rint(x)
+            off = float(np.abs(x - n).max())
+            if not off < 0.25 or x.max() >= 2.0 ** 50:
+                raise RuntimeError(f"m sqrt(Delta) cosh up to {float(x.max()):.6g} "
+                                   f"lies {off:.3g} from an integer n")
+            ns = n.astype(np.int64).tolist()
+            if min(ns) ** 2 <= self.m * self.m * self.Delta:
+                pos = int(np.flatnonzero(small)[ns.index(min(ns))])
+                i = np.repeat(seg, lens)[pos]
                 raise SingularConfigurationError(
                     f"singular configuration at coset ({int(c[i])}, {int(d[i])}), "
-                    f"translate {int(flat[bad])}"
+                    f"translate {int(flat[pos])}"
                 )
-            for pos in np.nonzero(small)[0]:
-                i = owner[pos]
-                upgrades.append((int(c[i]), int(d[i]), int(a[i]), int(flat[pos])))
+            upgrades += ns
             t = t[~small]
         return total, t
 
-    # -- precise evaluation of retained terms --------------------------------
     def _upgrade_sum(self, upgrades):
-        z1 = self.z1
-        w = self.w
-        k = self.k
-        total = mpf(0)
-        dps = mpmath.mp.dps
-        near = 1 + mpf(10) ** -10
-        images = {}     # gamma w for each coset (c, d); its translates add j
-        for (c, d, a, j) in upgrades:
-            gw = images.get((c, d))
-            if gw is None:
-                gw = images[c, d] = w if c == 0 else (a * w + (a * d - 1) // c) / (c * w + d)
-            t = cosh_distance(z1, gw + j)
-            if t <= near:
-                b = 0 if c == 0 else (a * d - 1) // c
-                raise SingularConfigurationError(
-                    f"singular configuration at matrix "
-                    f"({a + j * c},{b + j * d};{c},{d})"
-                )
-            total += _q_exact(k - 1, t, dps)
-        return total
+        """The mpmath sum over the upgrade set, a list of n: Q once per distinct n."""
+        return upgrade_sum(self.k, self.m, self.Delta, Counter(upgrades).items(),
+                           mpmath.mp.dps)
 
     # -- adaptive evaluation ---------------------------------------------------
     def evaluate(self):
@@ -772,8 +768,9 @@ def _hecke_cosets(m: int):
     return out
 
 
-def G_k_hecke(z1, z2, k: int, m: int, params: GreenParams | None = None):
-    """G_k | T_m (z1, z2): sum over integral matrices of determinant m mod +-1.
+def G_k_hecke(P1: CMPoint, P2: CMPoint, k: int, m: int, params: GreenParams | None = None):
+    """G_k | T_m (z1, z2) at the roots z1, z2 of P1, P2: the sum over integral
+    matrices of determinant m mod +-1.
 
     Returns (value, diagnostics).  For m = 1 this is G_k(z1, z2).
     """
@@ -783,13 +780,13 @@ def G_k_hecke(z1, z2, k: int, m: int, params: GreenParams | None = None):
     if m < 1:
         raise InvalidInputError("Hecke index m must be >= 1")
     with mpmath.mp.workdps(params.digits):
-        z1 = mpc(z1)
-        z2 = mpc(z2)
         total = mpf(0)
         diag = {"cosets": [], "converged": True}
         for (a, b, d) in _hecke_cosets(m):
-            w = (a * z2 + b) / d
-            val, pd = _PairOrbitSum(z1, w, k, params).evaluate()
+            # the form of (a z2 + b)/d, discriminant m^2 d2
+            W = CMPoint(P2.A * d * d, d * (a * P2.B - 2 * P2.A * b),
+                        P2.A * b * b - a * b * P2.B + a * a * P2.C)
+            val, pd = _PairOrbitSum(P1, W, k, params, m).evaluate()
             total += val
             diag["cosets"].append({"coset": [a, b, d], **pd})
             diag["converged"] = diag["converged"] and pd["converged"]
@@ -835,7 +832,7 @@ def G_kf_at_cycle(k: int, pp, d1: int, d2: int,
                     hit = done.get((_mirror(P1), _mirror(P2), m))
                     reused = hit is not None
                     if not reused:
-                        val, pd = G_k_hecke(P1.z(), P2.z(), k, m, params)
+                        val, pd = G_k_hecke(P1, P2, k, m, params)
                         hit = done[(P1, P2, m)] = val, {
                             "value": float(val),
                             "converged": pd["converged"],

@@ -23,12 +23,13 @@ where rho is not already 0, chi = +1 at the prime above q that divides mu0.
 
 The numerics are the orbit route's: the one doubling ladder greens._ladder
 (T from INITIAL_T, at most MAX_DOUBLINGS rungs), psi(t/T) weights on the
-newest shell, mpmath Q_{k-1} up to the upgrade bound and the float series
-above it.  Sum rho per unit of t has mean 24 h1 h2 sigma(m)/(w1 w2),
-the orbit density 6 of the h1 h2 CM pairs with sigma(m) Hecke cosets each,
-times the cycle weight 4/(w1 w2); so the tail is that density times the orbit
-route's tail integral, and equals the sum of the orbit route's tails.  The
-witness (a change below tol/10 twice) applies to the cycle value.
+newest shell, the float series above the upgrade bound and, up to it, the
+mpmath pass greens.upgrade_sum with the weights rho(n).  Sum rho per unit of
+t has mean 24 h1 h2 sigma(m)/(w1 w2), the orbit density 6 of the h1 h2 CM
+pairs with sigma(m) Hecke cosets each, times the cycle weight 4/(w1 w2); so
+the tail is that density times the orbit route's tail integral, and equals
+the sum of the orbit route's tails.  The witness (a change below tol/10
+twice) applies to the cycle value.
 """
 
 from __future__ import annotations
@@ -48,11 +49,11 @@ from .greens import (
     GreenParams,
     _ladder,
     _psi,
-    _q_exact,
     _q_float_factory,
     _tail_integral,
     cm_points,
     unit_weight,
+    upgrade_sum,
 )
 from .mforms import check_cycle_input
 from .qfield import factorint, kronecker, sqrt_mod
@@ -232,12 +233,8 @@ class _Slice:
                 q = r * qf(t)
                 plain.append(q)
                 weighted.append(q * _psi(t / T) if t > half_T else q)
-        if upgrades:
-            dps = mpmath.mp.dps
-            msD = self.m * mpmath.sqrt(self.D)
-            self.q_up += mpmath.fsum(r * _q_exact(self.k - 1, mpf(n) / msD, dps)
-                                     for n, r in upgrades)
-            self.upgraded += len(upgrades)
+        self.q_up += upgrade_sum(self.k, self.m, self.D, upgrades, mpmath.mp.dps)
+        self.upgraded += len(upgrades)
         # psi(t/T) is 1 on the earlier shells and weights this one
         S = self.q_up + (self.qsum + math.fsum(weighted))
         self.qsum += math.fsum(plain)

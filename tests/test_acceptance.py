@@ -5,13 +5,14 @@ report.  Every tolerance is pinned here, none deferred.
 """
 
 import json
+import math
 import random
 import time
 from fractions import Fraction
 
 import mpmath
 import pytest
-from mpmath import mpc, mpf
+from mpmath import mpf
 
 from hgreen import properties as P
 from hgreen.cli import main
@@ -24,7 +25,7 @@ from hgreen.factor import (
     rho_exponent_vector,
     trace_slice,
 )
-from hgreen.greens import G_k_hecke, G_kf_at_cycle, GreenParams
+from hgreen.greens import CMPoint, G_k_hecke, G_kf_at_cycle, GreenParams
 
 
 def report(name, ok, detail="", failures=()):
@@ -108,8 +109,8 @@ def test_criterion_4_k2_crosscheck():
     with mpmath.mp.workdps(30):
         s7 = mpmath.sqrt(7)
         closed = -(8 / mpmath.sqrt(28)) * mpmath.log((8 + 3 * s7) / (8 - 3 * s7))
-        z1 = mpc(0, 1)
-        z7 = mpc(mpf(-1) / 2, s7 / 2)
+        z1 = CMPoint(1, 0, 1)       # i
+        z7 = CMPoint(1, 1, 2)       # (-1 + sqrt(-7))/2
         for tol in (1e-6, 1e-9):
             val, diag = G_k_hecke(z1, z7, 2, 1, GreenParams(tol=tol, digits=30))
             err = abs(val - closed)
@@ -176,19 +177,23 @@ def test_criterion_7b_legendre_recurrence():
 
 def test_criterion_7c_laplacian_eigenvalue():
     with mpmath.mp.workdps(30):
-        z2 = mpc(0, 2)
-        z0 = mpc("0.07", "1.13")
+        z2 = CMPoint(1, 0, 4)       # 2i
+        x0, y0 = Fraction("0.07"), Fraction("1.13")
         h = mpf(10) ** -3
+        dx = Fraction(1, 1000)     # h, exactly
         p = GreenParams(tol=1e-12, digits=30)
 
-        def val(z):
-            v, _ = G_k_hecke(z, z2, 4, 1, p)
+        def val(x, y):
+            # the root x + iy of A z^2 + B z + C with A (x^2 + y^2) = C
+            r = x * x + y * y
+            A = math.lcm((2 * x).denominator, r.denominator)
+            v, _ = G_k_hecke(CMPoint(A, int(-2 * A * x), int(A * r)), z2, 4, 1, p)
             return v
 
-        center = val(z0)
-        lap = (val(z0 + h) + val(z0 - h) + val(z0 + h * mpc(0, 1))
-               + val(z0 - h * mpc(0, 1)) - 4 * center) / (h * h)
-        disc = -(z0.imag ** 2) * lap
+        center = val(x0, y0)
+        lap = (val(x0 + dx, y0) + val(x0 - dx, y0) + val(x0, y0 + dx)
+               + val(x0, y0 - dx) - 4 * center) / (h * h)
+        disc = -(mpf(y0.numerator) / y0.denominator) ** 2 * lap
         target = -12 * center
         err = abs(disc - target)
     report("criterion 7c: discrete Laplacian matches k(1-k) = -12 to O(step^2)",

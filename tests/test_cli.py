@@ -196,15 +196,45 @@ def test_invalid_hgreen_digits_is_invalid(capsys, monkeypatch):
     assert code == 0 and doc["precision"] == 30
     code, doc = run_cli(capsys, *argv, "--digits", "40")
     assert code == 0 and doc["precision"] == 40
-    with pytest.raises(SystemExit) as exc:
-        main(argv + ["--digits", "abc"])
-    assert exc.value.code == 2 and capsys.readouterr().out == ""
+    assert main(argv + ["--digits", "abc"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid int value: 'abc'" in json.loads(captured.err)["error"]
     for digits, reason in (("5", ">= 15 digits"), (str(MAX_DIGITS + 1), too_many)):
         for command in ("greens", "verify"):
             assert main([command] + argv[1:] + ["--digits", digits]) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
             assert reason in json.loads(captured.err)["error"]
+
+
+@pytest.mark.parametrize("flag, value, reason", [
+    ("--k", "4.5", "argument --k: invalid int value: '4.5'"),
+    ("--d1", "-7.5", "argument --d1: invalid int value: '-7.5'"),
+    ("--tol", "small", "argument --tol: invalid float value: 'small'"),
+    ("--digits", "abc", "argument --digits: invalid int value: 'abc'"),
+    ("--d2", None, "the following arguments are required: --d2"),
+])
+def test_argument_errors_are_json(capsys, flag, value, reason):
+    # a value argparse cannot convert, or a missing flag, exits 2 with the one
+    # JSON line of every other invalid input, not argparse's usage text
+    args = {"--k": "4", "--d1": "-7", "--d2": "-23", "--pp": "1=1", "--tol": "1e-6"}
+    if value is None:
+        del args[flag]
+    else:
+        args[flag] = value
+    for command in ("greens", "verify", "factor"):
+        argv = [command] + [x for kv in args.items() for x in kv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": f"hgreen {command}: {reason}"}
+
+
+def test_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["greens", "--help"])
+    assert exc.value.code == 0 and "--digits" in capsys.readouterr().out
 
 
 def test_cancelling_principal_part_term_is_dropped(capsys):

@@ -34,6 +34,25 @@ from hgreen.qfield import InvalidInputError
 mpmath.mp.dps = 30
 
 
+def _form(x, y):
+    """The integral form whose root is x + iy, for rational x and y > 0."""
+    x, y = Fraction(x), Fraction(y)
+    r = x * x + y * y
+    A = math.lcm((2 * x).denominator, r.denominator)
+    return CMPoint(A, int(-2 * A * x), int(A * r))
+
+
+def _moebius(a, b, c, d, x, y):
+    """(x, y) of (a z + b)/(c z + d), z = x + iy, for a matrix of determinant 1."""
+    den = (c * x + d) ** 2 + (c * y) ** 2
+    return (a * c * (x * x + y * y) + (a * d + b * c) * x + b * d) / den, y / den
+
+
+I = CMPoint(1, 0, 1)                # i
+RHO = CMPoint(1, 1, 1)              # (-1 + sqrt(-3))/2
+Z7 = CMPoint(1, 1, 2)               # (-1 + sqrt(-7))/2
+
+
 def test_cm_points_examples():
     assert cm_points(-4) == [CMPoint(1, 0, 1)]
     assert unit_weight(-4) == 4 and unit_weight(-3) == 6 and unit_weight(-7) == 2
@@ -43,6 +62,16 @@ def test_cm_points_examples():
         cm_points(-12)  # not fundamental
     with pytest.raises(InvalidInputError):
         cm_points(5)
+
+
+def test_cmpoint_is_any_positive_definite_form():
+    # neither reduced nor primitive nor of fundamental discriminant
+    assert CMPoint(2, 0, 2).disc == -16 and CMPoint(5, 8, 4).disc == -16
+    assert complex(_form("0.07", "1.13").z()) == complex(mpc("0.07", "1.13"))
+    # a form with no root in the upper half plane names no point
+    for A, B, C in [(0, 1, 1), (-1, 0, -1), (1, 2, 1), (1, 3, 1), (1, 0, -1)]:
+        with pytest.raises(InvalidInputError, match="not positive definite"):
+            CMPoint(A, B, C)
 
 
 @pytest.mark.parametrize("d,h", [(-4, 1), (-3, 1), (-7, 1), (-23, 3), (-47, 5), (-71, 7)])
@@ -132,16 +161,16 @@ def test_green_singular_configuration_detected():
     p = GreenParams(tol=1e-6)
     where = r"at coset \(0, 1\), translate 0$"
     with pytest.raises(SingularConfigurationError, match=where):
-        G_k_hecke(mpc(0, 1), mpc(0, 1), 4, 1, p)   # same point, m = 1
+        G_k_hecke(I, I, 4, 1, p)   # same point, m = 1
     with pytest.raises(SingularConfigurationError, match=where):
         # z and 2z lie on the T_2 singular locus: (z, T_2 z)
-        G_k_hecke(mpc("0.1", "1.3"), mpc("0.2", "2.6"), 4, 2, p)
+        G_k_hecke(_form("0.1", "1.3"), _form("0.2", "2.6"), 4, 2, p)
 
 
 def test_green_symmetry_m1():
     p = GreenParams(tol=1e-9)
-    z1 = mpc(mpf(-1) / 2, mpmath.sqrt(7) / 2)
-    z2 = mpc(mpf(1) / 4, mpmath.sqrt(23) / 4)
+    z1 = Z7
+    z2 = CMPoint(2, -1, 3)      # (1 + sqrt(-23))/4
     a, _ = G_k_hecke(z1, z2, 4, 1, p)
     b, _ = G_k_hecke(z2, z1, 4, 1, p)
     assert abs(a - b) < 1e-9
@@ -149,12 +178,12 @@ def test_green_symmetry_m1():
 
 def test_green_gamma_invariance():
     p = GreenParams(tol=1e-9)
-    z1 = mpc("0.13", "1.21")
-    z2 = mpc("-0.4", "0.9")
+    x1, y1, x2, y2 = (Fraction(v) for v in ("0.13", "1.21", "-0.4", "0.9"))
+    z1, z2 = _form(x1, y1), _form(x2, y2)
     base, _ = G_k_hecke(z1, z2, 4, 1, p)
     for (a, b, c, d) in [(1, 1, 0, 1), (0, -1, 1, 0), (2, 1, 1, 1), (1, 0, 2, 1)]:
-        gz1 = (a * z1 + b) / (c * z1 + d)
-        gz2 = (a * z2 + b) / (c * z2 + d)
+        gz1 = _form(*_moebius(a, b, c, d, x1, y1))
+        gz2 = _form(*_moebius(a, b, c, d, x2, y2))
         v1, _ = G_k_hecke(gz1, z2, 4, 1, p)
         v2, _ = G_k_hecke(z1, gz2, 4, 1, p)
         assert abs(v1 - base) < 1e-8
@@ -163,8 +192,8 @@ def test_green_gamma_invariance():
 
 def test_green_k2_closed_form_quick():
     # G_2(i, z_7) = -(8/sqrt28) log((8+3sqrt7)/(8-3sqrt7)), quick tolerance
-    z1 = mpc(0, 1)
-    z7 = mpc(mpf(-1) / 2, mpmath.sqrt(7) / 2)
+    z1 = I
+    z7 = Z7
     closed = -(8 / mpmath.sqrt(28)) * mpmath.log((8 + 3 * mpmath.sqrt(7)) / (8 - 3 * mpmath.sqrt(7)))
     val, diag = G_k_hecke(z1, z7, 2, 1, GreenParams(tol=1e-5))
     assert diag["converged"]
@@ -172,8 +201,8 @@ def test_green_k2_closed_form_quick():
 
 
 def test_truncation_stability():
-    z1 = mpc(0, 1)
-    z7 = mpc(mpf(-1) / 2, mpmath.sqrt(7) / 2)
+    z1 = I
+    z7 = Z7
     coarse, _ = G_k_hecke(z1, z7, 4, 1, GreenParams(tol=1e-6))
     fine, _ = G_k_hecke(z1, z7, 4, 1, GreenParams(tol=5e-7))
     assert abs(coarse - fine) < 1e-6
@@ -191,8 +220,8 @@ def test_higher_precision_consistency():
 
 def test_hecke_m1_reduces_to_plain_green():
     # one coset only: T_1 sum must equal the PSL2 orbit sum of g_k
-    z1 = mpc("0.3", "1.7")
-    z2 = mpc("0.1", "1.1")
+    z1 = _form("0.3", "1.7")
+    z2 = _form("0.1", "1.1")
     val, diag = G_k_hecke(z1, z2, 4, 1, GreenParams(tol=1e-8))
     assert len(diag["cosets"]) == 1
     # crude independent check: partial sum over explicit small matrices
@@ -204,7 +233,7 @@ def test_hecke_m1_reduces_to_plain_green():
         if a * d - b * c != 1 or (-a, -b, -c, -d) in seen:
             continue
         seen.add((a, b, c, d))
-        acc += g_k(z1, (a * z2 + b) / (c * z2 + d), 4)
+        acc += g_k(z1.z(), (a * z2.z() + b) / (c * z2.z() + d), 4)
     # the brute partial sum must be within the tail of the full value
     assert abs(val - acc) < 0.05
 
@@ -220,8 +249,8 @@ def test_cycle_weight():
     # d1 = -4, d2 = -7: single pair, weight 4/(4*2) = 1/2
     p = GreenParams(tol=1e-4)
     val, diag = G_kf_at_cycle(2, {1: Fraction(1)}, -4, -7, p)
-    z1 = mpc(0, 1)
-    z7 = mpc(mpf(-1) / 2, mpmath.sqrt(7) / 2)
+    z1 = I
+    z7 = Z7
     direct, _ = G_k_hecke(z1, z7, 2, 1, GreenParams(tol=1e-4))
     assert diag["weight"] == 0.5
     assert abs(val - direct / 2) < 1e-4
@@ -231,10 +260,11 @@ def test_cycle_weight():
 def test_hecke_value_is_invariant_under_mirror(m):
     # z -> -conj(z) normalises PSL2(Z) and permutes the matrices of
     # determinant m, so G_k | T_m (z1, z2) = G_k | T_m (-conj z1, -conj z2)
-    z1, z2 = mpc("0.31", "1.17"), mpc("-0.22", "0.93")
+    z1, z2 = _form("0.31", "1.17"), _form("-0.22", "0.93")
     p = GreenParams(tol=1e-9)
     val, _ = G_k_hecke(z1, z2, 4, m, p)
-    mirrored, _ = G_k_hecke(-z1.conjugate(), -z2.conjugate(), 4, m, p)
+    # -conj z is the root of (A, -B, C)
+    mirrored, _ = G_k_hecke(CMPoint(z1.A, -z1.B, z1.C), CMPoint(z2.A, -z2.B, z2.C), 4, m, p)
     assert abs(val - mirrored) < 1e-8
 
 
@@ -292,7 +322,7 @@ def test_params_validation():
     # k is an argument of the sum, not a parameter: G_k_hecke checks it
     for k in (3, 0, -2):
         with pytest.raises(InvalidInputError, match="k must be an even integer"):
-            G_k_hecke(mpc(0, 1), mpc("0.3", "1.2"), k, 1)
+            G_k_hecke(I, _form("0.3", "1.2"), k, 1)
     assert [f.name for f in dataclasses.fields(GreenParams)] == ["tol", "digits"]
     with pytest.raises(InvalidInputError):
         GreenParams(digits=10)
@@ -344,7 +374,7 @@ def test_ladder_stops_on_the_second_small_move(monkeypatch):
 
 
 def test_ladder_history_keys_of_both_routes():
-    _, diag = G_k_hecke(mpc(0, 1), mpc("0.3", "1.2"), 4, 1, GreenParams(tol=1e-6))
+    _, diag = G_k_hecke(I, _form("0.3", "1.2"), 4, 1, GreenParams(tol=1e-6))
     keys = {tuple(h) for h in diag["cosets"][0]["history"]}
     assert keys == {("T", "terms", "partial", "tail")}
     _, diag = G.cycle_value(4, {1: Fraction(1)}, -7, -23, GreenParams(tol=1e-6))
@@ -354,19 +384,20 @@ def test_ladder_history_keys_of_both_routes():
 
 def test_laplacian_eigenvalue_k4():
     # -y^2 (d_xx + d_yy) G_4(., 2i) = k(1-k) G_4 = -12 G_4, to O(h^2)
-    z2 = mpc(0, 2)
-    z0 = mpc("0.07", "1.13")
+    z2 = CMPoint(1, 0, 4)       # 2i
+    x0, y0 = Fraction("0.07"), Fraction("1.13")
     h = mpf(10) ** -3
+    dx = Fraction(1, 1000)     # h, exactly
     p = GreenParams(tol=1e-12, digits=30)
 
-    def val(z):
-        v, _ = G_k_hecke(z, z2, 4, 1, p)
+    def val(x, y):
+        v, _ = G_k_hecke(_form(x, y), z2, 4, 1, p)
         return v
 
-    center = val(z0)
-    lap = (val(z0 + h) + val(z0 - h) + val(z0 + h * mpc(0, 1))
-           + val(z0 - h * mpc(0, 1)) - 4 * center) / (h * h)
-    disc = -(z0.imag ** 2) * lap
+    center = val(x0, y0)
+    lap = (val(x0 + dx, y0) + val(x0 - dx, y0) + val(x0, y0 + dx)
+           + val(x0, y0 - dx) - 4 * center) / (h * h)
+    disc = -(mpf(y0.numerator) / y0.denominator) ** 2 * lap
     target = -12 * center
     assert abs(disc - target) < 5e-5 * max(1, abs(target))
 
@@ -374,10 +405,6 @@ def test_laplacian_eigenvalue_k4():
 # ---------------------------------------------------------------------------
 # shell-by-shell enumeration
 # ---------------------------------------------------------------------------
-
-I = mpc(0, 1)
-RHO = mpc(mpf(-1) / 2, mpmath.sqrt(3) / 2)
-
 
 def _brute_counts(z1, w, Ts):
     """Matrices in PSL_2(Z) with cosh d(z1, gamma w) <= T, for each T in Ts.
@@ -424,10 +451,10 @@ def test_shell_counts_match_brute_force(z1, z2, m, T0, monkeypatch):
     assert len(diag["cosets"]) == sum(m // a for a in range(1, m + 1) if m % a == 0)
     for cd in diag["cosets"]:
         a, b, d = cd["coset"]
-        w = (a * z2 + b) / d
+        w = (a * z2.z() + b) / d
         Ts = [h["T"] for h in cd["history"]]
         assert Ts == [T0, 2 * T0, 4 * T0]
-        assert [h["terms"] for h in cd["history"]] == _brute_counts(z1, w, Ts)
+        assert [h["terms"] for h in cd["history"]] == _brute_counts(z1.z(), w, Ts)
 
 
 @pytest.mark.parametrize("k,d1,d2,tol,value,terms", [
@@ -454,7 +481,7 @@ def test_upgrade_pass_runs_once_per_orbit_sum(monkeypatch):
         return orig(self, upgrades)
 
     monkeypatch.setattr(G._PairOrbitSum, "_upgrade_sum", counted)
-    _, diag = G_k_hecke(mpc("0.13", "1.21"), mpc("-0.4", "0.9"), 4, 2,
+    _, diag = G_k_hecke(_form("0.13", "1.21"), _form("-0.4", "0.9"), 4, 2,
                         GreenParams(tol=1e-9))
     assert len(calls) == len(diag["cosets"]) == 3
     for n, cd in zip(calls, diag["cosets"]):
@@ -465,7 +492,7 @@ def test_upgrade_pass_runs_once_per_orbit_sum(monkeypatch):
 def test_later_shell_below_upgrade_bound_is_an_error():
     # a shell starting below upgrade_cosh (4 at this tol) would hold terms the
     # mpmath pass skips; this pair has terms with cosh in (2, 4]
-    s = G._PairOrbitSum(I, mpc("0.3", "1.2"), 4, GreenParams())
+    s = G._PairOrbitSum(I, _form("0.3", "1.2"), 4, GreenParams())
     count, _, _, upgrades = s._terms_below(400.0)
     assert count > 0 and upgrades
     with pytest.raises(RuntimeError, match="upgrade bound"):
@@ -538,11 +565,8 @@ def test_taper_integral_matches_quadrature():
             assert abs(got - ref) <= 1e-13 * ref, (n, T, got, ref)
 
 
-Z7 = mpc(mpf(-1) / 2, mpmath.sqrt(7) / 2)
-
-
 @pytest.mark.parametrize("z1,z2,m", [
-    (I, RHO, 1), (RHO, I, 3), (mpc("0.13", "1.21"), mpc("-0.4", "0.9"), 2), (I, Z7, 1),
+    (I, RHO, 1), (RHO, I, 3), (_form("0.13", "1.21"), _form("-0.4", "0.9"), 2), (I, Z7, 1),
 ], ids=["i-rho-m1", "rho-i-m3", "generic-m2", "i-z7"])
 def test_shell_density_is_six(z1, z2, m, monkeypatch):
     # every coset's orbit has 6 elements of PSL_2(Z) per unit of cosh, elliptic
@@ -564,9 +588,8 @@ def test_orbit_sum_loads_no_polynomial_or_scipy():
     # numpy.polynomial alone adds ~2 MB of resident memory to an orbit sum
     code = (
         "import sys\n"
-        "from mpmath import mpc\n"
-        "from hgreen.greens import G_k_hecke, GreenParams\n"
-        "G_k_hecke(mpc(0, 1), mpc('-0.5', '1.3'), 2, 2, GreenParams(tol=1e-6))\n"
+        "from hgreen.greens import CMPoint, G_k_hecke, GreenParams\n"
+        "G_k_hecke(CMPoint(1, 0, 1), CMPoint(50, 50, 97), 2, 2, GreenParams(tol=1e-6))\n"
         "print(' '.join(m for m in sys.modules\n"
         "               if m.split('.')[0] == 'scipy' or m.startswith('numpy.polynomial')))\n"
     )
@@ -582,7 +605,7 @@ def test_coset_bound_exact_at_every_doubling():
     # X = v0 / (y1 (T - sqrt(T^2 - 1))) must not lose the terms near the
     # v-window edge: the float X is at least the exact one (within 1e-12),
     # and finite at every T the 28 doublings from T = 400 reach
-    z1, w = mpc("0.13", "1.21"), mpc("-0.4", "0.9")
+    z1, w = _form("0.13", "1.21"), _form("-0.4", "0.9")
     s = G._PairOrbitSum(z1, w, 2, GreenParams())
     with mpmath.workdps(60):
         for k in range(28):
@@ -620,7 +643,7 @@ def test_cached_values_keep_their_precision():
     # dyadic points: the translates with c = 0 have cosh values that are the
     # same mpf at 30 and at 50 digits, and every T on the ladder is too, so a
     # cache keyed without the precision would serve 30-digit values at 50
-    z1, z2 = I, mpc("0.25", "0.5")
+    z1, z2 = I, _form("0.25", "0.5")
     p30 = GreenParams(tol=1e-8, digits=30)
     p50 = GreenParams(tol=1e-8, digits=50)
     _clear_caches()
@@ -629,6 +652,41 @@ def test_cached_values_keep_their_precision():
     G_k_hecke(z1, z2, 4, 2, p30)
     warm = G_k_hecke(z1, z2, 4, 2, p50)
     assert warm[0] == cold[0] and warm[1] == cold[1]
+
+
+def test_one_q_per_distinct_n(monkeypatch):
+    # the upgrade sets of a cycle's pairs and cosets repeat their n; each
+    # distinct (m, n) costs one mpmath Q
+    seen = set()
+    upgraded = []
+    real_sum, real_q = G._PairOrbitSum._upgrade_sum, G.legendre_Q
+    q_calls = []
+
+    def recorded(self, upgrades):
+        seen.update((self.m, n) for n in upgrades)
+        upgraded.append(len(upgrades))
+        return real_sum(self, upgrades)
+
+    def counted(*args):
+        q_calls.append(args)
+        return real_q(*args)
+
+    monkeypatch.setattr(G._PairOrbitSum, "_upgrade_sum", recorded)
+    monkeypatch.setattr(G, "legendre_Q", counted)
+    _clear_caches()
+    _, diag = G_kf_at_cycle(6, {1: Fraction(24), 2: Fraction(1)}, -7, -23)
+    assert diag["converged"]
+    assert len(q_calls) == len(seen) < sum(upgraded)
+
+
+def test_upgrade_set_off_the_integers_is_an_error():
+    # every cosh is n/(m sqrt(Delta)); a float kernel that strays a quarter
+    # from an integer n is a fault, not a value
+    s = G._PairOrbitSum(I, Z7, 4, GreenParams())
+    assert s.Delta == 28 and s._terms_below(400.0)[3]
+    s.msD *= math.sqrt(2)
+    with pytest.raises(RuntimeError, match="from an integer n"):
+        s._terms_below(400.0)
 
 
 def test_cycle_value_is_the_same_on_a_second_call():
@@ -673,8 +731,8 @@ def test_coset_blocks_match_brute_force():
     rng = random.Random(3)
     multi = 0
     for _ in range(12):
-        z1 = mpc(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 2.5))
-        w = mpc(rng.uniform(-0.5, 0.5), rng.uniform(0.05, 2.5))
+        z1 = _form(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 2.5))
+        w = _form(rng.uniform(-0.5, 0.5), rng.uniform(0.05, 2.5))
         s = G._PairOrbitSum(z1, w, 4, GreenParams())
         T = rng.choice([400.0, 3200.0, 25600.0])
         for T_lo in (None, T / 2):
@@ -700,10 +758,10 @@ def test_orbit_sum_memory_is_bounded_by_a_block():
     # each coset block is reduced to its two Q sums before the next is built;
     # a buffer of a whole shell (~307k floats in the last one here) and its Q
     # temporaries would peak near 18 MB
-    z2 = (-1 + mpmath.sqrt(-7)) / 2
+    z2 = Z7
     tracemalloc.start()
     try:
-        _, diag = G_k_hecke(mpc(0, 1), z2, 2, 1, GreenParams(tol=1e-7))
+        _, diag = G_k_hecke(I, z2, 2, 1, GreenParams(tol=1e-7))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -2,11 +2,12 @@
 
 cycle_nsum reads rho_{K/F}((mu0)) from a sieve of Nm(mu0) and sums
 rho Q_{k-1}(n/(m sqrt(Delta))) over n; G_kf_at_cycle sums g_k over the
-PSL_2(Z)-orbits of the CM pairs.  The two share only the Q evaluators, the
-taper and the tail integral, so their agreement checks the identity, the
-sieve and the enumeration at once.
+PSL_2(Z)-orbits of the CM pairs.  The two share only the Q evaluators (the
+mpmath pass greens.upgrade_sum among them), the taper and the tail integral,
+so their agreement checks the identity, the sieve and the enumeration at once.
 """
 
+from collections import Counter
 from fractions import Fraction
 from math import gcd, isqrt, sqrt
 
@@ -114,6 +115,41 @@ def test_rho_density_matches_orbit_density(d1, d2, m):
     # a wrong local factor at one small prime moves the mean by percents
     mean = sum(rho) / len(rho)
     assert abs(mean - want) <= 0.01 * want, (mean, want)
+
+
+@pytest.mark.parametrize("d1,d2,ms", [(-7, -23, (1, 2)), (-4, -15, (2,)), (-3, -7, (1,))])
+def test_orbit_terms_per_n_are_rho(d1, d2, ms, monkeypatch):
+    # m sqrt(Delta) cosh d(z1, gamma w) is an integer n, and the orbit terms
+    # of all CM pairs (mirror pairs each counted) and Hecke cosets at one n
+    # number w1 w2 rho(n) / 4: an integer identity between the orbit kernel's
+    # upgrade sets and the sieve, which share no code.  Up to the upgrade
+    # bound 64, where the upgrade sets hold every term
+    params = GreenParams(tol=1e-13)
+    bound = int(params.upgrade_cosh)
+    D = d1 * d2
+    w1w2 = unit_weight(d1) * unit_weight(d2)
+    primes = NS._Primes(GenusChar(d1, d2))
+    count = Counter()
+
+    def first_shell(self):
+        # each orbit sum of G_k_hecke enumerates its first shell only
+        count.update(self._terms_below(4.0 * bound)[3])
+        return 0, {"converged": True}
+
+    monkeypatch.setattr(G._PairOrbitSum, "evaluate", first_shell)
+    for m in ms:
+        count.clear()
+        for P1 in cm_points(d1):
+            for P2 in cm_points(d2):
+                G.G_k_hecke(P1, P2, 4, m, params)
+        n0 = isqrt(m * m * D) + 1
+        n0 += (n0 - m * D) % 2
+        n_hi = isqrt(bound * bound * m * m * D)     # n < 64 m sqrt(Delta)
+        ns = range(n0, n_hi + 1, 2)
+        rho = NS._rho_block(primes, m, n0, len(ns))
+        assert set(count) <= set(ns), sorted(set(count) - set(ns))[:5]
+        assert [4 * count[n] for n in ns] == [w1w2 * r for r in rho]
+        assert sum(rho) > 100
 
 
 def test_cycle_value_selects_the_route(monkeypatch):
