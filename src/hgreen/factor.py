@@ -4,8 +4,7 @@ For even k and a valid principal part, the averaged Green's function value
 satisfies  kappa * G = -Delta^{(1-k)/2} log|gamma/gamma'|  for an element
 gamma of F supported on split primes with chi = -1.  The exponent of such a
 prime l is an explicit finite sum over totally positive trace slices of the
-inverse different, weighted by the odd Legendre polynomial P_{k-1} (exact
-rationals, from the three-term recurrence greens uses for Q_{k-1}) and the
+inverse different, weighted by the odd Legendre polynomial P_{k-1} and the
 ideal count rho_{K/F}.
 
 The raw slice sum is antisymmetric under conjugation (ord_l = -ord_l'); the
@@ -15,19 +14,25 @@ This matches the presentation with nonnegative exponents and untouched
 log|gamma/gamma'|.  The unit power is fitted numerically against
 L(eps) = log|eps/eps'| and rounded to a bounded-denominator rational.
 
-The slice sum uses integers only: each mu0 = u + v*omega contributes
-rho_{K/F}((mu0) l)(1 + ord_l(mu0)), and both factors are read from (u, v) and
-one factorisation of Nm(mu0) (integer_exponent_vector).  The ideal route,
-rho_exponent_vector and alt_exponent_check, is kept as the independent oracle
-the tests compare against.
+The slice sum uses integers only.  Each mu0 = (n + m sqrt(Delta))/2
+contributes rho_{K/F}((mu0) l)(1 + ord_l(mu0)) times the integer weight
+G_{k-1}(n) = (k-1)! H_{k-1}, read from one block sieve over n (_sieve_block)
+that the n-sum of the numeric side (n > m sqrt(Delta)) shares.  The sieve
+leaves a cofactor q || Nm(mu0), 1 or a split prime, and chi at q is read from
+a table mod |d|: on the slice Nm(mu0) < 0, so chi_q = -1 occurs.
+integer_exponent_vector (one factorisation of Nm(mu0)) and the ideal route,
+rho_exponent_vector and alt_exponent_check, are the oracles the tests compare
+against.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm, prod
+from itertools import compress
+from math import factorial, gcd, isqrt, lcm, prod
 
 import mpmath
 from mpmath import mpf
@@ -41,9 +46,9 @@ from .qfield import (
     field,
     ideal_divisors,
     kronecker,
+    sqrt_mod,
 )
 from .finquad import GenusChar, rho_KF
-from .greens import _legendre_p_values
 from .mforms import check_cycle_input
 
 
@@ -68,17 +73,12 @@ def trace_slice(m: int, Delta: int) -> TraceSlice:
     if m < 1:
         raise InvalidInputError("trace parameter m must be >= 1")
     F = field(Delta)
-    out = []
-    n0 = (m * Delta) % 2  # parity making (n + m sqrt(D))/2 integral
-    nmax_sq = m * m * Delta
-    bound = isqrt(nmax_sq) + 1
-    for n in range(-bound, bound + 1):
-        # n = m*Delta mod 2 makes mu0 integral; n^2 < m^2 Delta makes
-        # lambda = mu0/sqrt(Delta) = (m + n/sqrt(Delta))/2 totally positive
-        if (n - n0) % 2 or n * n >= nmax_sq:
-            continue
-        out.append(F.elem(Fraction(n, 2), Fraction(m, 2)))
-    return TraceSlice(m, Delta, tuple(out))
+    # n = m*Delta mod 2 makes mu0 integral; n^2 < m^2 Delta, i.e. |n| <= r
+    # (Delta is not a square), makes lambda = mu0/sqrt(Delta) =
+    # (m + n/sqrt(Delta))/2 totally positive
+    r = isqrt(m * m * Delta)
+    ns = range(-r + (r + m * Delta) % 2, r + 1, 2)
+    return TraceSlice(m, Delta, tuple(F.elem(Fraction(n, 2), Fraction(m, 2)) for n in ns))
 
 
 # ---------------------------------------------------------------------------
@@ -103,12 +103,15 @@ class FactorReport:
     residual_threshold: float | None = None
 
 
-def _slice_weight(k: int, n: int, m: int, Delta: int) -> Fraction:
-    """((sqrt(D) m)^{k-1}/2) P_{k-1}(n/(sqrt(D) m)), exact.
-
-    That is H_{k-1}(n, y)/2 for the homogeneous y^j P_j(x/y) at y^2 = m^2 Delta.
-    """
-    return _legendre_p_values(k - 1, Fraction(n), m * m * Delta)[k - 1] / 2
+def _slice_g(k: int, n: int, y2: int) -> int:
+    """G_{k-1} = (k-1)! H_{k-1}(n, y) for the homogeneous H_j = y^j P_j(n/y) at
+    y^2 = y2, by G_{j+1} = (2j+1) n G_j - j^2 y2 G_{j-1}: an integer.  The
+    slice weight ((sqrt(Delta) m)^{k-1}/2) P_{k-1}(n/(sqrt(Delta) m)) is
+    G_{k-1}/(2 (k-1)!) at y2 = m^2 Delta."""
+    g0, g1 = 1, n
+    for j in range(1, k - 1):
+        g0, g1 = g1, (2 * j + 1) * n * g1 - j * j * y2 * g0
+    return g1
 
 
 def _ord(n: int, p: int) -> int:
@@ -121,95 +124,247 @@ def _ord(n: int, p: int) -> int:
 
 
 @lru_cache(maxsize=4096)
-def _split_roots(Delta: int, p: int) -> tuple:
-    """HNF b of the primes [p, b + omega] above a split p, in primes_above order."""
-    return tuple(pr.b for pr in field(Delta).primes_above(p))
-
-
-def _rho_local(chi_p: int, exps) -> int:
-    """Factor of rho_{K/F} at one rational prime: exps holds the exponents at
-    the primes above it, all with the character value chi_p."""
-    if chi_p == 1:
-        return prod(e + 1 for e in exps)
-    return int(all(e % 2 == 0 for e in exps))
-
-
-@lru_cache(maxsize=4096)
 def prime_character(chi: GenusChar, p: int) -> tuple:
     """(kronecker(Delta, p), chi at the primes above p) for a rational prime p:
-    an inert p has chi = +1, a ramified p the value read from its narrow
-    class, a split p kronecker(Delta1, p)."""
+    an inert p has chi = +1, a split p kronecker(Delta1, p), and by genus
+    theory a ramified p kronecker(Delta2, p) if p | Delta1, else
+    kronecker(Delta1, p), with no class group."""
     kind = kronecker(chi.Delta, p)
     if kind == -1:
         return kind, 1
-    if kind == 0:
-        return kind, chi(chi.F.prime_above(p))
+    if kind == 0 and chi.Delta1 % p == 0:
+        return kind, kronecker(chi.Delta2, p)
     return kind, kronecker(chi.Delta1, p)
-
-
-def _local_exponents(kind: int, e: int, ec: int) -> tuple:
-    """Exponents of (mu0) at the primes above p, for p^e || Nm(mu0) and
-    p^ec || c = gcd(u, v) with mu0 = u + v*omega.
-
-    An inert p has exponent e/2 and a ramified p exponent e.  At a split p
-    the primitive part mu0/c lies in at most one of the two primes, so the
-    exponents are (e - ec, ec), the prime that holds mu0/c first.
-    """
-    if kind == -1:
-        return (e // 2,)
-    if kind == 0:
-        return (e,)
-    return (e - ec, ec)
 
 
 @lru_cache(maxsize=None)
 def rho_factor(kind: int, chi_p: int, e: int, ec: int) -> int:
     """Factor of rho_{K/F}((mu0)) at a rational prime p of kind and character
-    value chi_p (see prime_character), p^e || Nm(mu0), p^ec || gcd(u, v).
+    value chi_p (see prime_character), p^e || Nm(mu0), p^ec || c = gcd(u, v)
+    with mu0 = u + v*omega; rho is the product over p | Nm(mu0).
 
-    rho is the product of these factors over p | Nm(mu0); the n-sum of the
-    numeric side reads rho from them, integer_exponent_vector reads the same
-    exponents.
+    The exponents of (mu0) above p are e/2 at an inert p, e at a ramified p,
+    and (e - ec, ec) at a split p, the prime that holds mu0/c first (mu0/c
+    lies in at most one of the two).  The factor multiplies exponent + 1 over
+    them where chi_p = +1; where chi_p = -1 it is 1 if they are all even, else 0.
     """
-    return _rho_local(chi_p, _local_exponents(kind, e, ec))
+    exps = (e // 2,) if kind == -1 else (e,) if kind == 0 else (e - ec, ec)
+    if chi_p == 1:
+        return prod(f + 1 for f in exps)
+    return int(all(f % 2 == 0 for f in exps))
+
+
+def _entry(Delta: int, u: int, v: int, r: int, p: int, e: int, ec: int):
+    """((p, b), r (1 + e_l)), the entry of integer_exponent_vector for
+    mu0 = u + v*omega whose one zero factor of rho is at the split p, with r
+    the product of the other factors; None where there is none.
+
+    The exponents (e_l, e_l') at l = [p, b + omega] and its conjugate
+    [p, -Delta - b + omega] must be (odd, even).  They are (e - ec, ec), the
+    first at the prime that holds mu0/c: b = u/v mod p, p^ec divided out.
+    """
+    if (e - ec) % 2 == ec % 2:
+        return None
+    pe = p ** ec
+    b = u // pe * pow(v // pe, -1, p) % p
+    if ec % 2:
+        return (p, (-Delta - b) % p), r * (1 + ec)
+    return (p, b), r * (1 + e - ec)
+
+
+# ---------------------------------------------------------------------------
+# the sieve over n, shared with the numeric side (nsum.cycle_nsum)
+# ---------------------------------------------------------------------------
+
+# values of n per sieve block: bounds the lists one block holds
+BLOCK = 1 << 16
+
+
+class _Primes:
+    """The split primes up to a bound for the character chi, grown on demand.
+
+    An entry (p, root, chi_p, once) has p odd and prime to Delta with Delta a
+    square mod p, root a square root of Delta mod p, chi_p the character at
+    both primes above p and once the factor of rho at p || Nm(mu0).  The other
+    primes that can divide Nm(mu0) = (n^2 - m^2 Delta)/4 are those of
+    2 m Delta: an inert p divides it only where p | m.
+
+    At a split p, chi_p = (d1/p) = (d2/p) (prime_character), and the Kronecker
+    symbol (d/.) of a fundamental d is a character mod |d|, so chi_p is read
+    from the table chi_mod over the residues mod the smaller |d|.
+    """
+
+    def __init__(self, chi: GenusChar):
+        self.chi = chi
+        self.split = []
+        self.limit = 2
+        d = max(chi.Delta1, chi.Delta2)
+        self.chi_mod = [kronecker(d, r) for r in range(-d)]
+
+    def upto(self, bound: int):
+        if bound > self.limit:
+            self._extend(bound)
+        return self.split[:bisect_right(self.split, (bound + 1,))]
+
+    def _extend(self, new: int):
+        flags = bytearray([1]) * (new + 1)
+        for q in range(2, isqrt(new) + 1):
+            if flags[q]:
+                flags[q * q::q] = bytes(len(range(q * q, new + 1, q)))
+        D = self.chi.Delta
+        mod = len(self.chi_mod)
+        lo = self.limit + 1
+        for p in compress(range(lo, new + 1), flags[lo:]):
+            root = sqrt_mod(D, p) if D % p else None
+            if root is not None:
+                x = self.chi_mod[p % mod]
+                self.split.append((p, root, x, rho_factor(1, x, 1, 0)))
+        self.limit = new
+
+
+def _strike(rest, rho, zero, i0: int, p: int, kind: int, x: int, ec: int, once: int,
+            ecs=None) -> None:
+    """Divide p out of rest[i], all multiples of p, for i = i0, i0 + p, ...,
+    and fold the factor of rho at p (once where p || Nm; p^ec || c, or
+    p^ecs[j] at the j-th i) into rho[i].  With chi_p = -1 the factors are 1
+    or 0, and a 0 goes to zero[i] instead: 0 while no factor is 0, the prime
+    of the one 0 factor, -1 for two or more."""
+    ys = [y // p for y in rest[i0::p]]
+    factors = None
+    deep = [j for j, y in enumerate(ys) if not y % p]
+    if deep:
+        # p^2 | Nm: the one place e > 1
+        factors = [once] * len(ys)
+        for j in deep:
+            y, e = ys[j] // p, 2
+            while y % p == 0:
+                y //= p
+                e += 1
+            ys[j] = y
+            factors[j] = rho_factor(kind, x, e, ecs[j] if ecs else ec)
+    rest[i0::p] = ys
+    at = slice(i0, None, p)
+    if x == 1:
+        if factors:
+            rho[at] = [r * f for r, f in zip(rho[at], factors)]
+        elif once != 1:
+            rho[at] = [r * once for r in rho[at]]
+    elif factors:
+        zero[at] = [z if f else -1 if z else p for z, f in zip(zero[at], factors)]
+    elif not once:
+        zero[at] = [-1 if z else p for z in zero[at]]
+
+
+def _sieve_block(primes: _Primes, m: int, n0: int, count: int):
+    """(rho, zero, rest) for mu0 = (n + m sqrt(Delta))/2 at n = n0, n0 + 2, ...,
+    count values of the parity making mu0 integral, all above the slice
+    (n0 > m sqrt(Delta)) or all on it (|n| < m sqrt(Delta)): rho[i] the product
+    of the nonzero factors of rho_{K/F}((mu0)) (rho_factor), zero[i] the mark
+    of _strike, and rest[i] the cofactor of |Nm(mu0)| left over, 1 or a split
+    prime q || Nm whose factor 1 + chi_q each reader takes from primes.chi_mod.
+    """
+    chi = primes.chi
+    D = chi.Delta
+    mmD = m * m * D
+    ns = range(n0, n0 + 2 * count, 2)
+    if n0 > 0 and n0 * n0 > mmD:
+        rest = [(n * n - mmD) >> 2 for n in ns]
+        bound = isqrt(rest[-1])
+    else:
+        rest = [(mmD - n * n) >> 2 for n in ns]
+        bound = isqrt(max(rest))
+    rho = [1] * count
+    zero = [0] * count
+    # the primes of 2 m Delta: Nm has period 2 in i mod 2, and an odd
+    # p | m Delta divides it where p | n.  For p | m, Nm = u^2 mod p, so
+    # p | u wherever p | Nm: p | c = gcd(u, m), once exactly when p || m, and
+    # for p^2 | m each multiple of p has its own p^ec || c
+    u0 = (n0 - m * D) >> 1      # mu0 = u + m omega with u = u0 + i
+    for p in factorint(2 * m * D):
+        kind, x = prime_character(chi, p)
+        if p == 2:
+            starts = [i for i in (0, 1) if i < count and rest[i] % 2 == 0]
+        else:
+            starts = [-n0 * ((p + 1) >> 1) % p]
+        ec = 0 if m % p else 1
+        for i0 in starts:
+            ecs = None if m % (p * p) else [
+                _ord(gcd(u0 + i, m), p) for i in range(i0, count, p)]
+            _strike(rest, rho, zero, i0, p, kind, x, ec, rho_factor(kind, x, 1, ec), ecs)
+    # a split p divides Nm at n = +-m root mod p, i.e. i = (n - n0)/2 mod p
+    for p, root, x, once in primes.upto(bound):
+        if m % p == 0:
+            continue
+        r = m * root % p
+        half = (p + 1) >> 1
+        for i0 in ((r - n0) * half % p, (-r - n0) * half % p):
+            if i0 + p < count:
+                _strike(rest, rho, zero, i0, p, 1, x, 0, once)
+            elif i0 < count:
+                # the one multiple of p in the block
+                e = _ord(rest[i0], p)
+                rest[i0] //= p ** e
+                f = once if e == 1 else rho_factor(1, x, e, 0)
+                if f:
+                    rho[i0] *= f
+                else:
+                    zero[i0] = -1 if zero[i0] else p
+    # no prime up to sqrt(Nm) and none of 2 m Delta is left in rest
+    return rho, zero, rest
+
+
+def _slice_entries(primes: _Primes, m: int, n0: int, count: int) -> list:
+    """[(i, (ell, b), r)]: the trace-slice elements mu0 = (n + m sqrt(Delta))/2,
+    n = n0 + 2i, |n| < m sqrt(Delta), of the block whose integer_exponent_vector
+    is {(ell, b): r}, read from the sieve by the same rule (_entry)."""
+    rho, zero, rest = _sieve_block(primes, m, n0, count)
+    D = primes.chi.Delta
+    chi_mod = primes.chi_mod
+    mod = len(chi_mod)
+    mmD = m * m * D
+    u0 = (n0 - m * D) >> 1
+    out = []
+    for i, (r, p, q) in enumerate(zip(rho, zero, rest)):
+        if q > 1:
+            # the leftover q || Nm: its factor is 2 at chi_q = +1, else 0
+            if chi_mod[q % mod] == 1:
+                r *= 2
+            else:
+                p = -1 if p else q
+        if p > 0 and D % p:
+            n, u = n0 + 2 * i, u0 + i
+            entry = _entry(D, u, m, r, p, _ord((mmD - n * n) >> 2, p), _ord(gcd(u, m), p))
+            if entry:
+                out.append((i, *entry))
+    return out
 
 
 def integer_exponent_vector(mu0: FieldElem, chi: GenusChar) -> dict:
     """{(l, b): rho((mu0) l)(1 + ord_l(mu0))} over split chi = -1 primes l | (mu0).
 
-    The same vector as rho_exponent_vector, read from mu0 = u + v*omega and
-    the factorisation of Nm = |Nm(mu0)| with integers only.  With c =
-    gcd(u, v), the primitive part mu0/c lies in at most one of the primes
-    l = [p, b + omega] and l' above a split p, so
-        ord_l(mu0) = ord_p(c) + [p | u/c - (v/c) b] (ord_p(Nm) - 2 ord_p(c)).
-    rho is multiplicative over p | Nm, with the local exponents and
-    characters of _local_exponents and prime_character.
+    The same vector as rho_exponent_vector, from mu0 = u + v*omega and one
+    factorisation of Nm = |Nm(mu0)|, with integers only.  rho((mu0) l) = 0
+    unless l lies over the one p where the factor of rho((mu0)) (rho_factor)
+    is 0; then the entry is _entry's.  The sieve (_slice_entries) reads the
+    same rule without factorint.
     """
     uv = mu0.integral_uv()
     if uv is None or mu0.is_zero():
         raise InvalidInputError("integer_exponent_vector needs integral mu0 != 0")
     u, v = uv
-    Delta = chi.Delta
     c = gcd(u, v)
-    local = []      # (p, kind, chi at the primes above p, their exponents)
-    for p, e in factorint(abs(u * u + Delta * u * v + chi.F.psi * v * v)).items():
+    r, zero = 1, None
+    for p, e in factorint(abs(u * u + chi.Delta * u * v + chi.F.psi * v * v)).items():
         kind, x = prime_character(chi, p)
-        local.append((p, kind, x, _local_exponents(kind, e, _ord(c, p))))
-    factors = [_rho_local(x, exps) for _, _, x, exps in local]
-    out = {}
-    for i, (ell, kind, x, exps) in enumerate(local):
-        if kind != 1 or x != -1:
-            continue
-        rest = prod(factors[:i]) * prod(factors[i + 1:])
-        if not rest:
-            continue
-        # times l itself the exponents at chi = -1 are (e_l + 1, e_l'): rho
-        # survives only for e_l odd and e_l' even
-        for b in _split_roots(Delta, ell):
-            e_l, e_conj = exps if (u // c - (v // c) * b) % ell == 0 else exps[::-1]
-            if e_l % 2 == 1 and e_conj % 2 == 0:
-                out[(ell, b)] = rest * (1 + e_l)
-    return out
+        f = rho_factor(kind, x, e, _ord(c, p))
+        if f:
+            r *= f
+        elif zero or kind != 1:
+            return {}
+        else:
+            zero = p, e
+    entry = zero and _entry(chi.Delta, u, v, r, *zero, _ord(c, zero[0]))
+    return dict([entry]) if entry else {}
 
 
 def gamma_exponents(k: int, pp, d1: int, d2: int) -> FactorReport:
@@ -218,47 +373,44 @@ def gamma_exponents(k: int, pp, d1: int, d2: int) -> FactorReport:
     Support lies on split primes l with chi(l) = -1; the raw slice sums are
     antisymmetric under conjugation and the reported exponents clear the
     conjugate entries.  kappa is the lcm of the cleared denominators.
+
+    The sieve (_slice_entries) reads n > 0 only: mu0 at -n is -(mu0 at n)',
+    with the vector on the conjugate primes and the opposite weight (P_{k-1}
+    is odd), so the sums at (l, b) and (l, b') are v and -v, kept at the
+    smaller b.  v adds the integers G_{k-1}(n) r times c(-m)/(2 (k-1)!) over
+    their common denominator: one Fraction per prime at the end.  The walk
+    runs down the slice, so primes come in the order an ascending walk over
+    all n first meets them.
     """
     check_cycle_input(k, pp, d1, d2)
     Delta = d1 * d2
-    chi = GenusChar(d1, d2)
-    raw = {}
-    for m, cf in sorted(pp.items()):
-        cf = Fraction(cf)
-        if cf == 0:
+    primes = _Primes(GenusChar(d1, d2))
+    cfs = {m: Fraction(c) / (2 * factorial(k - 1)) for m, c in sorted(pp.items())}
+    den = lcm(*(cf.denominator for cf in cfs.values()))
+    sums = {}                   # (ell, smaller b) -> den * v, an integer
+    for m, cf in cfs.items():
+        if not cf:
             continue
-        for mu0 in trace_slice(m, Delta).elements:
-            vec = integer_exponent_vector(mu0, chi)
-            if not vec:
-                continue
-            w = cf * _slice_weight(k, int(mu0.trace()), m, Delta)
-            for key, r in vec.items():
-                raw[key] = raw.get(key, Fraction(0)) + w * r
-    raw = {key: v for key, v in raw.items() if v}
-    # conjugate clearing: pairs carry (e, -e); keep 2e at the positive member
-    cleared = {}
-    seen = set()
-    for (ell, b), v in raw.items():
-        if (ell, b) in seen:
-            continue
-        b0, b1 = _split_roots(Delta, ell)
-        bb = b1 if b0 == b else b0
-        seen.add((ell, b))
-        seen.add((ell, bb))
-        vc = raw.get((ell, bb), Fraction(0))
-        if v != -vc:
-            raise RuntimeError(
-                f"slice sums at the primes above {ell} are not conjugate-antisymmetric:"
-                f" {v} and {vc}"
-            )
-        if v > 0:
-            cleared[(ell, b)] = 2 * v
-        elif v < 0:
-            cleared[(ell, bb)] = -2 * v
-    kappa = 1
-    for v in cleared.values():
-        kappa = lcm(kappa, v.denominator)
-    return FactorReport(Delta, k, chi, cleared, raw, kappa)
+        w = cf.numerator * (den // cf.denominator)
+        mmD = m * m * Delta
+        n_lo = 2 - m * Delta % 2
+        n_end = n_lo + 2 * ((isqrt(mmD) - n_lo) // 2 + 1)
+        for start in reversed(range(n_lo, n_end, 2 * BLOCK)):
+            size = min(BLOCK, (n_end - start) // 2)
+            for i, (ell, b), r in reversed(_slice_entries(primes, m, start, size)):
+                g = w * r * _slice_g(k, start + 2 * i, mmD)
+                bc = (-Delta - b) % ell
+                key = (ell, min(b, bc))
+                sums[key] = sums.get(key, 0) + (g if b < bc else -g)
+    raw, cleared = {}, {}
+    for (ell, b), v in sums.items():
+        if v:
+            bc = (-Delta - b) % ell
+            raw[(ell, b)], raw[(ell, bc)] = Fraction(v, den), Fraction(-v, den)
+            # conjugate clearing: keep 2|v| at the member where the sum is positive
+            cleared[(ell, b) if v > 0 else (ell, bc)] = Fraction(2 * abs(v), den)
+    kappa = lcm(*(v.denominator for v in cleared.values()))
+    return FactorReport(Delta, k, primes.chi, cleared, raw, kappa)
 
 
 def _prime_key(pr: FracIdeal):

@@ -24,7 +24,6 @@ from .qfield import (
     _xgcd,
     factorint,
     field,
-    ideal_divisors,
     is_fundamental_discriminant,
     kronecker,
 )
@@ -59,12 +58,6 @@ class FQM:
 
     def smul(self, n: int, h):
         return ((n * h[0]) % self.mod1, (n * h[1]) % self.mod2)
-
-    def mul_elem(self, alpha: FieldElem, h):
-        """Module action of an integral field element: class of alpha * lift(h)."""
-        if not alpha.is_integral():
-            raise ValueError("module action needs an integral multiplier")
-        return self.from_numerator(self.F.from_uv(h[0], h[1]) * alpha)
 
     def elements(self):
         for a in range(self.mod1):
@@ -204,10 +197,6 @@ class GDelta:
             out = out + [x * (self.two_part if p == 2 else p) for x in out]
         return sorted(out)
 
-    def mul(self, d1: int, d2: int) -> int:
-        g = gcd(d1, d2)
-        return d1 * d2 // (g * g)
-
     def full(self) -> int:
         """The full-support element; always equals Delta."""
         return self.from_support(self.primes)
@@ -228,12 +217,6 @@ def d_of(fqm: FQM, h) -> int:
     gd = GDelta(fqm.F)
     sup = [p for p in gd.primes if fqm.sigma_p(h, p) == h]
     return gd.from_support(sup)
-
-
-def stabilizer(fqm: FQM, h):
-    """All d in G_Delta with sigma_d(h) = h (equals divisors of d(h))."""
-    gd = GDelta(fqm.F)
-    return [d for d in gd.elements() if fqm.sigma_d(h, d) == h]
 
 
 @lru_cache(maxsize=None)
@@ -393,12 +376,6 @@ def rho_KF(chi: GenusChar, I: FracIdeal) -> int:
             if e % 2 == 1:
                 return 0
     return out
-
-
-def sigma_chi_divisor_sum(chi: GenusChar, I: FracIdeal) -> int:
-    """Oracle route: sigma_chi(I) = sum of chi(b) over divisors b of I."""
-    F = chi.F
-    return sum(chi(J) for J in ideal_divisors(F, I))
 
 
 # ---------------------------------------------------------------------------

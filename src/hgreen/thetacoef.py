@@ -132,15 +132,6 @@ def solve_norm_in_coset(F: QuadField, lattice: FracIdeal, offset: FieldElem,
 # route one: lattice coefficients
 # ---------------------------------------------------------------------------
 
-def _minus_coeff(F: QuadField, a: FracIdeal, m: Fraction, h_elem: FieldElem) -> int:
-    """Coefficient of the minus-form theta^-_a: Nm(lambda) = -Nm(a)*m."""
-    m = Fraction(m)
-    if m <= 0:
-        raise InvalidInputError("cusp form coefficients need m > 0")
-    sols = solve_norm_in_coset(F, a, h_elem, -a.norm() * m)
-    return sum(s.sign() for s in sols)
-
-
 class LatticeRoute:
     """c_chi(n/Delta, h) by direct lattice enumeration.
 

@@ -1,7 +1,9 @@
+import hashlib
+import json
 import random
 import time
 from fractions import Fraction
-from math import comb, factorial, gcd, isqrt
+from math import comb, factorial, gcd, isqrt, prod
 
 import mpmath
 import pytest
@@ -16,15 +18,21 @@ from hgreen.qfield import (
 from hgreen.finquad import GenusChar, genus_characters
 from hgreen.greens import _legendre_p_values
 from hgreen.factor import (
+    _Primes,
     _log_ratio,
-    _slice_weight,
+    _ord,
+    _slice_entries,
+    _slice_g,
     alt_exponent_check,
     gamma_exponents,
     integer_exponent_vector,
+    prime_character,
     reconcile,
     rho_exponent_vector,
+    rho_factor,
     trace_slice,
 )
+from hgreen.nsum import _rho_block
 
 
 def paper_prime(F, ell, elem):
@@ -86,7 +94,8 @@ def test_slice_weight_matches_explicit_formula():
         n = rng.randrange(-isqrt(m * m * Delta), isqrt(m * m * Delta) + 1)
         want = sum(c * Fraction(n) ** b * Delta ** ((k - 1 - b) // 2) * m ** (k - 1 - b)
                    for b, c in enumerate(coeffs[k]) if b % 2) / 2
-        assert _slice_weight(k, n, m, Delta) == want, (k, n, m, Delta)
+        weight = Fraction(_slice_g(k, n, m * m * Delta), 2 * factorial(k - 1))
+        assert weight == want, (k, n, m, Delta)
 
 
 def test_trace_slice_28():
@@ -301,6 +310,11 @@ def test_reconcile_scaling():
     assert r2.verified
 
 
+# about twice the in-process time of the index-100 corner (0.45-0.6 s on a
+# 2-vCPU Xeon VM, Python 3.11)
+TIME_BOUND_INDEX_100 = 1.2
+
+
 def _coprime_pairs(max_delta):
     neg = [d for d in range(-3, -max_delta, -1) if is_fundamental_discriminant(d)]
     return [(a, b) for a in neg for b in neg
@@ -344,6 +358,114 @@ def test_gamma_exponents_near_scope_limit_is_fast():
     rep = gamma_exponents(4, {1: Fraction(1)}, -3, -333332)
     assert time.perf_counter() - t0 < 10.0
     assert rep.Delta == 999996 and rep.exponents
+
+
+def test_gamma_exponents_index_100_corner_pinned_and_fast():
+    # the largest principal-part index at the largest Delta: 99,999 slice
+    # elements and 17,967 primes in the support; (exponents, kappa) pinned by
+    # a digest of their values from the factorint engine the sieve replaced
+    t0 = time.perf_counter()
+    rep = gamma_exponents(4, {100: Fraction(1)}, -3, -333332)
+    elapsed = time.perf_counter() - t0
+    blob = json.dumps([rep.kappa, sorted([ell, b, e.numerator, e.denominator]
+                                         for (ell, b), e in rep.exponents.items())])
+    assert hashlib.sha256(blob.encode()).hexdigest() == (
+        "9154973e1f0b50bcfdfb5b1d69be45694375950731bf2712a0625aaa90c51294")
+    assert elapsed < TIME_BOUND_INDEX_100, elapsed
+
+
+def test_slice_g_is_factorial_times_homogeneous_p():
+    # the integer slice weight against the one Legendre recurrence of greens
+    rng = random.Random(7)
+    for _ in range(300):
+        k = rng.randrange(2, 25, 2)
+        y2 = rng.randrange(1, 10 ** 9)
+        n = rng.randrange(-10 ** 5, 10 ** 5)
+        h = _legendre_p_values(k - 1, Fraction(n), y2)[k - 1]
+        assert _slice_g(k, n, y2) == factorial(k - 1) * h, (k, n, y2)
+
+
+def test_ramified_character_by_genus_theory():
+    # prime_character reads chi at a ramified p as (d2/p) where p | d1, else
+    # (d1/p), with no class group; the narrow-class route of GenusChar is the
+    # oracle.  Both orders of each pair, so p | d1 and p | d2 both occur
+    rng = random.Random(399)
+    pairs = rng.sample(_coprime_pairs(1000), 60) + [(-4, -15), (-3, -8), (-3, -4)]
+    checked = at_two = 0
+    for a, b in pairs:
+        for d1, d2 in ((a, b), (b, a)):
+            chi = GenusChar(d1, d2)
+            for p in factorint(chi.Delta):
+                want = chi(chi.F.prime_above(p))
+                assert prime_character.__wrapped__(chi, p) == (0, want), (d1, d2, p)
+                checked += 1
+                at_two += p == 2
+    assert checked > 300 and at_two > 20, (checked, at_two)
+
+
+def _sieve_pairs():
+    """One seeded pair per class of Delta mod 8, plus (-4, -15) and (-7, -23),
+    where 2 splits with chi = +1."""
+    rng = random.Random(2027)
+    pairs = _coprime_pairs(600)
+    return [rng.choice([p for p in pairs if (p[0] * p[1]) % 8 == residue])
+            for residue in (0, 4, 1, 5)] + [(-4, -15), (-7, -23)]
+
+
+# slices m with p^2 | m (4, 9) and contents gcd(u, m) > 1
+SIEVE_MS = (1, 2, 3, 4, 9)
+
+
+def test_sieve_matches_integer_and_ideal_routes_on_the_slice():
+    # every slice element: the sieve's vector, integer_exponent_vector
+    # (factorint) and rho_exponent_vector (ideals) agree
+    seen = dict.fromkeys(("content", "square_in_m", "leftover_prime"), False)
+    for d1, d2 in _sieve_pairs():
+        chi = GenusChar(d1, d2)
+        primes = _Primes(chi)
+        for m in SIEVE_MS:
+            elements = trace_slice(m, d1 * d2).elements
+            got = [{} for _ in elements]
+            for i, key, r in _slice_entries(primes, m, int(elements[0].trace()), len(got)):
+                got[i] = {key: r}
+            for vec, mu0 in zip(got, elements):
+                want = integer_exponent_vector(mu0, chi)
+                assert vec == want == rho_exponent_vector(mu0, chi), (d1, d2, m, mu0)
+                if not vec:
+                    continue
+                u = int(mu0.uv()[0])
+                ((ell, _),) = vec
+                seen["content"] |= gcd(u, m) > 1
+                # p^2 | gcd(u, m) at a split p: the factor at p reads ec = 2
+                seen["square_in_m"] |= any(gcd(u, m) % (p * p) == 0 and (d1 * d2) % p
+                                           for p in (2, 3))
+                seen["leftover_prime"] |= ell * ell > abs(mu0.norm())
+    assert all(seen.values()), seen
+
+
+def _rho_by_factorint(chi, m, n):
+    """rho_{K/F}((mu0)), mu0 = (n + m sqrt(Delta))/2, one factor per p | Nm."""
+    D = chi.Delta
+    c = gcd((n - m * D) // 2, m)
+    return prod(rho_factor(*prime_character(chi, p), e, _ord(c, p))
+                for p, e in factorint(abs(n * n - m * m * D) // 4).items())
+
+
+def test_sieve_rho_above_the_slice():
+    # n > m sqrt(Delta), 2,000 values per pair and m: the n-sum's rho against
+    # factorint, and pinned by a digest of the values the n-sum's own sieve
+    # gave before the exponent engine shared it
+    h = hashlib.sha256()
+    for d1, d2 in _sieve_pairs():
+        chi = GenusChar(d1, d2)
+        primes = _Primes(chi)
+        for m in SIEVE_MS:
+            n0 = isqrt(m * m * d1 * d2) + 1
+            n0 += (n0 - m * d1 * d2) % 2
+            rho = _rho_block(primes, m, n0, 2000)
+            assert rho == [_rho_by_factorint(chi, m, n0 + 2 * i) for i in range(2000)]
+            h.update(json.dumps(rho).encode())
+    assert h.hexdigest() == "46b1cfe8aa0912828095617775a2a67904657fdbc8a2bc851e872741d991cd58"
 
 
 def test_log_ratio_large_unit_does_not_cancel():

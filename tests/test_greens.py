@@ -458,13 +458,14 @@ def test_shell_counts_match_brute_force(z1, z2, m, T0, monkeypatch):
 
 
 @pytest.mark.parametrize("k,d1,d2,tol,value,terms", [
-    (4, -7, -23, 1e-10, "-4.157888612784311061923537", [9578, 19164, 19164]),
+    (4, -7, -23, 1e-10, "-4.15788861278509761", [9578, 19164, 19164]),
     (2, -4, -7, 1e-7, "-4.185819538857667097214713", [614074]),
 ], ids=["k4", "k2"])
 def test_cycle_values_pinned(k, d1, d2, tol, value, terms):
-    # k = 4: value and term counts of the enumeration that re-ran every
-    # doubling from cosh = 1.  k = 2: those of the smooth truncation, 1.7e-10
-    # from half of criterion 4a's closed form for G_2(i, z_7)
+    # k = 4: the value the orbit route and the n-sum agree on at tol 1e-12
+    # (to 3e-18), and the term counts of the enumeration that re-ran every
+    # doubling from cosh = 1.  k = 2: value and counts of the smooth
+    # truncation, 1.7e-10 from half of criterion 4a's closed form for G_2(i, z_7)
     got, diag = G_kf_at_cycle(k, {1: Fraction(1)}, d1, d2, GreenParams(tol=tol))
     assert diag["converged"]
     assert abs(got - mpf(value)) < 1e-12

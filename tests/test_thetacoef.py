@@ -5,7 +5,7 @@ from math import isqrt
 
 import pytest
 
-from hgreen.qfield import field
+from hgreen.qfield import InvalidInputError, field
 from hgreen.finquad import FQM, genus_characters
 from hgreen.properties import counting_oracle, route_equality
 from hgreen.thetacoef import (
@@ -16,9 +16,17 @@ from hgreen.thetacoef import (
 )
 
 
+def _minus_coeff(F, a, m, h_elem) -> int:
+    """Coefficient of the minus-form theta^-_a: Nm(lambda) = -Nm(a)*m."""
+    m = Fraction(m)
+    if m <= 0:
+        raise InvalidInputError("cusp form coefficients need m > 0")
+    sols = solve_norm_in_coset(F, a, h_elem, -a.norm() * m)
+    return sum(s.sign() for s in sols)
+
+
 def test_minus_form_matches_class_zero_count():
     # the trivial-class lambda-count of theta_chi is the minus-form coefficient
-    from hgreen.thetacoef import _minus_coeff
     for D in (12, 21, 28):
         F = field(D)
         fqm = FQM(F)
