@@ -31,7 +31,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
+from itertools import accumulate, compress
 from math import factorial, gcd, isqrt, lcm, prod
 
 import mpmath
@@ -178,6 +178,9 @@ def _entry(Delta: int, u: int, v: int, r: int, p: int, e: int, ec: int):
 
 # values of n per sieve block: bounds the lists one block holds
 BLOCK = 1 << 16
+# a split prime with at most this many multiples in a block is struck by a
+# plain loop over them; one with more, by whole slices (_strike)
+FEW = 32
 
 
 class _Primes:
@@ -212,13 +215,15 @@ class _Primes:
             if flags[q]:
                 flags[q * q::q] = bytes(len(range(q * q, new + 1, q)))
         D = self.chi.Delta
-        mod = len(self.chi_mod)
+        chi_mod, split = self.chi_mod, self.split
+        mod = len(chi_mod)
+        once = {x: rho_factor(1, x, 1, 0) for x in (1, -1)}
         lo = self.limit + 1
         for p in compress(range(lo, new + 1), flags[lo:]):
             root = sqrt_mod(D, p) if D % p else None
             if root is not None:
-                x = self.chi_mod[p % mod]
-                self.split.append((p, root, x, rho_factor(1, x, 1, 0)))
+                x = chi_mod[p % mod]
+                split.append((p, root, x, once[x]))
         self.limit = new
 
 
@@ -228,22 +233,42 @@ def _strike(rest, rho, zero, i0: int, p: int, kind: int, x: int, ec: int, once: 
     and fold the factor of rho at p (once where p || Nm; p^ec || c, or
     p^ecs[j] at the j-th i) into rho[i].  With chi_p = -1 the factors are 1
     or 0, and a 0 goes to zero[i] instead: 0 while no factor is 0, the prime
-    of the one 0 factor, -1 for two or more."""
-    ys = [y // p for y in rest[i0::p]]
-    factors = None
-    deep = [j for j, y in enumerate(ys) if not y % p]
-    if deep:
-        # p^2 | Nm: the one place e > 1
-        factors = [once] * len(ys)
-        for j in deep:
-            y, e = ys[j] // p, 2
-            while y % p == 0:
-                y //= p
-                e += 1
-            ys[j] = y
-            factors[j] = rho_factor(kind, x, e, ecs[j] if ecs else ec)
-    rest[i0::p] = ys
+    of the one 0 factor, -1 for two or more.
+
+    At an odd split p prime to m (ec = 0) the n with p^2 | Nm on this root
+    lift to one class mod p^2 (Hensel) and recur with period p over the
+    multiples, so a scan of the first p finds them all.
+    """
     at = slice(i0, None, p)
+    factors = None
+    if p == 2:
+        # p^2 | Nm is no exception at 2: divide out the 2-part of every
+        # multiple at once, its lowest set bit
+        ys = rest[at]
+        lows = [y & -y for y in ys]
+        ys = [y // b for y, b in zip(ys, lows)]
+        if ecs:
+            factors = [rho_factor(kind, x, b.bit_length() - 1, c)
+                       for b, c in zip(lows, ecs)]
+        else:
+            table = {1 << e: rho_factor(kind, x, e, ec)
+                     for e in range(1, max(lows).bit_length())}
+            factors = [table[b] for b in lows]
+    else:
+        ys = [y // p for y in rest[at]]
+        if kind == 1 and not ec:
+            first = next((j for j, y in enumerate(ys[:p]) if not y % p), len(ys))
+            deep = range(first, len(ys), p)
+        else:
+            deep = [j for j, y in enumerate(ys) if not y % p]
+        for j in deep:
+            # p^2 | Nm: the one place e > 1
+            if factors is None:
+                factors = [once] * len(ys)
+            e = 1 + _ord(ys[j], p)
+            ys[j] //= p ** (e - 1)
+            factors[j] = rho_factor(kind, x, e, ecs[j] if ecs else ec)
+    rest[at] = ys
     if x == 1:
         if factors:
             rho[at] = [r * f for r, f in zip(rho[at], factors)]
@@ -266,13 +291,11 @@ def _sieve_block(primes: _Primes, m: int, n0: int, count: int):
     chi = primes.chi
     D = chi.Delta
     mmD = m * m * D
-    ns = range(n0, n0 + 2 * count, 2)
-    if n0 > 0 and n0 * n0 > mmD:
-        rest = [(n * n - mmD) >> 2 for n in ns]
-        bound = isqrt(rest[-1])
-    else:
-        rest = [(mmD - n * n) >> 2 for n in ns]
-        bound = isqrt(max(rest))
+    # |Nm| = s (n^2 - m^2 Delta)/4 grows by s (n + 1) from n to n + 2
+    s = 1 if n0 > 0 and n0 * n0 > mmD else -1
+    rest = list(accumulate(range(s * (n0 + 1), s * (n0 + 2 * count - 1), 2 * s),
+                           initial=s * (n0 * n0 - mmD) >> 2))
+    bound = isqrt(rest[-1] if s > 0 else max(rest))
     rho = [1] * count
     zero = [0] * count
     # the primes of 2 m Delta: Nm has period 2 in i mod 2, and an odd
@@ -291,24 +314,28 @@ def _sieve_block(primes: _Primes, m: int, n0: int, count: int):
             ecs = None if m % (p * p) else [
                 _ord(gcd(u0 + i, m), p) for i in range(i0, count, p)]
             _strike(rest, rho, zero, i0, p, kind, x, ec, rho_factor(kind, x, 1, ec), ecs)
-    # a split p divides Nm at n = +-m root mod p, i.e. i = (n - n0)/2 mod p
+    # a split p divides Nm at n = +-m root mod p, i.e. i = (n - n0)/2 mod p;
+    # one with at most FEW multiples in the block is struck one at a time
     for p, root, x, once in primes.upto(bound):
         if m % p == 0:
             continue
         r = m * root % p
         half = (p + 1) >> 1
         for i0 in ((r - n0) * half % p, (-r - n0) * half % p):
-            if i0 + p < count:
+            if i0 + FEW * p < count:
                 _strike(rest, rho, zero, i0, p, 1, x, 0, once)
-            elif i0 < count:
-                # the one multiple of p in the block
-                e = _ord(rest[i0], p)
-                rest[i0] //= p ** e
-                f = once if e == 1 else rho_factor(1, x, e, 0)
+                continue
+            for i in range(i0, count, p):
+                y, f = rest[i] // p, once
+                if not y % p:
+                    e = 1 + _ord(y, p)
+                    y //= p ** (e - 1)
+                    f = rho_factor(1, x, e, 0)
+                rest[i] = y
                 if f:
-                    rho[i0] *= f
+                    rho[i] *= f
                 else:
-                    zero[i0] = -1 if zero[i0] else p
+                    zero[i] = -1 if zero[i] else p
     # no prime up to sqrt(Nm) and none of 2 m Delta is left in rest
     return rho, zero, rest
 

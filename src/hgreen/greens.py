@@ -235,11 +235,20 @@ def legendre_Q_integral(n: int, T):
 
 
 @functools.cache
+def _q_float_coeffs(n: int):
+    """(coeffs, lead): the 12 float coefficients a_j and the factor lead of
+    the descending series Q_n(t) = lead t^{-n-1} sum a_j t^{-2j}."""
+    return tuple(p / q for p, q in _q_series_coeffs(n, 12)), float(_q_lead(n))
+
+
+@functools.cache
 def _q_float_factory(n: int):
-    """Float64 Q_n(t) for t > T_SWITCH: 12 terms of the descending series, on a
-    float or elementwise on a float array."""
-    coeffs = [p / q for p, q in _q_series_coeffs(n, 12)]
-    lead = float(_q_lead(n))
+    """Float64 Q_n(t) for t >= 4 (every caller's range: the upgrade bound and
+    up), on a float or elementwise on a float array, from the 12 terms of
+    _q_float_coeffs.  The relative error at t = 4 is 6e-16 at n = 1 up to
+    1.1e-13 at n = 11, and falls like t^-24; at t = T_SWITCH = 2 the
+    truncation errs by 7e-9 (n = 1) to 1.2e-6 (n = 11)."""
+    coeffs, lead = _q_float_coeffs(n)
 
     def qf(t):
         if isinstance(t, float):
@@ -806,8 +815,9 @@ def G_kf_at_cycle(k: int, pp, d1: int, d2: int,
                   params: GreenParams | None = None):
     """G_{k,f}(Z_chi) = (4/(w1 w2)) sum over CM pairs and principal part terms.
 
-    pp maps m to c_f(-m); the cycle runs over all pairs of reduced CM points of
-    the coprime fundamental discriminants d1, d2 < 0.  G_k | T_m (z1, z2) =
+    pp maps m to c_f(-m), and an m with c_f(-m) = 0 costs no orbit sum; the
+    cycle runs over all pairs of reduced CM points of the coprime
+    fundamental discriminants d1, d2 < 0.  G_k | T_m (z1, z2) =
     G_k | T_m (-conj z1, -conj z2), since conjugating by diag(-1, 1) permutes
     the matrices of determinant m, so a pair whose mirror pair is already
     summed reuses that value and its per-pair record, marked "reused".  The
@@ -829,6 +839,8 @@ def G_kf_at_cycle(k: int, pp, d1: int, d2: int,
         for P1 in pts1:
             for P2 in pts2:
                 for m, c in sorted(pp.items()):
+                    if not c:
+                        continue
                     hit = done.get((_mirror(P1), _mirror(P2), m))
                     reused = hit is not None
                     if not reused:
@@ -859,41 +871,44 @@ def G_kf_at_cycle(k: int, pp, d1: int, d2: int,
 # sum_{m in pp} m sqrt(Delta) is at most this.  Its work is the number of n,
 # about span * T/2, where the orbit route pays the numpy import and then
 # counts terms in whole arrays.  Measured: time of one cycle value in a fresh
-# process, best of 5, n-sum / orbit route, 2-core Xeon, Python 3.11, pp {1: 1}
-# at k = 4, {1: 24, 2: 1} at k = 6, {1: -216, 2: 1} at k = 8:
+# process after `import hgreen.cli`, best of 5, the two routes alternating,
+# n-sum / orbit route, 2-core Xeon, Python 3.11, pp {1: 1} at k = 4,
+# {1: 24, 2: 1} at k = 6, {1: -216, 2: 1} at k = 8:
 #   span  k  Delta   tol 1e-10   tol 1e-8
-#   12.7  4    161     0.32        0.35
-#   17.3  4    301     0.32        0.36
-#   32.4  4   1048     1.14        0.83
-#   32.9  4   1081     0.83        0.70
-#   38.1  6    161     0.72        0.74     k = 8: 0.61, 0.92
-#   45.1  4   2033     1.59        0.90
-#   52.0  6    301     0.93        1.06     k = 8: 1.01, 1.09
-#   56.5  4   3193     1.05        1.08
-#   67.8  4   4601     2.86        1.44
-#   77.3  4   5969     2.57        1.21
-#   97.1  6   1048     1.20        1.48     k = 8: 1.11, 1.21
-#  100.2  4  10033     4.85        1.45
-#  107.6  4  11573     7.03        1.77
-#  135.3  6   2033     1.92        1.77     k = 8: 1.58, 1.94
-# Up to 40 the n-sum is faster at every point but span 32.4, k = 4,
-# tol 1e-10 (1.14); above 40 it is slower at most points, up to 7 times at
-# span 107.6.  k = 2 stays on the orbit route: Q_1 decays like t^-2,
-# so T runs to ~1e5 and the n-sum would sieve about as many n as the orbit
-# route sums terms.
+#   12.7  4    161     0.24        0.16
+#   17.3  4    301     0.17        0.18
+#   32.4  4   1048     0.48        0.25
+#   32.9  4   1081     0.46        0.51
+#   38.1  6    161     0.29        0.27     k = 8: 0.64, 0.48
+#   45.1  4   2033     1.29        0.70
+#   52.0  6    301     0.70        0.70     k = 8: 0.49, 0.69
+#   56.5  4   3193     0.75        0.81
+#   67.8  4   4601     1.82        1.05
+#   77.3  4   5969     1.59        0.94
+#   97.1  6   1048     1.05        1.01     k = 8: 0.96, 1.01
+#  100.2  4  10033     4.51        1.23
+#  107.6  4  11573     5.59        1.37
+#  135.3  6   2033     1.47        1.43     k = 8: 1.46, 1.45
+# Up to 40 the n-sum takes at most 0.64 of the orbit route's time; at 45.1
+# (k = 4, tol 1e-10) it takes 1.29, the nearest point above 40, and beyond
+# 60 it is slower at most points, up to 5.6 times at span 107.6.  k = 2
+# stays on the orbit route: Q_1 decays like t^-2, so T runs to ~1e5 and the
+# n-sum would sieve about as many n as the orbit route sums terms.
 NSUM_MAX_SPAN = 40
 
 
 def cycle_value(k: int, pp, d1: int, d2: int, params: GreenParams | None = None):
     """G_{k,f}(Z_chi) and its diagnostics from the route that suits the input.
 
-    k >= 4 with sum_{m in pp} m sqrt(Delta) <= NSUM_MAX_SPAN takes the sum over
-    n (nsum.cycle_nsum): its cost grows with the span of n, while Q_{k-1}
-    decays fast enough that a short span converges.  Everything else takes
-    the orbit route G_kf_at_cycle.  The diagnostics name the route.
+    k >= 4 with sum_m m sqrt(Delta) <= NSUM_MAX_SPAN, over the m with
+    c(-m) != 0, takes the sum over n (nsum.cycle_nsum): its cost grows with
+    the span of n, while Q_{k-1} decays fast enough that a short span
+    converges.  Everything else takes the orbit route G_kf_at_cycle.  The
+    diagnostics name the route.
     """
     Delta = d1 * d2
-    if k >= 4 and Delta > 0 and sum(pp) * math.sqrt(Delta) <= NSUM_MAX_SPAN:
+    m_sum = sum(m for m, c in pp.items() if c)
+    if k >= 4 and Delta > 0 and m_sum * math.sqrt(Delta) <= NSUM_MAX_SPAN:
         from .nsum import cycle_nsum
 
         return cycle_nsum(k, pp, d1, d2, params)

@@ -22,7 +22,12 @@ mu0 >> 0 makes chi_q = +1 wherever rho is not already 0.
 The numerics are the orbit route's: the one doubling ladder greens._ladder
 (T from INITIAL_T, at most MAX_DOUBLINGS rungs), psi(t/T) weights on the
 newest shell, the float series above the upgrade bound and, up to it, the
-mpmath pass greens.upgrade_sum with the weights rho(n).  Sum rho per unit of
+mpmath pass greens.upgrade_sum with the weights rho(n).  The float terms of
+a shell take one loop over its nonzero rho (_Slice._float_pass) that calls
+no Python function per n: Horner over the coefficients of
+greens._q_float_coeffs, as many as the shell's smallest t needs for 1e-17
+relative (12 on the first shell, at most 4 from t = 400 on), and psi inline
+where t > T/2.  Sum rho per unit of
 t has mean 24 h1 h2 sigma(m)/(w1 w2), the orbit density 6 of the h1 h2 CM
 pairs with sigma(m) Hecke cosets each, times the cycle weight 4/(w1 w2); so
 the tail is that density times the orbit route's tail integral, and equals
@@ -34,6 +39,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain, compress
 from math import isqrt
 
 import mpmath
@@ -44,8 +50,7 @@ from .finquad import GenusChar
 from .greens import (
     GreenParams,
     _ladder,
-    _psi,
-    _q_float_factory,
+    _q_float_coeffs,
     _tail_integral,
     cm_points,
     unit_weight,
@@ -63,6 +68,19 @@ def _rho_block(primes: _Primes, m: int, n0: int, count: int):
             for r, z, q in zip(rho, zero, rest)]
 
 
+def _q_horner(n: int, t: float):
+    """(a_{J-1}, (a_{J-2}, ..., a_0), lead): the float series of Q_n
+    (greens._q_float_coeffs) cut to the first J terms, the fewest whose
+    dropped terms add up to at most 1e-17 of the sum at t and above."""
+    coeffs, lead = _q_float_coeffs(n)
+    inv2 = 1 / (t * t)
+    J, dropped = len(coeffs), 0.0
+    while J > 2 and dropped + coeffs[J - 1] * inv2 ** (J - 1) <= 1e-17:
+        J -= 1
+        dropped += coeffs[J] * inv2 ** J
+    return coeffs[J - 1], coeffs[J - 2::-1], lead
+
+
 class _Slice:
     """The n-sum of one principal-part term c(-m) q^-m, shell by shell."""
 
@@ -78,7 +96,8 @@ class _Slice:
         density = cycle_density * sum(a for a in range(1, m + 1) if m % a == 0)
         self.density = mpf(density.numerator) / density.denominator
         up = Fraction(upgrade_cosh)
-        self.up_n2 = up.numerator ** 2 * self.mmD // up.denominator ** 2
+        # n <= n_up: the terms with t up to the upgrade bound
+        self.n_up = isqrt(up.numerator ** 2 * self.mmD // up.denominator ** 2)
         n = isqrt(self.mmD) + 1
         self.next_n = n + (n - m * D) % 2     # n > m sqrt(D), n = m D mod 2
         self.q_up = mpf(0)
@@ -94,30 +113,61 @@ class _Slice:
         first = self.next_n
         count = max(0, (n_hi - first) // 2 + 1)
         self.next_n = first + 2 * count
-        qf = _q_float_factory(self.k - 1)
-        msD, half_T = self.msD, T / 2
-        plain, weighted, upgrades = [], [], []
-        nonzero = 0
-        for start in range(first, first + 2 * count, 2 * BLOCK):
-            block = min(BLOCK, (first + 2 * count - start) // 2)
-            for i, r in enumerate(_rho_block(primes, self.m, start, block)):
-                if not r:
-                    continue
-                nonzero += 1
-                n = start + 2 * i
-                if n * n <= self.up_n2:
-                    upgrades.append((n, r))
-                    continue
-                t = n / msD
-                q = r * qf(t)
-                plain.append(q)
-                weighted.append(q * _psi(t / T) if t > half_T else q)
+        upgrades, terms, plain, weighted = self._float_pass(primes, first, count, T)
         self.q_up += upgrade_sum(self.k, self.m, self.D, upgrades, mpmath.mp.dps)
         self.upgraded += len(upgrades)
         # psi(t/T) is 1 on the earlier shells and weights this one
-        S = self.q_up + (self.qsum + math.fsum(weighted))
-        self.qsum += math.fsum(plain)
-        return count, nonzero, S
+        S = self.q_up + (self.qsum + weighted)
+        self.qsum += plain
+        return count, len(upgrades) + terms, S
+
+    def _float_pass(self, primes: _Primes, first: int, count: int, T: float):
+        """(upgrades, terms, plain, weighted) over n = first, first + 2, ...,
+        count values: the pairs (n, rho) with t up to the upgrade bound, and
+        over the other nonzero rho their number, the sum of rho Q_{k-1}(t)
+        and the sum of psi(t/T) rho Q_{k-1}(t).
+
+        One loop over the nonzero rho: Q_{k-1}(t) = lead t^-k sum a_j t^-2j
+        by Horner over the terms that the smallest t needs (_q_horner), and
+        psi(t/T), the step of greens._psi, for t > T/2 only, where it is not 1.
+        """
+        m, msD = self.m, self.msD
+        n_up = self.n_up
+        # t <= T/2 up to n_half; above it s = 2 t/T - 1 = n c2 - 1 is in (0, 1]
+        n_half = math.floor(T / 2 * msD)
+        c2 = 2 / (msD * T)
+        top, cs, lead = _q_horner(self.k - 1, max(first, n_up + 1) / msD)
+        h = self.k // 2             # t^-k = (t^-2)^h, k even
+        exp = math.exp
+        upgrades, low, high, weighted = [], [], [], []
+        for start in range(first, first + 2 * count, 2 * BLOCK):
+            block = min(BLOCK, (first + 2 * count - start) // 2)
+            rho = _rho_block(primes, m, start, block)
+            for n, r in compress(zip(range(start, start + 2 * block, 2), rho), rho):
+                if n <= n_up:
+                    upgrades.append((n, r))
+                    continue
+                u = msD / n             # 1/t
+                inv2 = u * u
+                acc = top
+                for c in cs:
+                    acc = acc * inv2 + c
+                q = r * acc * inv2 ** h
+                if n <= n_half:
+                    low.append(q)
+                    continue
+                high.append(q)
+                s = n * c2 - 1
+                w = 0.0
+                if s < 1:
+                    try:
+                        w = 1 / (1 + exp((2 * s - 1) / (s * (1 - s))))
+                    except OverflowError:
+                        pass
+                weighted.append(q * w)
+        # fsum is exact-rounded, so the order of the terms does not matter
+        return (upgrades, len(low) + len(high), lead * math.fsum(chain(low, high)),
+                lead * math.fsum(chain(low, weighted)))
 
 
 def cycle_nsum(k: int, pp, d1: int, d2: int, params: GreenParams | None = None):

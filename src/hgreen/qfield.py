@@ -101,30 +101,40 @@ def factorint(n: int) -> dict:
 
 
 def sqrt_mod(a: int, p: int):
-    """Smallest r >= 0 with r^2 = a mod the prime p (Tonelli-Shanks), or None."""
+    """Smallest r >= 0 with r^2 = a mod the prime p, or None.
+
+    One power for p = 3 mod 4 and Atkin's formula for p = 5 mod 8, each
+    checked by squaring; Euler's test, then Tonelli-Shanks, for p = 1 mod 8.
+    """
     a %= p
     if p == 2 or a == 0:
         return a
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
     if p % 4 == 3:
         r = pow(a, (p + 1) // 4, p)
-        return min(r, p - r)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    c, r, t = pow(z, q, p), pow(a, (q + 1) // 2, p), pow(a, q, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (s - i - 1), p)
-        r, c, t, s = r * b % p, b * b % p, t * b * b % p, i
+    elif p % 8 == 5:
+        # b = (2a)^((p-5)/8): i = 2 a b^2 squares to -1 when a is a square
+        b = pow(2 * a, (p - 5) // 8, p)
+        r = a * b * (2 * a * b * b - 1) % p
+    else:
+        if pow(a, (p - 1) // 2, p) != 1:
+            return None
+        q, s = p - 1, 0
+        while q % 2 == 0:
+            q //= 2
+            s += 1
+        z = 2
+        while pow(z, (p - 1) // 2, p) != p - 1:
+            z += 1
+        c, r, t = pow(z, q, p), pow(a, (q + 1) // 2, p), pow(a, q, p)
+        while t != 1:
+            i, t2 = 0, t
+            while t2 != 1:
+                t2 = t2 * t2 % p
+                i += 1
+            b = pow(c, 1 << (s - i - 1), p)
+            r, c, t, s = r * b % p, b * b % p, t * b * b % p, i
+    if r * r % p != a:
+        return None
     return min(r, p - r)
 
 

@@ -18,6 +18,7 @@ from hgreen.qfield import (
 from hgreen.finquad import GenusChar, genus_characters
 from hgreen.greens import _legendre_p_values
 from hgreen.factor import (
+    FEW,
     _Primes,
     _log_ratio,
     _ord,
@@ -466,6 +467,59 @@ def test_sieve_rho_above_the_slice():
             assert rho == [_rho_by_factorint(chi, m, n0 + 2 * i) for i in range(2000)]
             h.update(json.dumps(rho).encode())
     assert h.hexdigest() == "46b1cfe8aa0912828095617775a2a67904657fdbc8a2bc851e872741d991cd58"
+
+
+def _deep_block(primes, x, p_min):
+    """(p, n0, count): a block above the slice m = 1 in which the first split
+    prime p > p_min with chi_p = x has 3 multiples per root, and p^2 | Nm at
+    the second multiple of one root."""
+    D = primes.chi.Delta
+    p = next(p for p, _, chi_p, _ in primes.upto(10 ** 4) if p > p_min and chi_p == x)
+    n0 = isqrt(D) + 1
+    n0 += (n0 - D) % 2
+    n = next(n for n in range(n0 + 2 * p, n0 + 2 * p + 2 * p * p + 2, 2)
+             if (n * n - D) % (p * p) == 0)
+    return p, n - 2 * p, 3 * p
+
+
+def test_sieve_branches_agree_with_factorint():
+    # rho above the slice against factorint, on blocks where the split primes
+    # have many multiples (whole slices), few, one or none (a plain loop
+    # each), a deep hit p^2 | Nm falls on a prime with few multiples at
+    # chi_p = +1 and at chi_p = -1, and the split prime 5 divides m (5 || m,
+    # 5^2 | m) and is struck with the primes of 2 m Delta
+    d1, d2 = -7, -23
+    D = d1 * d2
+    chi = GenusChar(d1, d2)
+    primes = _Primes(chi)
+    assert prime_character(chi, 5)[0] == 1
+
+    def start(m):
+        n0 = isqrt(m * m * D) + 1
+        return n0 + (n0 - m * D) % 2
+
+    blocks = [(1, start(1), 3000), (5, start(5), 600), (25, start(25), 600)]
+    deep = [_deep_block(primes, x, 2 * FEW) for x in (1, -1)]
+    blocks += [(1, n0, count) for _, n0, count in deep]
+    seen = set()
+    for m, n0, count in blocks:
+        rho = _rho_block(primes, m, n0, count)
+        assert rho == [_rho_by_factorint(chi, m, n0 + 2 * i) for i in range(count)], (m, n0)
+        assert any(rho) and not all(rho)
+        bound = isqrt(((n0 + 2 * count) ** 2 - m * m * D) // 4)
+        for p, root, x, _ in primes.upto(bound):
+            if m % p == 0:
+                seen.add("p | m")
+                continue
+            for r in (m * root, -m * root):
+                i0 = (r - n0) * ((p + 1) // 2) % p
+                ns = [n0 + 2 * i for i in range(i0, count, p)]
+                k = len(ns)
+                seen.add("none" if k == 0 else "one" if k == 1 else "few" if k <= FEW else "many")
+                if 1 < k <= FEW and any((n * n - m * m * D) // 4 % (p * p) == 0 for n in ns):
+                    seen.add(("deep, few multiples", x))
+    assert seen == {"p | m", "none", "one", "few", "many",
+                    ("deep, few multiples", 1), ("deep, few multiples", -1)}, seen
 
 
 def test_log_ratio_large_unit_does_not_cancel():

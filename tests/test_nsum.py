@@ -9,7 +9,7 @@ so their agreement checks the identity, the sieve and the enumeration at once.
 
 from collections import Counter
 from fractions import Fraction
-from math import gcd, isqrt, sqrt
+from math import fsum, gcd, isqrt, sqrt
 
 import pytest
 from hypothesis import example, given, seed, settings
@@ -176,3 +176,63 @@ def test_cycle_value_selects_the_route(monkeypatch):
     G.cycle_value(4, {m + 1: Fraction(1)}, -7, -23)
     G.cycle_value(4, {1: Fraction(1), m: Fraction(1)}, -7, -23)
     assert calls == ["nsum", "orbit", "orbit"]
+
+
+def test_zero_coefficient_costs_nothing():
+    # a term c(-m) = 0 widens neither the span that picks the route nor the
+    # orbit route's work: {1: 1, 3: 0} is {1: 1}
+    one = {1: Fraction(1)}
+    with_zero = {1: Fraction(1), 3: Fraction(0)}
+    got, diag = G.cycle_value(4, with_zero, -7, -23)
+    want, wdiag = G.cycle_value(4, one, -7, -23)
+    assert diag["route"] == wdiag["route"] == "nsum" and got == want
+    got, diag = G_kf_at_cycle(4, with_zero, -7, -23)
+    want, wdiag = G_kf_at_cycle(4, one, -7, -23)
+    assert got == want and diag["orbit_sums"] == wdiag["orbit_sums"] == 2
+    assert {p["m"] for p in diag["per_pair"]} == {1}
+
+
+def _reference_float_pass(sl, primes, first, count, T):
+    """The float pass as a loop over _rho_block with the orbit route's
+    evaluators greens._q_float_factory and greens._psi: (nonzero, plain,
+    weighted) over the terms above the upgrade bound."""
+    qf = G._q_float_factory(sl.k - 1)
+    nonzero, plain, weighted = 0, [], []
+    for start in range(first, first + 2 * count, 2 * NS.BLOCK):
+        block = min(NS.BLOCK, (first + 2 * count - start) // 2)
+        for i, r in enumerate(NS._rho_block(primes, sl.m, start, block)):
+            if not r:
+                continue
+            nonzero += 1
+            n = start + 2 * i
+            if n <= sl.n_up:
+                continue
+            t = n / sl.msD
+            q = r * qf(t)
+            plain.append(q)
+            weighted.append(q * G._psi(t / T) if t > T / 2 else q)
+    return nonzero, fsum(plain), fsum(weighted)
+
+
+@pytest.mark.parametrize("k,pp", [(4, {1: Fraction(1)}),
+                                  (6, {1: Fraction(24), 2: Fraction(1)})],
+                         ids=["flagship", "hecke-k6"])
+def test_float_pass_matches_reference_loop(k, pp, monkeypatch):
+    # every shell of the ladder at tol 1e-10 on (-7, -23): the same nonzero
+    # count as the reference loop, and sums within 1e-15 relative
+    shells = []
+    fused = NS._Slice._float_pass
+
+    def spy(self, primes, first, count, T):
+        out = fused(self, primes, first, count, T)
+        shells.append((self, primes, first, count, T, out))
+        return out
+
+    monkeypatch.setattr(NS._Slice, "_float_pass", spy)
+    _, diag = cycle_nsum(k, pp, -7, -23, GreenParams(tol=1e-10))
+    assert diag["converged"] and len(shells) == len(pp) * len(diag["history"]) >= 3
+    for sl, primes, first, count, T, (upgrades, terms, plain, weighted) in shells:
+        nonzero, ref_plain, ref_weighted = _reference_float_pass(sl, primes, first, count, T)
+        assert len(upgrades) + terms == nonzero > 0
+        assert abs(plain - ref_plain) <= 1e-15 * ref_plain, (sl.m, T)
+        assert abs(weighted - ref_weighted) <= 1e-15 * ref_weighted, (sl.m, T)

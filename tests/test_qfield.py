@@ -327,6 +327,20 @@ def test_sqrt_mod_on_every_residue():
         assert sqrt_mod(nonresidue, p) is None
 
 
+def test_sqrt_mod_brute_force_below_3000():
+    # every prime below 3000 and every residue, against the table of squares:
+    # the smaller root, or None for a non-square, on each branch (p = 3 mod 4,
+    # 5 mod 8 by Atkin's formula, 1 mod 8 by Tonelli-Shanks)
+    import sympy
+    for p in sympy.primerange(2, 3000):
+        want = [None] * p
+        for r in range((p + 1) // 2 + 1):
+            a = r * r % p
+            if want[a] is None:
+                want[a] = r
+        assert [sqrt_mod(a, p) for a in range(p)] == want, p
+
+
 def test_sqrt_mod_matches_sympy_below_2e4():
     import sympy
     rng = random.Random(17)
