@@ -71,8 +71,11 @@ def _build_parser():
 def _emit(doc, args) -> None:
     text = json.dumps(doc, indent=1, default=str)
     if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise InvalidInputError(f"cannot write --output {args.output}: {exc.strerror}") from exc
     else:
         print(text)
 

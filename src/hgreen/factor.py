@@ -31,7 +31,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, compress
+from itertools import accumulate
 from math import factorial, gcd, isqrt, lcm, prod
 
 import mpmath
@@ -42,10 +42,12 @@ from .qfield import (
     FracIdeal,
     InvalidInputError,
     QuadField,
+    _ord,
     factorint,
     field,
     ideal_divisors,
     kronecker,
+    primes_upto,
     sqrt_mod,
 )
 from .finquad import GenusChar, rho_KF
@@ -112,15 +114,6 @@ def _slice_g(k: int, n: int, y2: int) -> int:
     for j in range(1, k - 1):
         g0, g1 = g1, (2 * j + 1) * n * g1 - j * j * y2 * g0
     return g1
-
-
-def _ord(n: int, p: int) -> int:
-    """Exponent of the prime p in the nonzero integer n."""
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    return e
 
 
 @lru_cache(maxsize=4096)
@@ -210,16 +203,13 @@ class _Primes:
         return self.split[:bisect_right(self.split, (bound + 1,))]
 
     def _extend(self, new: int):
-        flags = bytearray([1]) * (new + 1)
-        for q in range(2, isqrt(new) + 1):
-            if flags[q]:
-                flags[q * q::q] = bytes(len(range(q * q, new + 1, q)))
         D = self.chi.Delta
         chi_mod, split = self.chi_mod, self.split
         mod = len(chi_mod)
         once = {x: rho_factor(1, x, 1, 0) for x in (1, -1)}
-        lo = self.limit + 1
-        for p in compress(range(lo, new + 1), flags[lo:]):
+        for p in primes_upto(new):
+            if p <= self.limit:
+                continue
             root = sqrt_mod(D, p) if D % p else None
             if root is not None:
                 x = chi_mod[p % mod]

@@ -369,6 +369,8 @@ class GreenParams:
         if not math.isfinite(self.tol):
             # a nan tol never stops the doublings, an infinite one is not JSON
             raise InvalidInputError(f"tolerance must be finite, got {self.tol}")
+        if self.tol <= 0:
+            raise InvalidInputError(f"tolerance must be positive, got {self.tol}")
         if self.tol < 10.0 ** (1 - self.digits):
             raise InvalidInputError("tolerance below working precision")
 

@@ -4,17 +4,19 @@ An element x + y*sqrt(Delta) is stored as three integers (a, b, n) meaning
 (a + b*sqrt(Delta))/n, with n > 0 and gcd(a, b, n) = 1, and sqrt(Delta) > 0
 under the fixed real embedding; each sum or product costs one gcd.
 Fractional ideals are kept in Hermite normal form with a scale num/den on two
-integers and multiplied on its integer rows.
-Class-group work (narrow equivalence, principality, generators) goes through
-the reduction theory of indefinite binary quadratic forms of discriminant
-Delta, so everything stays in exact integer arithmetic.
+integers and multiplied on its integer rows; a valuation is read off the HNF.
+Class keys, generators of principal ideals and the fundamental unit all come
+from one walk, rho_walk, along the rho-reduction cycle of the indefinite
+binary quadratic form of discriminant Delta attached to an ideal
+(Buchmann-Vollmer, Binary Quadratic Forms, ch. 6), so everything stays in
+exact integer arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count
+from itertools import chain, compress, count, islice
 from math import gcd, isqrt, sqrt
 from numbers import Rational
 
@@ -27,7 +29,20 @@ class InvalidInputError(ValueError):
 # elementary number theory helpers
 # ---------------------------------------------------------------------------
 
-_TRIAL_PRIMES = [p for p in range(2, 1000) if all(p % q for q in range(2, isqrt(p) + 1))]
+def primes_upto(n: int):
+    """The primes p <= n in increasing order, read lazily off a sieve of
+    Eratosthenes on a bytearray of the odd numbers: flags[i] stands for 2i + 1."""
+    if n < 2:
+        return iter(())
+    flags = bytearray([1]) * ((n + 1) // 2)
+    flags[0] = 0
+    for q in range(3, isqrt(n) + 1, 2):
+        if flags[q // 2]:
+            flags[q * q // 2::q] = bytes(len(range(q * q // 2, len(flags), q)))
+    return chain((2,), compress(range(1, n + 1, 2), flags))
+
+
+_TRIAL_PRIMES = list(primes_upto(1000))
 _MR_BASES = _TRIAL_PRIMES[:12]  # deterministic Miller-Rabin below 3.3e24
 
 
@@ -56,13 +71,6 @@ def isprime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def nextprime(n: int) -> int:
-    """Smallest prime > n."""
-    for m in count(max(n + 1, 2)):
-        if isprime(m):
-            return m
 
 
 def _rho_divisor(n: int) -> int:
@@ -169,25 +177,20 @@ def kronecker(a: int, n: int) -> int:
     return sign if n == 1 else 0
 
 
-def squarefree_part(n: int) -> int:
-    """Largest squarefree divisor of n > 0."""
-    out = 1
-    for p, e in factorint(n).items():
-        if e % 2 == 1:
-            out *= p
-    return out
-
-
 def is_fundamental_discriminant(D: int) -> bool:
-    """True if D is a fundamental discriminant of a quadratic field (D != 1)."""
-    if D in (0, 1):
-        return False
-    if D % 4 == 1:
-        return squarefree_part(abs(D)) == abs(D)
-    if D % 4 == 0:
-        m = D // 4
-        return m % 4 in (2, 3) and squarefree_part(abs(m)) == abs(m)
-    return False
+    """True if D is a fundamental discriminant of a quadratic field (D != 1):
+    D = 1 mod 4 squarefree, or D = 4m with m = 2, 3 mod 4 squarefree."""
+    m = D if D % 4 == 1 else D // 4 if D % 16 in (8, 12) else 0
+    return m not in (0, 1) and all(e == 1 for e in factorint(abs(m)).values())
+
+
+def _ord(n: int, p: int) -> int:
+    """Exponent of the prime p in the nonzero integer n."""
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return e
 
 
 def _xgcd(a: int, b: int):
@@ -589,18 +592,23 @@ class FracIdeal:
         return f"Ideal({s}*[{self.a}, {self.b}+w], D={self.D})"
 
     def valuation(self, prime: "FracIdeal") -> int:
-        """ord_prime(self), by repeated exact division."""
-        v = 0
-        cur = self
-        inv = prime.inverse()
-        while True:
-            nxt = cur * inv
-            if not nxt.is_integral():
-                return v
-            v += 1
-            cur = nxt
-            if v > 200:
-                raise RuntimeError("runaway valuation")
+        """ord_prime(self) for a prime ideal of primes_above, read off the HNFs.
+
+        self = t * J with t = num/den and J = [a, b + omega] primitive, so the
+        part of J above p is [p, c + omega]^ord_p(a) if b = c mod p and none
+        otherwise; p does not divide a at an inert (p).  The scale adds
+        ord_p(t), twice at a ramified p.
+        """
+        if prime.a == 1:  # inert: (p) = p*[1, omega]
+            p = prime.num
+            return _ord(self.num, p) - _ord(self.den, p)
+        p = prime.a
+        v = _ord(self.num, p) - _ord(self.den, p)
+        if self.D % p == 0:
+            v *= 2
+        if self.a % p == 0 and (self.b - prime.b) % p == 0:
+            v += _ord(self.a, p)
+        return v
 
     def form(self):
         """Positively oriented integral form (A, B, C) of discriminant Delta.
@@ -661,49 +669,41 @@ def _rho_r(B: int, C: int, D: int, sq: int) -> int:
     return r
 
 
-def _rho(f, D: int, sq: int):
-    A, B, C = f
-    r = _rho_r(B, C, D, sq)
-    return (C, r, (r * r - D) // (4 * C))
+def rho_walk(f, D: int):
+    """The rho-reduction of the form f: yields (form, delta) from f down to its
+    first reduced form g, then once round the cycle of g, ending with g again.
 
-
-def _rho_with_transform(f, U, D: int, sq: int):
-    A, B, C = f
-    r = _rho_r(B, C, D, sq)
-    delta = (r + B) // (2 * C)
-    u11, u12, u21, u22 = U
-    # basis change (x, y) -> (-y, x + delta*y)
-    U = (u12, -u11 + delta * u12, u22, -u21 + delta * u22)
-    return (C, r, (r * r - D) // (4 * C)), U
-
-
-def reduce_form(f, D: int):
+    rho(A, B, C) = (C, r, (r^2 - D)/(4C)) takes the basis (x, y) of the form
+    to (-y, x + delta*y), delta = (r + B)/(2C), the step out of the yielded
+    form.  Raises if the walk does not close.
+    """
     sq = isqrt(D)
-    steps = 0
-    while not _is_reduced(f, D):
-        f = _rho(f, D, sq)
-        steps += 1
-        if steps > 100000:
-            raise RuntimeError("form reduction did not terminate")
-    return f
+    first = None
+    for _ in range(10 ** 5):
+        A, B, C = f
+        r = _rho_r(B, C, D, sq)
+        yield f, (r + B) // (2 * C)
+        if first is None and _is_reduced(f, D):
+            first = f
+        elif f == first:
+            return
+        f = (C, r, (r * r - D) // (4 * C))
+    raise RuntimeError(f"rho walk from {f} did not close")
 
 
 @lru_cache(maxsize=None)
 def _cycle_of_reduced(f, D: int):
     """Full rho-cycle through a reduced form, rotated to start at its minimum."""
-    sq = isqrt(D)
-    cyc = [f]
-    g = _rho(f, D, sq)
-    while g != f:
-        cyc.append(g)
-        g = _rho(g, D, sq)
-    m = min(range(len(cyc)), key=lambda i: cyc[i])
+    cyc = [g for g, _ in rho_walk(f, D)][:-1]
+    m = cyc.index(min(cyc))
     return tuple(cyc[m:] + cyc[:m])
 
 
 def cycle_key(f, D: int):
-    """Canonical key of the proper equivalence class of an indefinite form."""
-    return _cycle_of_reduced(reduce_form(f, D), D)[0]
+    """Canonical key of the proper equivalence class of an indefinite form:
+    the least form of the cycle it reduces to."""
+    g = next(g for g, _ in rho_walk(f, D) if _is_reduced(g, D))
+    return _cycle_of_reduced(g, D)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -724,7 +724,6 @@ class QuadField:
             raise InvalidInputError(f"Delta = {Delta} is not fundamental")
         self.D = Delta
         self.Delta0 = Delta if Delta % 2 == 1 else Delta // 4
-        self.sqrt_isq = isqrt(Delta)
         self.psi = (Delta * Delta - Delta) // 4  # Nm(omega)
         self._eps = None
         self._ncg = None
@@ -760,54 +759,18 @@ class QuadField:
 
     # fundamental unit --------------------------------------------------------
     def fundamental_unit(self) -> FieldElem:
-        """eps_F > 1 generating O_F^x/{+-1}, from the CF expansion of omega."""
-        if self._eps is not None:
-            return self._eps
-        D = self.D
-        P, Q = D, 2  # omega = (D + sqrt(D))/2
-        sq = self.sqrt_isq
-        seen = {}
-        mats = []
-        M = (1, 0, 0, 1)
-        idx = 0
-        while True:
-            key = (P, Q)
-            if key in seen:
-                Mj = mats[seen[key]]
-                break
-            seen[key] = idx
-            mats.append(M)
-            if Q > 0:
-                a = (P + sq) // Q
-            else:
-                a = -((P + sq) // (-Q)) - 1
-            p0, p1, q0, q1 = M
-            M = (p0 * a + p1, p0, q0 * a + q1, q0)
-            P = a * Q - P
-            Q = (D - P * P) // Q
-            idx += 1
-            if idx > 10 ** 6:
-                raise RuntimeError("CF period not found")
-        a1, b1, c1, d1 = Mj
-        det = a1 * d1 - b1 * c1  # +-1
-        ia, ib, ic, id_ = d1 * det, -b1 * det, -c1 * det, a1 * det
-        a2, b2, c2, d2 = M
-        t21 = ic * a2 + id_ * c2
-        t22 = ic * b2 + id_ * d2
-        Pj, Qj = key
-        eps = FieldElem(D, Fraction(t21 * Pj + t22 * Qj, Qj), Fraction(t21, Qj))
-        if abs(eps.norm()) != 1:
-            raise RuntimeError("CF unit has |norm| != 1")
-        if eps.sign() < 0:
-            eps = -eps
-        if eps < self.one:
-            eps = eps.inverse()
-            if eps.sign() < 0:
-                eps = -eps
-        if not (eps.is_integral() and eps > self.one):
-            raise RuntimeError("CF unit sanity check failed")
-        self._eps = eps
-        return eps
+        """eps_F > 1 generating O_F^x/{+-1}: the quotient of the generators of
+        O_F at the first two forms with |A| = 1 on its rho-walk, one period of
+        the principal cycle, or half of it when Nm(eps_F) = -1."""
+        if self._eps is None:
+            g1, g2 = islice(self._generators(self.O_F()), 2)
+            eps = abs(g2 / g1)
+            if eps < self.one:
+                eps = eps.inverse()
+            if abs(eps.norm()) != 1 or not (eps.is_integral() and eps > self.one):
+                raise RuntimeError(f"rho walk gave {eps}, not a unit > 1 of O_F")
+            self._eps = eps
+        return self._eps
 
     def eps_plus(self) -> FieldElem:
         """Generator > 1 of the totally positive units."""
@@ -858,11 +821,9 @@ class QuadField:
         """Factor an integral ideal: list of (prime FracIdeal, exponent)."""
         if not I.is_integral():
             raise InvalidInputError("factor_ideal needs an integral ideal")
-        n = I.norm()
-        if n.denominator != 1:
-            raise RuntimeError(f"integral ideal {I} has non-integral norm {n}")
         out = []
-        for p in sorted(factorint(int(n))):
+        # the primes of Nm(I) = num^2 a
+        for p in factorint(I.num * I.a):
             for pr in self.primes_above(p):
                 e = I.valuation(pr)
                 if e:
@@ -897,32 +858,29 @@ class QuadField:
     # principality and generators ----------------------------------------------
     def generator_of(self, I: FracIdeal):
         """A generator of I if I is principal (wide sense), else None."""
+        return next(self._generators(I), None)
+
+    def _generators(self, I: FracIdeal):
+        """The generator of I at each form with |A| = 1 on the rho-walk of I.
+
+        The walk's basis change U, built up from its steps, takes the oriented
+        basis (b + omega, a) of I/s to that of the current form; where
+        |A| = 1, the first basis vector u11 (b + omega) + u21 a generates I/s.
+        """
         D = self.D
-        sq = self.sqrt_isq
-        f = I.form()
         s = _canon(D, I.num, 0, I.den)
-        U = (1, 0, 0, 1)
-        steps = 0
-        first_reduced = None
-        while True:
-            A, _, _ = f
+        u11, u12, u21, u22 = 1, 0, 0, 1
+        for (A, _, _), delta in rho_walk(I.form(), D):
             if A in (1, -1):
-                u11, _, u21, _ = U
                 g = self.from_uv(I.b * u11 + I.a * u21, u11) * s
                 # |Nm(g)| = Nm(I) = num^2 a / den^2, cross-multiplied
                 nm = abs(g.a * g.a - g.b * g.b * D)
                 if nm * I.den ** 2 != I.num ** 2 * I.a * g.n ** 2 or not I.contains(g):
                     raise RuntimeError(f"reduction walk produced {g}, not a generator of {I}")
-                return g
-            f, U = _rho_with_transform(f, U, D, sq)
-            if _is_reduced(f, D):
-                if first_reduced is None:
-                    first_reduced = f
-                elif f == first_reduced:
-                    return None
-            steps += 1
-            if steps > 100000:
-                raise RuntimeError("generator walk did not terminate")
+                yield g
+            # basis change (x, y) -> (-y, x + delta*y)
+            u11, u12 = u12, delta * u12 - u11
+            u21, u22 = u22, delta * u22 - u21
 
     def unit_orbit_rep(self, mu: FieldElem, unit: FieldElem, lo: FieldElem) -> FieldElem:
         """mu * unit^j for the j that puts |mu/mu'| in the window [lo, lo*s).
@@ -1001,14 +959,9 @@ class NarrowClassGroup:
         reps = [None] * self.h_plus
         reps[0] = F.O_F()
         found = 1
-        p = 1
-        while found < self.h_plus:
-            p = nextprime(p)
-            if p > self.PRIME_SEARCH_BOUND:
-                raise RuntimeError(
-                    f"no prime representative below {self.PRIME_SEARCH_BOUND} "
-                    f"for some narrow class, Delta={D}"
-                )
+        for p in primes_upto(self.PRIME_SEARCH_BOUND):
+            if found == self.h_plus:
+                break
             if kronecker(D, p) != 1:
                 continue
             for pr in F.primes_above(p):
@@ -1016,33 +969,34 @@ class NarrowClassGroup:
                 if reps[i] is None:
                     reps[i] = pr
                     found += 1
+        if found < self.h_plus:
+            raise RuntimeError(
+                f"no prime representative below {self.PRIME_SEARCH_BOUND} "
+                f"for some narrow class, Delta={D}"
+            )
         self.reps = reps
         self._table = None
         self._inv = None
 
     @staticmethod
     def _all_cycles(D: int):
-        """Canonical keys of all cycles of reduced forms of discriminant D."""
-        sq = isqrt(D)
+        """Canonical keys of all cycles of reduced forms of discriminant D.
+
+        A reduced form has 0 < B < sqrt(D), B = D mod 2, so -AC = (D - B^2)/4.
+        """
         seen = set()
         keys = set()
-        for B in range(1, sq + 1):
-            if (B - D) % 2 != 0:
-                continue
-            t4 = D - B * B
-            if t4 <= 0 or t4 % 4 != 0:
-                continue
-            t = t4 // 4
+        for B in range(2 - D % 2, isqrt(D) + 1, 2):
+            t = (D - B * B) // 4
             for A in range(1, isqrt(t) + 1):
-                if t % A != 0:
+                if t % A:
                     continue
                 for Aa in {A, t // A}:
                     for f in ((Aa, B, -(t // Aa)), (-Aa, B, t // Aa)):
-                        if not _is_reduced(f, D) or f in seen:
-                            continue
-                        cyc = _cycle_of_reduced(f, D)
-                        seen.update(cyc)
-                        keys.add(cyc[0])
+                        if f not in seen and _is_reduced(f, D):
+                            cyc = _cycle_of_reduced(f, D)
+                            seen.update(cyc)
+                            keys.add(cyc[0])
         return keys
 
     def resolve(self, I: FracIdeal) -> int:

@@ -186,6 +186,35 @@ def test_out_of_range_discriminant_fails_fast(capsys):
     assert main(["greens", "--k", "4", "--d1", "-1003", "--d2", "-1019", "--pp", "1=1"]) == 2
 
 
+def test_nonpositive_tol_is_invalid(capsys):
+    # a zero or negative tol is refused for what it is, not as a tolerance
+    # below the working precision
+    for tol in ("0", "-1e-8"):
+        for command in ("greens", "verify"):
+            code = main([command, "--k", "4", "--d1", "-7", "--d2", "-23", "--pp", "1=1",
+                         f"--tol={tol}"])
+            assert code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert json.loads(captured.err)["error"] == \
+                f"tolerance must be positive, got {float(tol)}"
+
+
+def test_unwritable_output_is_invalid(capsys, tmp_path):
+    # a directory that does not exist: exit 2 with a reason naming the path,
+    # not a traceback (exit 1 means a failed verification)
+    out = tmp_path / "missing" / "x.json"
+    for command in ("factor", "verify"):
+        code = main([command, "--k", "4", "--d1", "-7", "--d2", "-23", "--pp", "1=1",
+                     "--tol", "1e-6", "--output", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)["error"]
+        assert error.startswith(f"cannot write --output {out}: ")
+    assert not out.parent.exists()
+
+
 def test_invalid_hgreen_digits_is_invalid(capsys, monkeypatch):
     argv = ["greens", "--k", "4", "--d1", "-4", "--d2", "-7", "--pp", "1=1", "--tol", "1e-6"]
     too_many = f"digits = {MAX_DIGITS + 1} beyond supported range {MAX_DIGITS}"

@@ -4,8 +4,10 @@ The reference is the ideal s*[a, b + omega] with s a Fraction, multiplied
 and inverted in the textbook way; hypothesis draws fields, ideals and
 generators from a fixed seed and every result must agree with it, in value
 and in repr, and be in canonical form: num > 0, den > 0, gcd(num, den) = 1
-and 0 <= b < a.  The last tests pin the refusal of bad input and check that
-the ideal arithmetic and the unit-orbit normaliser build no Fraction.
+and 0 <= b < a.  Valuations, read off the HNFs, must agree with repeated
+division by the prime, on fractional scales and on P^e up to e = 40.  The
+last tests pin the refusal of bad input and check that the ideal arithmetic
+and the unit-orbit normaliser build no Fraction.
 """
 
 from fractions import Fraction
@@ -93,6 +95,13 @@ class Ref:
         return (self.D, self.s, self.a, self.b)
 
     def valuation(self, prime):
+        """By repeated exact division, once the denominator d of the scale is
+        cleared: ord(self) = ord(d * self) - ord((d))."""
+        d = self.s.denominator
+        return (Ref(self.D, self.s * d, self.a, self.b)._divisions(prime)
+                - Ref(self.D, d, 1, 0)._divisions(prime))
+
+    def _divisions(self, prime):
         v, cur, inv = 0, self, prime.inverse()
         while True:
             cur = cur * inv
@@ -151,8 +160,8 @@ SETTINGS = settings(max_examples=300, deadline=None, database=None)
 
 @seed(2018)
 @SETTINGS
-@given(cases(), st.integers(-3, 3), st.sampled_from([2, 3, 5, 7]))
-def test_ideal_arithmetic_matches_reference(case, k, p):
+@given(cases(), st.integers(-3, 3), st.sampled_from([2, 3, 5, 7]), st.integers(0, 40))
+def test_ideal_arithmetic_matches_reference(case, k, p, e):
     D, (I, r), (J, q) = case
     check(I, r)
     check(J, q)
@@ -173,6 +182,9 @@ def test_ideal_arithmetic_matches_reference(case, k, p):
         rP = Ref(D, P.s, P.a, P.b)
         assert I2.valuation(P) == r2.valuation(rP)
         assert (I2 * P ** 2).valuation(P) == r2.valuation(rP) + 2
+        # and of the drawn ideal, fractional scales included, times P^e
+        assert I.valuation(P) == r.valuation(rP)
+        assert (I * P ** e).valuation(P) == (r * rP ** e).valuation(rP) == r.valuation(rP) + e
 
 
 @seed(2018)

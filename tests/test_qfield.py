@@ -1,4 +1,6 @@
 import ast
+import hashlib
+import json
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -8,12 +10,15 @@ import pytest
 from hgreen.qfield import (
     FracIdeal,
     InvalidInputError,
+    QuadField,
+    _is_reduced,
     factorint,
     field,
     is_fundamental_discriminant,
     isprime,
     kronecker,
-    nextprime,
+    primes_upto,
+    rho_walk,
     sqrt_mod,
 )
 
@@ -60,6 +65,21 @@ def test_fundamental_unit_minimal(D):
     bf = brute_force_unit(D)
     if bf is not None:
         assert eps == bf
+
+
+def test_fundamental_unit_matches_sympy_pell_below_5000():
+    # eps_F = (x + y sqrt(Delta))/2 for the least positive solution of
+    # x^2 - Delta y^2 = +-4: sympy's fundamental solutions of each class of
+    # +-4, and twice those of +1 for a unit in Z[sqrt(Delta)] of norm +1
+    from sympy.solvers.diophantine.diophantine import diop_DN
+    for D in range(5, 5000):
+        if not is_fundamental_discriminant(D):
+            continue
+        sols = [(abs(x), abs(y)) for N in (4, -4) for x, y in diop_DN(D, N)]
+        sols += [(2 * x, 2 * y) for x, y in diop_DN(D, 1)]
+        y, x = min((y, x) for x, y in sols if y > 0)
+        F = QuadField(D)
+        assert F.fundamental_unit() == F.elem(Fraction(x, 2), Fraction(y, 2)), D
 
 
 def test_eps_plus_and_eps_delta():
@@ -231,6 +251,48 @@ def test_narrow_class_group_structure(D):
         assert gcd(int(r.norm()), D) == 1
 
 
+def test_reduction_layer_digest():
+    # h+, the class keys in order, the representatives, eps_F and, for every
+    # prime ideal P above p < 60 and e <= 3, generator_of(P^e) and the class
+    # of P^e, over the fundamental Delta < 1000: pinned by a digest of what
+    # the continued-fraction unit and the separate reduction, cycle and
+    # generator walks gave before the one rho-walk replaced them
+    h = hashlib.sha256()
+    primes = list(primes_upto(59))
+    for D in range(5, 1000):
+        if not is_fundamental_discriminant(D):
+            continue
+        F = QuadField(D)
+        ncg = F.narrow_class_group()
+        rows = [D, ncg.h_plus, sorted(ncg.key_index, key=ncg.key_index.get),
+                [repr(r) for r in ncg.reps], repr(F.fundamental_unit())]
+        for p in primes:
+            for P in F.primes_above(p):
+                for e in (1, 2, 3):
+                    I = P ** e
+                    rows.append([repr(I), repr(F.generator_of(I)), ncg.resolve(I)])
+        h.update(json.dumps(rows).encode())
+    assert h.hexdigest() == "c0ae9b2233b2b08ae9a0a830b29f0dfc1529ae2e1f8990533f2a4bb861a3301b"
+
+
+@pytest.mark.parametrize("D", [5, 13, 161, 229, 999996])
+def test_rho_walk_reduces_then_closes_its_cycle(D):
+    # from a non-reduced form the walk passes the reduced forms only once it
+    # has met the first one, goes once round that cycle and stops on it; each
+    # step is rho, with delta = (r + B)/(2C)
+    F = QuadField(D)
+    for I in (F.O_F(), *F.primes_above(max(primes_upto(10 ** 4))), F.prime_above(2) ** 5):
+        steps = list(rho_walk(I.form(), D))
+        forms = [f for f, _ in steps]
+        i = forms.index(forms[-1])
+        assert not any(_is_reduced(f, D) for f in forms[:i])
+        assert all(_is_reduced(f, D) for f in forms[i:])
+        assert len(set(forms[i:-1])) == len(forms) - 1 - i
+        for ((A, B, C), delta), (A2, B2, C2) in zip(steps, forms[1:]):
+            assert (A2, B2 * B2 - 4 * A2 * C2) == (C, B * B - 4 * A * C)
+            assert B2 == 2 * C * delta - B
+
+
 @pytest.mark.parametrize("D", [12, 28, 161])
 def test_resolver_tp_scaling_invariance(D):
     rng = random.Random(D + 7)
@@ -305,14 +367,16 @@ def test_factorint_matches_sympy():
         assert list(got) == sorted(got)
 
 
-def test_isprime_and_nextprime_match_sympy():
+def test_isprime_and_primes_upto_match_sympy():
     import sympy
     from bisect import bisect_right
     primes = list(sympy.primerange(0, 2 * 10 ** 5 + 100))
     prime_set = set(primes)
     for n in range(2 * 10 ** 5):
         assert isprime(n) == (n in prime_set), n
-        assert nextprime(n) == primes[bisect_right(primes, n)], n
+    assert list(primes_upto(2 * 10 ** 5 + 99)) == primes
+    for n in range(200):
+        assert list(primes_upto(n)) == primes[:bisect_right(primes, n)], n
 
 
 def test_sqrt_mod_on_every_residue():
