@@ -17,6 +17,7 @@ the last T of an n-sum that did not converge, and/or
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import random
 import sys
@@ -232,6 +233,10 @@ def cmd_selftest(args) -> int:
 
 
 def main(argv=None) -> int:
+    # the objects alive here, the imported modules, live as long as the
+    # process: frozen, no collection pass of the command scans them again,
+    # and where the passes fell during the import moves no work into it
+    gc.freeze()
     try:
         args = _build_parser().parse_args(argv)
         if args.command == "greens":

@@ -19,10 +19,9 @@ contributes rho_{K/F}((mu0) l)(1 + ord_l(mu0)) times the integer weight
 G_{k-1}(n) = (k-1)! H_{k-1}, read from one block sieve over n (_sieve_block)
 that the n-sum of the numeric side (n > m sqrt(Delta)) shares.  The sieve
 leaves a cofactor q || Nm(mu0), 1 or a split prime, and chi at q is read from
-a table mod |d|: on the slice Nm(mu0) < 0, so chi_q = -1 occurs.
-integer_exponent_vector (one factorisation of Nm(mu0)) and the ideal route,
-rho_exponent_vector and alt_exponent_check, are the oracles the tests compare
-against.
+a table mod |d|: on the slice Nm(mu0) < 0, so chi_q = -1 occurs.  The local
+factors are finquad's rule (prime_character, rho_factor); the oracles that the
+tests compare against live with the tests.
 """
 
 from __future__ import annotations
@@ -30,27 +29,24 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate
-from math import factorial, gcd, isqrt, lcm, prod
+from math import factorial, gcd, isqrt, lcm
 
 import mpmath
 from mpmath import mpf
 
 from .qfield import (
     FieldElem,
-    FracIdeal,
     InvalidInputError,
     QuadField,
     _ord,
     factorint,
     field,
-    ideal_divisors,
     kronecker,
     primes_upto,
     sqrt_mod,
 )
-from .finquad import GenusChar, rho_KF
+from .finquad import GenusChar, prime_character, rho_factor
 from .mforms import check_cycle_input
 
 
@@ -116,39 +112,8 @@ def _slice_g(k: int, n: int, y2: int) -> int:
     return g1
 
 
-@lru_cache(maxsize=4096)
-def prime_character(chi: GenusChar, p: int) -> tuple:
-    """(kronecker(Delta, p), chi at the primes above p) for a rational prime p:
-    an inert p has chi = +1, a split p kronecker(Delta1, p), and by genus
-    theory a ramified p kronecker(Delta2, p) if p | Delta1, else
-    kronecker(Delta1, p), with no class group."""
-    kind = kronecker(chi.Delta, p)
-    if kind == -1:
-        return kind, 1
-    if kind == 0 and chi.Delta1 % p == 0:
-        return kind, kronecker(chi.Delta2, p)
-    return kind, kronecker(chi.Delta1, p)
-
-
-@lru_cache(maxsize=None)
-def rho_factor(kind: int, chi_p: int, e: int, ec: int) -> int:
-    """Factor of rho_{K/F}((mu0)) at a rational prime p of kind and character
-    value chi_p (see prime_character), p^e || Nm(mu0), p^ec || c = gcd(u, v)
-    with mu0 = u + v*omega; rho is the product over p | Nm(mu0).
-
-    The exponents of (mu0) above p are e/2 at an inert p, e at a ramified p,
-    and (e - ec, ec) at a split p, the prime that holds mu0/c first (mu0/c
-    lies in at most one of the two).  The factor multiplies exponent + 1 over
-    them where chi_p = +1; where chi_p = -1 it is 1 if they are all even, else 0.
-    """
-    exps = (e // 2,) if kind == -1 else (e,) if kind == 0 else (e - ec, ec)
-    if chi_p == 1:
-        return prod(f + 1 for f in exps)
-    return int(all(f % 2 == 0 for f in exps))
-
-
 def _entry(Delta: int, u: int, v: int, r: int, p: int, e: int, ec: int):
-    """((p, b), r (1 + e_l)), the entry of integer_exponent_vector for
+    """((p, b), r (1 + e_l)), the entry (l, b): rho((mu0) l)(1 + ord_l(mu0)) of
     mu0 = u + v*omega whose one zero factor of rho is at the split p, with r
     the product of the other factors; None where there is none.
 
@@ -332,8 +297,8 @@ def _sieve_block(primes: _Primes, m: int, n0: int, count: int):
 
 def _slice_entries(primes: _Primes, m: int, n0: int, count: int) -> list:
     """[(i, (ell, b), r)]: the trace-slice elements mu0 = (n + m sqrt(Delta))/2,
-    n = n0 + 2i, |n| < m sqrt(Delta), of the block whose integer_exponent_vector
-    is {(ell, b): r}, read from the sieve by the same rule (_entry)."""
+    n = n0 + 2i, |n| < m sqrt(Delta), of the block whose exponent vector is
+    {(ell, b): r}, read from the sieve by the same rule (_entry)."""
     rho, zero, rest = _sieve_block(primes, m, n0, count)
     D = primes.chi.Delta
     chi_mod = primes.chi_mod
@@ -354,34 +319,6 @@ def _slice_entries(primes: _Primes, m: int, n0: int, count: int) -> list:
             if entry:
                 out.append((i, *entry))
     return out
-
-
-def integer_exponent_vector(mu0: FieldElem, chi: GenusChar) -> dict:
-    """{(l, b): rho((mu0) l)(1 + ord_l(mu0))} over split chi = -1 primes l | (mu0).
-
-    The same vector as rho_exponent_vector, from mu0 = u + v*omega and one
-    factorisation of Nm = |Nm(mu0)|, with integers only.  rho((mu0) l) = 0
-    unless l lies over the one p where the factor of rho((mu0)) (rho_factor)
-    is 0; then the entry is _entry's.  The sieve (_slice_entries) reads the
-    same rule without factorint.
-    """
-    uv = mu0.integral_uv()
-    if uv is None or mu0.is_zero():
-        raise InvalidInputError("integer_exponent_vector needs integral mu0 != 0")
-    u, v = uv
-    c = gcd(u, v)
-    r, zero = 1, None
-    for p, e in factorint(abs(u * u + chi.Delta * u * v + chi.F.psi * v * v)).items():
-        kind, x = prime_character(chi, p)
-        f = rho_factor(kind, x, e, _ord(c, p))
-        if f:
-            r *= f
-        elif zero or kind != 1:
-            return {}
-        else:
-            zero = p, e
-    entry = zero and _entry(chi.Delta, u, v, r, *zero, _ord(c, zero[0]))
-    return dict([entry]) if entry else {}
 
 
 def gamma_exponents(k: int, pp, d1: int, d2: int) -> FactorReport:
@@ -428,50 +365,6 @@ def gamma_exponents(k: int, pp, d1: int, d2: int) -> FactorReport:
             cleared[(ell, b) if v > 0 else (ell, bc)] = Fraction(2 * abs(v), den)
     kappa = lcm(*(v.denominator for v in cleared.values()))
     return FactorReport(Delta, k, primes.chi, cleared, raw, kappa)
-
-
-def _prime_key(pr: FracIdeal):
-    """Stable key for a prime ideal: (rational prime, hnf b, inert flag).
-
-    Inert primes all share the HNF shape p*[1, 0], so the bare (a, b) pair
-    would collide across them; the rational prime disambiguates.
-    """
-    if pr.a == 1:                # inert: norm p^2, scale p
-        return (pr.num, 0, "inert")
-    return (pr.a, pr.b)          # split or ramified: scale 1, norm a
-
-
-def alt_exponent_check(mu0: FieldElem, chi: GenusChar) -> dict:
-    """Exponent vector of prod over integral divisors a | (mu0) of a^{chi(a)}.
-
-    Returns {prime key: integer exponent}; equals -1/2 times the rho-weighted
-    vector  l^{rho((mu0) l)(1 + ord_l((mu0)))}  at split primes with
-    chi(l) = -1 (checked in tests).
-    """
-    if not mu0.is_integral() or mu0.is_zero():
-        raise InvalidInputError("alt_exponent_check needs integral mu0 != 0")
-    F = chi.F
-    I = FracIdeal.from_generators(F.D, [mu0])
-    out = {}
-    for J in ideal_divisors(F, I):
-        c = chi(J)
-        for pr, e in F.factor_ideal(J):
-            key = _prime_key(pr)
-            out[key] = out.get(key, 0) + c * e
-    return {k: v for k, v in out.items() if v}
-
-
-def rho_exponent_vector(mu0: FieldElem, chi: GenusChar) -> dict:
-    """{prime key: rho((mu0) l)(1 + ord_l((mu0)))} over split chi = -1 primes l | (mu0)."""
-    F = chi.F
-    I = FracIdeal.from_generators(F.D, [mu0])
-    out = {}
-    for pr, e in F.factor_ideal(I):
-        if pr.a > 1 and chi(pr) == -1 and pr != pr.conj():
-            rho = rho_KF(chi, I * pr)
-            if rho:
-                out[_prime_key(pr)] = rho * (1 + e)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -3,17 +3,17 @@
 A_Delta is identified with Z/(Delta/gcd(Delta,2)) x Z/gcd(Delta,2) via
 (a + b*omega)/sqrt(Delta) |-> (a, b).  The Galois involution acts as h -> -h,
 and for every prime p | Delta there is an order-2 automorphism sigma_p acting
-on the p-part.  Genus characters chi_{Delta1,Delta2} of the narrow class group
-are evaluated through prime representatives of coprime norm, and rho_{K/F}
-counts ideals of the quadratic extension K cut out by chi with a given
-relative norm.
+on the p-part.  Genus characters chi_{Delta1,Delta2}, the count rho_{K/F} of
+ideals of the extension K cut out by chi and d0 are read off integers by one
+local rule at each prime (prime_character, rho_factor; Cox, Primes of the
+Form x^2 + ny^2, sec. 6), with no class group.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt, prod
 
 from .qfield import (
     FieldElem,
@@ -21,6 +21,7 @@ from .qfield import (
     InvalidInputError,
     QuadField,
     _ideal,
+    _ord,
     _xgcd,
     factorint,
     field,
@@ -208,9 +209,6 @@ class GDelta:
             return self.from_support(sorted(factorint(D0)))
         return self.full()
 
-    def divides(self, d1: int, d2: int) -> bool:
-        return d2 % d1 == 0
-
 
 def d_of(fqm: FQM, h) -> int:
     """d(h): the G_Delta element whose support is {p : sigma_p(h) = h}."""
@@ -223,24 +221,22 @@ def d_of(fqm: FQM, h) -> int:
 def d0(Delta: int) -> int:
     """The unique d != 1 in G_Delta whose ramified product d_d is narrowly principal.
 
-    Equals Delta exactly when Nm(eps_F) = -1.
+    Delta when Nm(eps_F) = -1.  Otherwise 1 + eps_F is totally positive and
+    (1 + eps_F)' = (1 + eps_F)/eps_F, so (1 + eps_F) = q d_d with q rational and
+    2 + Tr(eps_F) = Nm(1 + eps_F) = q^2 Nm(d_d): d0 is made of the primes of
+    odd order in 2 + Tr(eps_F).
     """
     F = field(Delta)
+    if F.unit_norm() == -1:
+        return Delta
     gd = GDelta(F)
-    ncg = F.narrow_class_group()
-    hits = []
-    for d in gd.elements():
-        if d == 1:
-            continue
-        if ncg.is_narrow_principal(ramified_product(F, d)):
-            hits.append(d)
-    if len(hits) != 1:
-        raise RuntimeError(f"d0 not unique for Delta={Delta}: {hits}")
-    if F.unit_norm() == -1 and hits[0] != gd.full():
-        raise RuntimeError(
-            f"Nm(eps_F) = -1 but d0 = {hits[0]} is not Delta = {gd.full()}"
-        )
-    return hits[0]
+    t = 2 + int(F.fundamental_unit().trace())
+    odd = [p for p in gd.primes if _ord(t, p) % 2]
+    rest = t // prod(odd)
+    if not odd or isqrt(rest) ** 2 != rest:
+        raise RuntimeError(f"2 + Tr(eps_F) = {t} is not a square times primes "
+                           f"of Delta = {Delta}")
+    return gd.from_support(odd)
 
 
 def ramified_product(F: QuadField, d: int) -> FracIdeal:
@@ -257,12 +253,10 @@ def s_h(fqm: FQM, h) -> int:
     0 when Delta0 | d(h) (i.e. 2h = 0); 2 when d0 | d(h) but Delta0 does not
     divide d(h); 1 otherwise.
     """
-    gd = GDelta(fqm.F)
     dh = d_of(fqm, h)
-    D0 = gd.delta0_elem()
-    if gd.divides(D0, dh):
+    if dh % GDelta(fqm.F).delta0_elem() == 0:
         return 0
-    if gd.divides(d0(fqm.F.D), dh):
+    if dh % d0(fqm.F.D) == 0:
         return 2
     return 1
 
@@ -287,7 +281,6 @@ class GenusChar:
         self.Delta = Delta1 * Delta2
         self.odd = Delta1 < 0
         self.F = field(self.Delta)
-        self._class_values = None
 
     def __repr__(self):
         return f"chi({self.Delta1},{self.Delta2})"
@@ -298,57 +291,61 @@ class GenusChar:
     def __hash__(self):
         return hash((self.Delta, min(self.Delta1, self.Delta2)))
 
-    def class_values(self):
-        """chi on each narrow class, via the coprime-norm representatives."""
-        if self._class_values is None:
-            ncg = self.F.narrow_class_group()
-            vals = []
-            for rep in ncg.reps:
-                n = rep.norm()
-                if n.denominator != 1 or gcd(int(n), self.Delta) != 1:
-                    raise RuntimeError(
-                        f"class representative {rep} has norm {n}, not an integer "
-                        f"coprime to Delta = {self.Delta}"
-                    )
-                vals.append(kronecker(self.Delta1, int(n)))
-            self._class_values = vals
-        return self._class_values
-
-    def on_class_index(self, i: int) -> int:
-        return self.class_values()[i]
-
     def __call__(self, I: FracIdeal) -> int:
-        """chi([I]): direct Kronecker when Nm(I) is coprime to Delta, else via
-        the prime representative of the narrow class (Chebotarev search)."""
-        n = I.norm()
-        num = n.numerator * n.denominator  # class is insensitive to Q-scaling
-        if gcd(num, self.Delta) == 1:
-            return kronecker(self.Delta1, num)
-        return self.on_class_index(self.F.narrow_class_group().resolve(I))
+        """chi([I]) from the primitive part [a, b + omega] of I, as chi is 1 on
+        the rational scalars: chi_p at each ramified p | a (prime_character),
+        which divides a once, times (Delta1/.) at the split primes left in a."""
+        a, out = I.a, 1
+        for p in factorint(gcd(a, self.Delta)):
+            out *= prime_character(self, p)[1]
+            a //= p
+        return out * kronecker(self.Delta1, a)
+
+
+@lru_cache(maxsize=4096)
+def prime_character(chi: GenusChar, p: int) -> tuple:
+    """(kronecker(Delta, p), chi at the primes above p) for a rational prime p:
+    an inert p has chi = +1, a split p kronecker(Delta1, p), and by genus
+    theory a ramified p kronecker(Delta2, p) if p | Delta1, else
+    kronecker(Delta1, p), with no class group."""
+    kind = kronecker(chi.Delta, p)
+    if kind == -1:
+        return kind, 1
+    if kind == 0 and chi.Delta1 % p == 0:
+        return kind, kronecker(chi.Delta2, p)
+    return kind, kronecker(chi.Delta1, p)
+
+
+@lru_cache(maxsize=None)
+def rho_factor(kind: int, chi_p: int, e: int, ec: int) -> int:
+    """Factor of rho_{K/F}((mu0)) at a rational prime p of kind and character
+    value chi_p (see prime_character), p^e || Nm(mu0), p^ec || c = gcd(u, v)
+    with mu0 = u + v*omega; rho is the product over p | Nm(mu0).
+
+    The exponents of (mu0) above p are e/2 at an inert p, e at a ramified p,
+    and (e - ec, ec) at a split p, the prime that holds mu0/c first (mu0/c
+    lies in at most one of the two).  The factor multiplies exponent + 1 over
+    them where chi_p = +1; where chi_p = -1 it is 1 if they are all even, else 0.
+    """
+    exps = (e // 2,) if kind == -1 else (e,) if kind == 0 else (e - ec, ec)
+    if chi_p == 1:
+        return prod(f + 1 for f in exps)
+    return int(all(f % 2 == 0 for f in exps))
 
 
 def genus_characters(Delta: int, odd_only: bool = False):
-    """All genus characters of Q(sqrt(Delta)), one per unordered splitting."""
-    F = field(Delta)
-    gd = GDelta(F)
+    """All genus characters of Q(sqrt(Delta)), one per unordered splitting
+    Delta = s t into fundamental discriminants (or 1), s = +-d for d in G_Delta."""
     seen = set()
     out = []
-    for d in gd.elements():
-        cands = []
+    for d in GDelta(field(Delta)).elements():
         for s in (d, -d):
-            if s == 1 or is_fundamental_discriminant(s):
-                # the complementary factor must also be fundamental (or 1)
-                t = Delta // s if Delta % s == 0 else None
-                if t is None:
-                    continue
-                if t == 1 or is_fundamental_discriminant(t):
-                    cands.append((s, t))
-        for (s, t) in cands:
+            t = Delta // s
             key = frozenset((s, t))
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(GenusChar(s, t))
+            fundamental = all(x == 1 or is_fundamental_discriminant(x) for x in (s, t))
+            if fundamental and key not in seen:
+                seen.add(key)
+                out.append(GenusChar(s, t))
     if odd_only:
         out = [c for c in out if c.odd]
     return out
@@ -362,20 +359,13 @@ def rho_KF(chi: GenusChar, I: FracIdeal) -> int:
     """Number of O_K-ideals with relative norm I, K/F cut out by chi.
 
     Multiplicative: a prime power l^e contributes e+1 when chi(l) = +1 and
-    1 or 0 (e even / odd) when chi(l) = -1.
+    1 or 0 (e even / odd) when chi(l) = -1.  For I = num [a, b + omega] that is
+    the rho_factor of each p | Nm(I) = num^2 a, with p^ec || num.
     """
-    F = chi.F
     if not I.is_integral():
         raise InvalidInputError("rho_KF needs an integral ideal")
-    out = 1
-    for pr, e in F.factor_ideal(I):
-        c = chi(pr)
-        if c == 1:
-            out *= e + 1
-        else:
-            if e % 2 == 1:
-                return 0
-    return out
+    return prod(rho_factor(*prime_character(chi, p), e, _ord(I.num, p))
+                for p, e in factorint(I.num * I.num * I.a).items())
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +421,7 @@ class SqrtSupport:
         return out
 
     def chi_of_support(self, chi: GenusChar, a: FracIdeal, h) -> int:
-        return sum(chi.on_class_index(i) for i in self.support(a, h))
+        return sum(chi(self.ncg.reps[i]) for i in self.support(a, h))
 
 
 @lru_cache(maxsize=None)

@@ -167,21 +167,19 @@ def _q_lead(n: int) -> Fraction:
     return Fraction(2 ** n * math.factorial(n) ** 2, math.factorial(2 * n + 1))
 
 
-_MP_COEFF_CACHE = {}
-
-
-def _q_coeffs_mpf(n: int, dps: int, count: int):
-    """At least `count` series coefficients of Q_n as mpf at dps digits."""
-    key = (n, dps)
-    have = _MP_COEFF_CACHE.get(key)
-    if have is None or len(have[0]) < count:
-        exact = _q_series_coeffs(n, max(count, 16))
-        with mpmath.mp.workdps(dps):
-            vals = [mpf(p) / q for p, q in exact]
-            lead = mpf(_q_lead(n).numerator) / _q_lead(n).denominator
-        have = (vals, lead)
-        _MP_COEFF_CACHE[key] = have
-    return have
+@functools.cache
+def _q_coeffs_mpf(n: int, dps: int):
+    """(coeffs, lead): the series coefficients a_j of Q_n as mpf at dps digits,
+    on to a j with a_j T_SWITCH^{-2j} < 10^-(dps+5) a_0 (a_0 = 1): all that
+    legendre_Q and legendre_Q_integral take at any t, T > T_SWITCH."""
+    bound = 10 ** (dps + 5)
+    exact = _q_series_coeffs(n, 16)
+    # the last a_j = p/q against the bound, with T_SWITCH^2 = 4
+    while exact[-1][0] * bound >= exact[-1][1] * 4 ** (len(exact) - 1):
+        exact = _q_series_coeffs(n, 2 * len(exact))
+    lead = _q_lead(n)
+    with mpmath.mp.workdps(dps):
+        return [mpf(p) / q for p, q in exact], mpf(lead.numerator) / lead.denominator
 
 
 def legendre_Q(n: int, t, dps: int | None = None):
@@ -207,7 +205,7 @@ def legendre_Q(n: int, t, dps: int | None = None):
         # number of series terms: (1/t^2)^j < 10^-dps with t > 2
         inv2 = 1 / (t * t)
         need = int(ctx.dps / (2 * math.log10(float(t)))) + 4
-        coeffs, lead = _q_coeffs_mpf(n, ctx.dps, need)
+        coeffs, lead = _q_coeffs_mpf(n, ctx.dps)
         acc = mpf(0)
         for a in reversed(coeffs[:need]):
             acc = acc * inv2 + a
@@ -221,13 +219,11 @@ def legendre_Q_integral(n: int, T):
     if not T > T_SWITCH:
         raise ValueError(f"Q tail integral needs T > {T_SWITCH}, got {T}")
     eps = mpf(10) ** (-(dps + 5))
-    coeffs, lead = _q_coeffs_mpf(n, dps, 16)
+    coeffs, lead = _q_coeffs_mpf(n, dps)
     acc = mpf(0)
-    for j in range(10001):
-        if j == len(coeffs):
-            coeffs, lead = _q_coeffs_mpf(n, dps, 2 * j)
+    for j, a in enumerate(coeffs):
         p = n + 2 * j  # integral of t^{-n-1-2j} is T^{-n-2j}/(n+2j)
-        term = coeffs[j] * T ** (-p) / p
+        term = a * T ** (-p) / p
         acc += term
         if abs(term) < eps * abs(acc):
             return +(lead * acc)

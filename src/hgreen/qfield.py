@@ -630,16 +630,6 @@ def _ideal(D: int, num: int, den: int, a: int, b: int) -> FracIdeal:
     return I
 
 
-def ideal_divisors(F: "QuadField", I: FracIdeal):
-    """All integral ideals containing the integral ideal I (its divisors)."""
-    fact = F.factor_ideal(I)
-    out = [F.O_F()]
-    for pr, e in fact:
-        powers = [pr ** i for i in range(e + 1)]
-        out = [J * q for J in out for q in powers]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # indefinite form reduction
 # ---------------------------------------------------------------------------

@@ -195,8 +195,8 @@ class LatticeRoute:
     def c_chi_table(self, chi: GenusChar, n_max: int):
         """Full table {(n, h): c} for 1 <= n <= n_max, one sweep per class."""
         table = {}
-        for i in range(self.ncg.h_plus):
-            cv = chi.on_class_index(i)
+        for i, rep in enumerate(self.reps):
+            cv = chi(rep)
             for key, c in self.class_sweep(i, n_max).items():
                 table[key] = table.get(key, 0) + cv * c
         return {k: v for k, v in table.items() if v}

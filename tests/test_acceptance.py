@@ -18,14 +18,9 @@ from hgreen import properties as P
 from hgreen.cli import main
 from hgreen.qfield import field
 from hgreen.finquad import genus_characters
-from hgreen.factor import (
-    alt_exponent_check,
-    gamma_exponents,
-    reconcile,
-    rho_exponent_vector,
-    trace_slice,
-)
+from hgreen.factor import gamma_exponents, reconcile, trace_slice
 from hgreen.greens import CMPoint, G_k_hecke, G_kf_at_cycle, GreenParams
+from oracles import alt_exponent_check, rho_exponent_vector
 
 
 def report(name, ok, detail="", failures=()):

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 
@@ -21,6 +22,14 @@ def test_factor_161(capsys):
     assert doc["kappa"] == 1
     exps = {(e["p"], e["e_num"], e["e_den"]) for e in doc["exponents"]}
     assert exps == {(5, 2878, 1), (17, 3580, 1), (19, 2628, 1)}
+
+
+def test_main_leaves_what_it_starts_with_to_no_collection(capsys):
+    gc.unfreeze()
+    marker = [[]]
+    assert any(o is marker for o in gc.get_objects())
+    assert main(["factor", "--k", "4", "--d1", "-7", "--d2", "-23", "--pp", "1=1"]) == 0
+    assert not any(o is marker for o in gc.get_objects())
 
 
 def test_factor_idempotent(capsys):

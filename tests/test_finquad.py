@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from math import gcd
@@ -5,7 +6,7 @@ from math import gcd
 import pytest
 from sympy import factorint, primefactors
 
-from hgreen.qfield import FracIdeal, field, ideal_divisors, kronecker
+from hgreen.qfield import FracIdeal, field, is_fundamental_discriminant, kronecker
 from hgreen.finquad import (
     FQM,
     GDelta,
@@ -17,6 +18,7 @@ from hgreen.finquad import (
     s_h,
     sqrt_support_engine,
 )
+from oracles import class_chi, class_rho, d0_by_search, ideal_divisors
 
 
 def mul_elem(fqm, alpha, h):
@@ -39,8 +41,9 @@ def stabilizer(fqm, h):
 
 
 def sigma_chi_divisor_sum(chi, I) -> int:
-    """Oracle route: sigma_chi(I) = sum of chi(b) over divisors b of I."""
-    return sum(chi(J) for J in ideal_divisors(chi.F, I))
+    """Oracle route: sigma_chi(I) = sum of chi(b) over divisors b of I, chi
+    read off the narrow class group."""
+    return sum(class_chi(chi, J) for J in ideal_divisors(chi.F, I))
 
 
 TEST_DELTAS = [5, 8, 12, 21, 28, 33, 40, 56, 60, 105, 161]
@@ -385,3 +388,85 @@ def test_sqrt_countmul_consistent_domain(D):
         rhs = sorted(cls for cls, m in multi.items() for _ in range(m // k))
         assert sorted(lhs) == rhs
         checked += 1
+
+
+# ---------------------------------------------------------------------------
+# the local rule against the class group
+# ---------------------------------------------------------------------------
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+FUNDAMENTAL_700 = [D for D in range(5, 700) if is_fundamental_discriminant(D)]
+
+
+def seeded_ideals(D, count):
+    """count integral ideals of field(D), seeded by D: a rational scale (1, 2,
+    3 or a prime of the pool, which holds every ramified prime) times up to
+    three prime powers above the pool."""
+    rng = random.Random(D)
+    F = field(D)
+    pool = sorted(set(factorint(D)) | set(SMALL_PRIMES))
+    out = []
+    for _ in range(count):
+        I = FracIdeal(D, rng.choice((1, 1, 2, 3, rng.choice(pool))), 1, 0)
+        for _ in range(rng.randint(0, 3)):
+            I = I * rng.choice(F.primes_above(rng.choice(pool))) ** rng.randint(1, 3)
+        out.append(I)
+    return out
+
+
+def test_local_rule_matches_class_group():
+    # chi and rho_KF from the local rule at each prime against the class
+    # group: every genus character of every fundamental Delta < 700, on 30
+    # seeded integral ideals each
+    checked = ramified = scaled = 0
+    for D in FUNDAMENTAL_700:
+        ideals = seeded_ideals(D, 30)
+        for chi in genus_characters(D):
+            for I in ideals:
+                assert chi(I) == class_chi(chi, I), (chi, I)
+                assert rho_KF(chi, I) == class_rho(chi, I), (chi, I)
+                checked += 1
+                ramified += gcd(I.a, D) > 1
+                scaled += I.num > 1
+    assert checked == 13320 and ramified > 2000 and scaled > 5000, (checked, ramified, scaled)
+
+
+def test_local_rule_digest():
+    # (chi(I), rho_KF(chi, I), d0(Delta)) on the grid above, pinned by a
+    # digest of the values that the class-group route gave
+    h = hashlib.sha256()
+    for D in FUNDAMENTAL_700:
+        ideals = seeded_ideals(D, 30)
+        h.update(f"{D} {d0(D)}\n".encode())
+        for chi in genus_characters(D):
+            for I in ideals:
+                h.update(f"{chi!r} {I!r} {chi(I)} {rho_KF(chi, I)}\n".encode())
+    assert h.hexdigest() == "d5eb43907376efad1e020e4039f9d6e893057269070183719b4ce22a5db0e89e"
+
+
+def test_d0_matches_search_of_g_delta():
+    # d0 from 2 + Tr(eps_F) against the search of G_Delta for the one narrowly
+    # principal ramified product, for every fundamental Delta < 4000
+    for D in range(5, 4000):
+        if is_fundamental_discriminant(D):
+            assert d0(D) == d0_by_search(D), D
+
+
+def _ramified_reads_delta1(chi, p):
+    """prime_character with the ramified branch at p | Delta1 reading Delta1."""
+    kind = kronecker(chi.Delta, p)
+    if kind == -1:
+        return kind, 1
+    return kind, kronecker(chi.Delta1, p)
+
+
+def test_ramified_branch_mutant_fails_the_selftest_suites(monkeypatch):
+    # the counting oracle and the genus congruences read the local rule at a
+    # ramified prime, so both see a wrong branch there
+    from hgreen import finquad, properties
+    fields = (12, 21, 28, 161)
+    assert properties.counting_oracle(fields, 12, random.Random(0))[1] == []
+    assert properties.genus_congruences(fields)[1] == []
+    monkeypatch.setattr(finquad, "prime_character", _ramified_reads_delta1)
+    assert properties.counting_oracle(fields, 12, random.Random(0))[1]
+    assert properties.genus_congruences(fields)[1]

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import inspect
 import math
 import os
@@ -536,10 +537,26 @@ def test_q_series_coefficients_match_fraction_recurrence(n):
     floats = inspect.getclosurevars(G._q_float_factory(n)).nonlocals["coeffs"]
     assert [c.hex() for c in floats] == [float(a).hex() for a in ref[:12]]
     for dps in (30, 50):
-        vals, _ = G._q_coeffs_mpf(n, dps, 60)
+        vals, _ = G._q_coeffs_mpf(n, dps)
         with mpmath.workdps(dps):
             want = [mpf(a.numerator) / a.denominator for a in ref]
         assert [v._mpf_ for v in vals[:60]] == [w._mpf_ for w in want]
+
+
+def test_legendre_q_outputs_pinned():
+    # both regimes of legendre_Q and the tail integral at 30, 40 and 100
+    # digits, pinned by a digest of the values before the mpf coefficient
+    # table became one cached build per (n, dps)
+    h = hashlib.sha256()
+    for dps in (30, 40, 100):
+        with mpmath.workdps(dps):
+            for n in range(12):
+                for t in ("1.25", "2", "2.0001", "7.5", "1000"):
+                    h.update(repr(G.legendre_Q(n, mpf(t))._mpf_).encode())
+                if n:
+                    for T in ("2.5", "400", "3200"):
+                        h.update(repr(G.legendre_Q_integral(n, mpf(T))._mpf_).encode())
+    assert h.hexdigest() == "0e782bffdbcd57e9d123fdf80f60df7a082f12b1f8a476d729e09ab5f5013e7a"
 
 
 def _psi_mp(x):
