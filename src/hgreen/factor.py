@@ -172,9 +172,7 @@ class _Primes:
         chi_mod, split = self.chi_mod, self.split
         mod = len(chi_mod)
         once = {x: rho_factor(1, x, 1, 0) for x in (1, -1)}
-        for p in primes_upto(new):
-            if p <= self.limit:
-                continue
+        for p in primes_upto(new, self.limit):
             root = sqrt_mod(D, p) if D % p else None
             if root is not None:
                 x = chi_mod[p % mod]

@@ -8,8 +8,10 @@ representatives composed with the full PSL_2(Z) sum.
 Truncation is adaptive, on the one doubling ladder `_ladder` that the orbit
 sums and the n-sum both climb: T starts at INITIAL_T = 400 (at least four
 times the upgrade bound below) and doubles, at most MAX_DOUBLINGS = 28 times,
-until the corrected sum moves by less than tol/10 on two consecutive rungs.
-Each route supplies one step per rung.  Each doubling enumerates only its new
+until the error estimate of the corrected sum falls below tol, from the
+third rung on: twice the largest of its last three moves, each carried to
+the current T along the envelope T^-(k - 1/2) of the remainder.  Each route
+supplies one step per rung.  Each doubling enumerates only its new
 shell T/2 < cosh <= T and adds it to running sums of the term count and the
 float sum; the shells use the same float windows as a full enumeration, so
 the count at every T is the one a full enumeration from cosh = 1 gives.  The
@@ -381,34 +383,59 @@ class GreenParams:
 # not converged.
 INITIAL_T = 400.0
 MAX_DOUBLINGS = 28
+# The error estimate (see _ladder): the moves it looks back over and its
+# safety factor.  Measured by running ladders four to six rungs past each rung
+# at 40 digits and taking the error against the last value: the ratio of
+# error to estimate stayed at most 0.58 over 441 rungs of 63 k = 2 orbit sums
+# (random pairs of CM points of discriminant >= -24, m <= 3), 0.07 over 70
+# rungs of 18 k = 4, 6 orbit sums and 0.29 over 182 rungs of 54 n-sum cycles
+# (k = 4, 6, 8).  A second rung, with one move behind it, erred by up to 31
+# times its estimate at k = 2 and 8.7 times at k = 4, where the error at
+# T = 800 had hardly moved from T = 400; so the ladder stops from the third
+# rung on.
+ESTIMATE_WINDOW = 3
+ESTIMATE_SAFETY = 2.0
 
 
-def _ladder(step, params: GreenParams):
+def _ladder(step, params: GreenParams, k: int):
     """(value, history, converged) of a sum truncated at a doubling T.
 
     step(T, T_prev) adds the terms T_prev < cosh <= T (every term up to T on
     the first rung, T_prev None) and returns (partial, tail, record): the sum
     at T, the estimate of what it leaves out, and the route's counters for
-    the history.  The value partial + tail is converged once it moves by less
-    than tol/10 on two consecutive rungs.
+    the history.  The value partial + tail is converged on the first rung,
+    from the third on, whose error estimate is below tol.
+
+    The error after the tail correction is the smoothed remainder of the
+    orbit count against Q_{k-1}: an envelope C T^-alpha, alpha = k - 1/2,
+    times a function of log T that oscillates (the hyperbolic circle
+    problem; Iwaniec, Spectral Methods of Automorphic Forms, 2002, ch. 12),
+    so it can grow between two rungs and a single move can be accidentally
+    small where the error crosses zero.  A move delta_i into rung T_i, carried
+    along the envelope to T_j, is delta_i (T_i/T_j)^alpha.  The estimate is
+    ESTIMATE_SAFETY times the largest of these over the last ESTIMATE_WINDOW
+    moves: for an error that falls monotonically on the envelope it is
+    2 (2^alpha - 1) times the error.  The first rung has no move and no
+    estimate (None).
     """
+    alpha = k - 0.5
     T = max(INITIAL_T, params.upgrade_cosh * 4)
-    T_prev = prev = None
-    stable = 0
+    T_prev = prev = estimate = None
+    moves = []      # (T_i, delta_i) of the last ESTIMATE_WINDOW moves
     history = []
     for _ in range(MAX_DOUBLINGS):
         partial, tail, record = step(T, T_prev)
         value = partial + tail
-        history.append({"T": T, **record, "partial": float(partial), "tail": float(tail)})
-        if prev is not None and abs(value - prev) < params.tol / 10:
-            stable += 1
-            if stable >= 2:
-                break
-        else:
-            stable = 0
+        if prev is not None:
+            moves = (moves + [(T, float(abs(value - prev)))])[-ESTIMATE_WINDOW:]
+            estimate = ESTIMATE_SAFETY * max(d * (Ti / T) ** alpha for Ti, d in moves)
+        history.append({"T": T, **record, "partial": float(partial), "tail": float(tail),
+                        "estimate": estimate})
+        if len(history) >= 3 and estimate < params.tol:
+            return value, history, True
         prev = value
         T_prev, T = T, T * 2
-    return value, history, stable >= 2
+    return value, history, False
 
 
 # Elements of PSL_2(Z) per unit of cosh d(z1, gamma w), for every z1 and w:
@@ -753,12 +780,13 @@ class _PairOrbitSum:
             tail = -2 * ORBIT_DENSITY * _tail_integral(self.k - 1, T, mpmath.mp.dps)
             return S, tail, {"terms": count}
 
-        value, history, converged = _ladder(step, self.params)
+        value, history, converged = _ladder(step, self.params, self.k)
         return value, {
             "pair_T": history[-1]["T"],
             "terms": count,
             "upgraded": upgraded,
             "history": history,
+            "estimate": history[-1]["estimate"],
             "converged": converged,
         }
 
@@ -797,7 +825,19 @@ def G_k_hecke(P1: CMPoint, P2: CMPoint, k: int, m: int, params: GreenParams | No
             total += val
             diag["cosets"].append({"coset": [a, b, d], **pd})
             diag["converged"] = diag["converged"] and pd["converged"]
+        diag["estimate"] = _estimate_sum((1, cd["estimate"]) for cd in diag["cosets"])
         return +total, diag
+
+
+def _estimate_sum(terms):
+    """sum |c| e over the pairs (c, e) of coefficients and error estimates;
+    None if any e is None (a ladder of one rung)."""
+    total = 0.0
+    for c, e in terms:
+        if e is None:
+            return None
+        total += abs(c) * e
+    return total
 
 
 def _mirror(P: CMPoint) -> CMPoint:
@@ -846,6 +886,7 @@ def G_kf_at_cycle(k: int, pp, d1: int, d2: int,
                         hit = done[(P1, P2, m)] = val, {
                             "value": float(val),
                             "converged": pd["converged"],
+                            "estimate": pd["estimate"],
                             "terms": sum(cd["terms"] for cd in pd["cosets"]),
                             "upgraded": sum(cd["upgraded"] for cd in pd["cosets"]),
                         }
@@ -856,11 +897,16 @@ def G_kf_at_cycle(k: int, pp, d1: int, d2: int,
                     converged = converged and rec["converged"]
                     diags.append({"pair": [repr(P1), repr(P2)], "m": m, **rec,
                                   "reused": reused})
+        # each G_k | T_m errs by at most its estimate, times its weight in the value
+        estimate = _estimate_sum(
+            (Fraction(4, w1 * w2) * Fraction(pp[rec["m"]]) * rec["m"] ** (k - 1), rec["estimate"])
+            for rec in diags)
         return +(weight * total), {
             "pairs": len(pts1) * len(pts2),
             "orbit_sums": len(done),
             "weight": float(weight),
             "converged": converged,
+            "estimate": estimate,
             "per_pair": diags,
         }
 
@@ -889,7 +935,10 @@ def G_kf_at_cycle(k: int, pp, d1: int, d2: int,
 #  135.3  6   2033     1.47        1.43     k = 8: 1.46, 1.45
 # Up to 40 the n-sum takes at most 0.64 of the orbit route's time; at 45.1
 # (k = 4, tol 1e-10) it takes 1.29, the nearest point above 40, and beyond
-# 60 it is slower at most points, up to 5.6 times at span 107.6.  k = 2
+# 60 it is slower at most points, up to 5.6 times at span 107.6.  The table
+# was measured while the ladder stopped on two consecutive moves below
+# tol/10, which stopped both routes on the same rung as the error estimate
+# or a higher one; it is not measured again under the estimate.  k = 2
 # stays on the orbit route: Q_1 decays like t^-2, so T runs to ~1e5 and the
 # n-sum would sieve about as many n as the orbit route sums terms.
 NSUM_MAX_SPAN = 40

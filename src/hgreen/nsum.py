@@ -31,8 +31,8 @@ where t > T/2.  Sum rho per unit of
 t has mean 24 h1 h2 sigma(m)/(w1 w2), the orbit density 6 of the h1 h2 CM
 pairs with sigma(m) Hecke cosets each, times the cycle weight 4/(w1 w2); so
 the tail is that density times the orbit route's tail integral, and equals
-the sum of the orbit route's tails.  The witness (a change below tol/10
-twice) applies to the cycle value.
+the sum of the orbit route's tails.  The ladder stops on the error
+estimate of the cycle value, which the diagnostics report as `estimate`.
 """
 
 from __future__ import annotations
@@ -175,7 +175,7 @@ def cycle_nsum(k: int, pp, d1: int, d2: int, params: GreenParams | None = None):
 
     The same value as G_kf_at_cycle (its oracle) from no orbit enumeration:
     on each rung of greens._ladder every principal-part term sums its new
-    shell of n, and the ladder's witness applies to the cycle value.
+    shell of n, and the ladder stops on the error estimate of the cycle value.
     """
     check_cycle_input(k, pp, d1, d2)
     params = params or GreenParams()
@@ -202,7 +202,7 @@ def cycle_nsum(k: int, pp, d1: int, d2: int, params: GreenParams | None = None):
                 tail += s.coeff * s.density * tail_integral
             return partial, tail, {"n_values": n_values, "terms": nonzero}
 
-        value, history, converged = _ladder(step, params)
+        value, history, converged = _ladder(step, params, k)
         return +value, {
             "route": "nsum",
             "T": history[-1]["T"],
@@ -210,5 +210,6 @@ def cycle_nsum(k: int, pp, d1: int, d2: int, params: GreenParams | None = None):
             "terms": nonzero,
             "upgraded": sum(s.upgraded for s in slices),
             "history": history,
+            "estimate": history[-1]["estimate"],
             "converged": converged,
         }

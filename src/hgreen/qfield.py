@@ -29,17 +29,22 @@ class InvalidInputError(ValueError):
 # elementary number theory helpers
 # ---------------------------------------------------------------------------
 
-def primes_upto(n: int):
-    """The primes p <= n in increasing order, read lazily off a sieve of
-    Eratosthenes on a bytearray of the odd numbers: flags[i] stands for 2i + 1."""
-    if n < 2:
-        return iter(())
-    flags = bytearray([1]) * ((n + 1) // 2)
-    flags[0] = 0
-    for q in range(3, isqrt(n) + 1, 2):
-        if flags[q // 2]:
-            flags[q * q // 2::q] = bytes(len(range(q * q // 2, len(flags), q)))
-    return chain((2,), compress(range(1, n + 1, 2), flags))
+def primes_upto(n: int, lo: int = 0):
+    """The primes lo < p <= n in increasing order, read lazily off a sieve of
+    Eratosthenes on a bytearray of the odd numbers in (lo, n]: flags[i] stands
+    for first + 2i.  A table grown in steps sieves each range once."""
+    first = max(3, (lo + 1) | 1)
+    two = (2,) if lo < 2 <= n else ()
+    if n < first:
+        return iter(two)
+    flags = bytearray([1]) * ((n - first) // 2 + 1)
+    for q in islice(primes_upto(isqrt(n)), 1, None):
+        # the odd multiples of q from max(q^2, first) on
+        start = max(q * q, -(-first // q) * q)
+        start += q * (start % 2 == 0)
+        i = (start - first) // 2
+        flags[i::q] = bytes(len(range(i, len(flags), q)))
+    return chain(two, compress(range(first, n + 1, 2), flags))
 
 
 _TRIAL_PRIMES = list(primes_upto(1000))

@@ -445,6 +445,19 @@ def test_sieve_matches_integer_and_ideal_routes_on_the_slice():
     assert all(seen.values()), seen
 
 
+def test_prime_table_grown_in_steps_equals_one_built_at_once():
+    # each extension sieves only (old limit, new bound]; the table keeps
+    # every split prime once, in order, with its root and factors
+    chi = GenusChar(-7, -23)
+    grown = _Primes(chi)
+    for bound in (2, 10, 10149, 10150):
+        grown.upto(bound)
+    whole = _Primes(chi)
+    assert whole.upto(10150) == grown.upto(10150) == grown.split
+    assert grown.limit == whole.limit == 10150
+    assert [p for p, *_ in grown.upto(20)] == [5, 17, 19]
+
+
 def _rho_by_factorint(chi, m, n):
     """rho_{K/F}((mu0)), mu0 = (n + m sqrt(Delta))/2, one factor per p | Nm."""
     D = chi.Delta

@@ -277,7 +277,8 @@ def test_cycle_sums_each_mirror_pair_once(monkeypatch):
     def fake(z1, z2, k, m, params):
         calls.append((z1, z2, m))
         val = mpf(len(calls))
-        return val, {"converged": True, "cosets": [{"terms": len(calls), "upgraded": 1}]}
+        return val, {"converged": True, "estimate": 0.0,
+                     "cosets": [{"terms": len(calls), "upgraded": 1}]}
 
     monkeypatch.setattr(G, "G_k_hecke", fake)
     val, diag = G_kf_at_cycle(4, {1: Fraction(1), 2: Fraction(3)}, -7, -23, GreenParams())
@@ -341,34 +342,78 @@ def test_params_without_a_doubling_or_finite_start_refused(route, k, d1, d2, mon
     assert diag["route"] == route and not diag["converged"]
 
 
-def _run_ladder(values, tol=20.0):
-    """_ladder on a step whose value at rung i is values[i] (tol/10 = 2)."""
+def _run_ladder(errors, tol, k=4, limit=-4.0):
+    """_ladder on a step whose value at rung i is limit + errors[i], as a
+    partial sum and a tail of 3: (value, history, converged, calls)."""
     calls = []
 
     def step(T, T_prev):
         calls.append((T, T_prev))
-        return values[len(calls) - 1] - 3, 3, {"rung": len(calls)}
+        return limit + errors[len(calls) - 1] - 3, 3, {"rung": len(calls)}
 
-    value, history, converged = G._ladder(step, GreenParams(tol=tol))
+    value, history, converged = G._ladder(step, GreenParams(tol=tol), k)
     return value, history, converged, calls
 
 
-def test_ladder_stops_on_the_second_small_move(monkeypatch):
-    # moves 10, 1, 1: the witness holds on the fourth rung
-    value, history, converged, calls = _run_ladder([0, 10, 11, 12, 50])
-    assert converged and value == 12
-    assert calls == [(400.0, None), (800.0, 400.0), (1600.0, 800.0), (3200.0, 1600.0)]
-    assert history[0] == {"T": 400.0, "rung": 1, "partial": -3.0, "tail": 3.0}
-    assert [h["partial"] + h["tail"] for h in history] == [0, 10, 11, 12]
-    # a large move between two small ones resets the count
-    value, history, converged, _ = _run_ladder([0, 1, 10, 11, 12, 50])
-    assert converged and value == 12 and len(history) == 5
-    # out of rungs: the last value, not converged
+@pytest.mark.parametrize("k", [2, 4, 6])
+def test_ladder_stops_on_a_geometric_error_at_the_first_rung_below_tol(k):
+    # an error that falls on the envelope C T^-(k - 1/2): every move carried
+    # to the last rung is (2^alpha - 1) times its error, and the ladder stops
+    # on the first rung from the third on where twice that is below tol
+    alpha = k - 0.5
+    tol = 1e-6
+    errors = [0.3 * 2 ** (-alpha * i) for i in range(G.MAX_DOUBLINGS)]
+    ratio = G.ESTIMATE_SAFETY * (2 ** alpha - 1)
+    value, history, converged, calls = _run_ladder(errors, tol, k)
+    stop = next(i for i, e in enumerate(errors) if i >= 2 and ratio * e < tol)
+    assert converged and len(history) == stop + 1
+    assert value == pytest.approx(-4.0 + errors[stop], rel=0, abs=1e-15)
+    assert calls[:2] == [(400.0, None), (800.0, 400.0)]
+    assert history[0] == {"T": 400.0, "rung": 1, "partial": -7.0 + errors[0], "tail": 3.0,
+                          "estimate": None}
+    for h, e in zip(history[1:], errors[1:]):
+        assert h["estimate"] == pytest.approx(ratio * e, rel=1e-9) and h["estimate"] > e
+    # an error that falls faster than the envelope is overestimated more
+    errors = [0.3 * 2 ** (-(alpha + 1) * i) for i in range(G.MAX_DOUBLINGS)]
+    value, history, converged, _ = _run_ladder(errors, tol, k)
+    assert converged and history[-1]["estimate"] < tol
+    assert all(h["estimate"] > ratio * e for h, e in zip(history[1:], errors[1:]))
+
+
+def test_ladder_does_not_stop_on_one_accidentally_small_move(monkeypatch):
+    # the k = 2 remainder oscillates: here the error changes sign twice and
+    # is the same at rungs 3 and 4, so the move into rung 4 is 0 while the
+    # error is still 0.3; the moves before it keep the estimate up
+    errors = [0.8, -0.5, 0.3, 0.3, -0.1, 0.03, -0.01, 0.002, -4e-4, 1e-4, -2e-5, 4e-6, 1e-7]
+    value, history, converged, _ = _run_ladder(errors, 1e-3, k=2)
+    assert history[3]["estimate"] > 0.3
+    assert converged and len(history) > 4
+    assert history[-1]["estimate"] >= abs(errors[len(history) - 1])
+    # a rule on the last move alone would have stopped there, 0.3 off
+    monkeypatch.setattr(G, "ESTIMATE_WINDOW", 1)
+    value, history, converged, _ = _run_ladder(errors, 1e-3, k=2)
+    assert converged and len(history) == 4
+    assert value == pytest.approx(-4.0 + 0.3, rel=0, abs=1e-15)
+
+
+def test_ladder_does_not_stop_on_the_second_rung():
+    # one move is no estimate to stop on: the error at T = 800 may not have
+    # moved from T = 400 yet
+    errors = [5e-9, 5e-9, 1e-10, 1e-12, 1e-13, 1e-14]
+    value, history, converged, _ = _run_ladder(errors, 1e-6)
+    assert history[1]["estimate"] == 0.0
+    assert converged and len(history) == 3 and errors[2] < history[2]["estimate"] < 1e-6
+
+
+def test_ladder_out_of_rungs_returns_its_last_value(monkeypatch):
     monkeypatch.setattr(G, "MAX_DOUBLINGS", 3)
-    value, history, converged, _ = _run_ladder([0, 10, 11, 12])
-    assert not converged and value == 11
+    value, history, converged, _ = _run_ladder([1.0, 0.5, 0.25, 0.125], 1e-3)
+    assert not converged and value == pytest.approx(-4.0 + 0.25, rel=0, abs=1e-15)
     assert [h["T"] for h in history] == [400.0, 800.0, 1600.0]
-    # the first T is at least four times the upgrade bound
+    assert history[-1]["estimate"] >= 1e-3
+
+
+def test_ladder_starts_at_four_times_the_upgrade_bound(monkeypatch):
     monkeypatch.setattr(G, "INITIAL_T", 100.0)
     assert _run_ladder([0, 0, 0], tol=1e-8)[3][0] == (100.0, None)
     assert _run_ladder([0, 0, 0], tol=1e-13)[3][0] == (256.0, None)
@@ -377,10 +422,11 @@ def test_ladder_stops_on_the_second_small_move(monkeypatch):
 def test_ladder_history_keys_of_both_routes():
     _, diag = G_k_hecke(I, _form("0.3", "1.2"), 4, 1, GreenParams(tol=1e-6))
     keys = {tuple(h) for h in diag["cosets"][0]["history"]}
-    assert keys == {("T", "terms", "partial", "tail")}
+    assert keys == {("T", "terms", "partial", "tail", "estimate")}
     _, diag = G.cycle_value(4, {1: Fraction(1)}, -7, -23, GreenParams(tol=1e-6))
     assert diag["route"] == "nsum"
-    assert {tuple(h) for h in diag["history"]} == {("T", "n_values", "terms", "partial", "tail")}
+    assert {tuple(h) for h in diag["history"]} == \
+        {("T", "n_values", "terms", "partial", "tail", "estimate")}
 
 
 def test_laplacian_eigenvalue_k4():
@@ -458,20 +504,29 @@ def test_shell_counts_match_brute_force(z1, z2, m, T0, monkeypatch):
         assert [h["terms"] for h in cd["history"]] == _brute_counts(z1.z(), w, Ts)
 
 
+def _g2_i_z7_closed_form():
+    """Half of criterion 4a's closed form for G_2(i, z_7): the k = 2 cycle
+    value of (-4, -7), whose one CM pair has weight 4/(4 * 2)."""
+    s7 = mpmath.sqrt(7)
+    return -(4 / mpmath.sqrt(28)) * mpmath.log((8 + 3 * s7) / (8 - 3 * s7))
+
+
 @pytest.mark.parametrize("k,d1,d2,tol,value,terms", [
-    (4, -7, -23, 1e-10, "-4.15788861278509761", [9578, 19164, 19164]),
-    (2, -4, -7, 1e-7, "-4.185819538857667097214713", [614074]),
+    (4, -7, -23, 1e-10, "-4.1578886127855645082", [9578, 9593, 9593]),
+    (2, -4, -7, 1e-7, "-4.1858195399339313519", [307462]),
 ], ids=["k4", "k2"])
 def test_cycle_values_pinned(k, d1, d2, tol, value, terms):
-    # k = 4: the value the orbit route and the n-sum agree on at tol 1e-12
-    # (to 3e-18), and the term counts of the enumeration that re-ran every
-    # doubling from cosh = 1.  k = 2: value and counts of the smooth
-    # truncation, 1.7e-10 from half of criterion 4a's closed form for G_2(i, z_7)
+    # value and term counts of the ladder that stops on its error estimate.
+    # Each is within its reported estimate of an independent reference: at
+    # k = 4 the value the orbit route and the n-sum agree on at tol 1e-12 (to
+    # 3e-18), at k = 2 the closed form
     got, diag = G_kf_at_cycle(k, {1: Fraction(1)}, d1, d2, GreenParams(tol=tol))
     assert diag["converged"]
     assert abs(got - mpf(value)) < 1e-12
     assert [p["terms"] for p in diag["per_pair"]] == terms
     assert all(0 < p["upgraded"] < p["terms"] for p in diag["per_pair"])
+    reference = mpf("-4.15788861278509761") if k == 4 else _g2_i_z7_closed_form()
+    assert abs(got - reference) <= diag["estimate"]
 
 
 def test_upgrade_pass_runs_once_per_orbit_sum(monkeypatch):

@@ -47,9 +47,9 @@ def cycles(draw):
 
 
 def _cycle_tol(k, pp, d1, d2, tol):
-    """The orbit route's witness tol on each G_k|T_m sum, carried to the cycle
-    value through its weight 4/(w1 w2) c(-m) m^{k-1} and the h1 h2 sigma(m)
-    orbit sums of each m."""
+    """The orbit route's bound tol on the error estimate of each G_k|T_m
+    sum, carried to the cycle value through its weight 4/(w1 w2) c(-m) m^{k-1}
+    and the h1 h2 sigma(m) orbit sums of each m."""
     pairs = len(cm_points(d1)) * len(cm_points(d2))
     scale = sum(abs(c) * m ** (k - 1) * sum(a for a in range(1, m + 1) if m % a == 0)
                 for m, c in pp.items())
@@ -136,7 +136,7 @@ def test_orbit_terms_per_n_are_rho(d1, d2, ms, monkeypatch):
     def first_shell(self):
         # each orbit sum of G_k_hecke enumerates its first shell only
         count.update(self._terms_below(4.0 * bound)[3])
-        return 0, {"converged": True}
+        return 0, {"converged": True, "estimate": 0.0}
 
     monkeypatch.setattr(G._PairOrbitSum, "evaluate", first_shell)
     for m in ms:

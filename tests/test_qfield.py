@@ -377,6 +377,11 @@ def test_isprime_and_primes_upto_match_sympy():
     assert list(primes_upto(2 * 10 ** 5 + 99)) == primes
     for n in range(200):
         assert list(primes_upto(n)) == primes[:bisect_right(primes, n)], n
+    # a lower bound: the primes lo < p <= n
+    for lo in range(-2, 120):
+        for n in (lo, lo + 1, lo + 2, lo + 37, 10149, 2 * 10 ** 5 + 99):
+            want = primes[bisect_right(primes, lo):bisect_right(primes, n)]
+            assert list(primes_upto(n, lo)) == want, (lo, n)
 
 
 def test_sqrt_mod_on_every_residue():
