@@ -6,9 +6,10 @@ matrices of determinant m modulo +-1, organized as upper-triangular coset
 representatives composed with the full PSL_2(Z) sum.
 
 Truncation is adaptive, on the one doubling ladder `_ladder` that the orbit
-sums and the n-sum both climb: T starts at INITIAL_T = 400 (at least four
-times the upgrade bound below) and doubles, at most MAX_DOUBLINGS = 28 times,
-until the error estimate of the corrected sum falls below tol, from the
+sums and the n-sum both climb: T starts at INITIAL_T = 25, doubled until it
+is at least four times the upgrade bound below (so 25 at tol >= 1e-12 and
+400 below), and doubles, over at most MAX_DOUBLINGS = 32 rungs, until the
+error estimate of the corrected sum falls below tol, from the
 third rung on: twice the largest of its last three moves, each carried to
 the current T along the envelope T^-(k - 1/2) of the remainder.  Each route
 supplies one step per rung.  Each doubling enumerates only its new
@@ -301,11 +302,12 @@ def _taper_rule():
 
     64-node Gauss-Legendre, 1 - psi folded into the weights; relative error
     ~1e-15 for f = Q_n(T x), n <= 5.  The nodes are Newton-polished roots of
-    P_64, in floats.
+    P_64, in floats: the 32 positive ones, and their mirror images (P_64 is
+    even, and the recurrence in floats is odd in x bit for bit).
     """
     n = 64
-    nodes, weights = [], []
-    for i in range(1, n + 1):
+    roots = []
+    for i in range(1, n // 2 + 1):
         x = math.cos(math.pi * (i - 0.25) / (n + 0.5))
         # from this guess Newton reaches rounding level in 4 steps; a step
         # that leaves x unchanged would repeat itself
@@ -315,7 +317,10 @@ def _taper_rule():
             x, x_prev = x - p[n] / dp, x
             if x == x_prev:
                 break
-        w = 2 / ((1 - x * x) * dp * dp)
+        roots.append((x, 2 / ((1 - x * x) * dp * dp)))
+    nodes, weights = [], []
+    # descending: the positive roots, then their negatives
+    for x, w in roots + [(-x, w) for x, w in reversed(roots)]:
         # [-1, 1] -> [1/2, 1]
         x = 0.75 + x / 4
         nodes.append(x)
@@ -378,21 +383,28 @@ class GreenParams:
         return 4.0 if self.tol >= 1e-12 else 64.0
 
 
-# The doubling ladder of T that both routes climb: the first T (raised to four
-# times the upgrade bound) and the most rungs before a value is reported as
-# not converged.
-INITIAL_T = 400.0
-MAX_DOUBLINGS = 28
+# The doubling ladder of T that both routes climb: the first T (doubled until
+# it is at least four times the upgrade bound: 25 at tol >= 1e-12, 400 below)
+# and the most rungs before a value is reported as not converged.  From
+# T = 25 the 32 rungs end at 400 * 2^27.
+INITIAL_T = 25.0
+MAX_DOUBLINGS = 32
 # The error estimate (see _ladder): the moves it looks back over and its
-# safety factor.  Measured by running ladders four to six rungs past each rung
-# at 40 digits and taking the error against the last value: the ratio of
-# error to estimate stayed at most 0.58 over 441 rungs of 63 k = 2 orbit sums
-# (random pairs of CM points of discriminant >= -24, m <= 3), 0.07 over 70
-# rungs of 18 k = 4, 6 orbit sums and 0.29 over 182 rungs of 54 n-sum cycles
-# (k = 4, 6, 8).  A second rung, with one move behind it, erred by up to 31
-# times its estimate at k = 2 and 8.7 times at k = 4, where the error at
-# T = 800 had hardly moved from T = 400; so the ladder stops from the third
-# rung on.
+# safety factor.  Measured at tol 1e-10 (first rung 25) by running ladders at
+# 40 digits to a fixed last rung and taking the error against its value, on
+# every rung from the third on that lies at least four rungs below it: the
+# ratio of error to estimate stayed at most 0.88 (at T = 100) over 4158 rungs
+# of 140 k = 2 orbit sums (random pairs of CM points of discriminant >= -24,
+# m <= 3; 378 coset ladders to T = 1638400), with one exception, 0.19 over
+# 273 rungs of 24 k = 4, 6 orbit sums and 0.11 over 192 rungs of 50 n-sum
+# cycles (k = 4, 6; both to T = 25600), counting only rungs whose estimate is
+# above 1e-14 of the value.  The exception, 1.32 at T = 3200 in the sum of
+# CM(2,-1,3) x CM(2,0,3), m = 3, coset (1, 1, 3), is a rung whose three moves
+# start from T = 400, so a first rung of 400 gives it the same estimate.  On
+# ladders from T = 400 a second rung, with one move behind it, erred by up
+# to 31 times its estimate at k = 2 and 8.7 times at k = 4, where the error
+# at T = 800 had hardly moved from T = 400; so the ladder stops from the
+# third rung on.
 ESTIMATE_WINDOW = 3
 ESTIMATE_SAFETY = 2.0
 
@@ -419,7 +431,9 @@ def _ladder(step, params: GreenParams, k: int):
     estimate (None).
     """
     alpha = k - 0.5
-    T = max(INITIAL_T, params.upgrade_cosh * 4)
+    T = INITIAL_T
+    while T < params.upgrade_cosh * 4:
+        T *= 2
     T_prev = prev = estimate = None
     moves = []      # (T_i, delta_i) of the last ESTIMATE_WINDOW moves
     history = []
@@ -936,9 +950,10 @@ def G_kf_at_cycle(k: int, pp, d1: int, d2: int,
 # Up to 40 the n-sum takes at most 0.64 of the orbit route's time; at 45.1
 # (k = 4, tol 1e-10) it takes 1.29, the nearest point above 40, and beyond
 # 60 it is slower at most points, up to 5.6 times at span 107.6.  The table
-# was measured while the ladder stopped on two consecutive moves below
-# tol/10, which stopped both routes on the same rung as the error estimate
-# or a higher one; it is not measured again under the estimate.  k = 2
+# was measured while the ladder started at T = 400 and stopped on two
+# consecutive moves below tol/10, which stopped both routes on the same rung
+# as the error estimate or a higher one; it is not measured again under the
+# estimate or the first rung T = 25, which shortens both routes.  k = 2
 # stays on the orbit route: Q_1 decays like t^-2, so T runs to ~1e5 and the
 # n-sum would sieve about as many n as the orbit route sums terms.
 NSUM_MAX_SPAN = 40

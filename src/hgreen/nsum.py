@@ -20,14 +20,15 @@ with chi_q read from the table _Primes.chi_mod, as on the trace slice; here
 mu0 >> 0 makes chi_q = +1 wherever rho is not already 0.
 
 The numerics are the orbit route's: the one doubling ladder greens._ladder
-(T from INITIAL_T, at most MAX_DOUBLINGS rungs), psi(t/T) weights on the
-newest shell, the float series above the upgrade bound and, up to it, the
-mpmath pass greens.upgrade_sum with the weights rho(n).  The float terms of
+(T from 25 at tol >= 1e-12 and from 400 below, at most MAX_DOUBLINGS
+rungs), psi(t/T) weights on the newest shell, the float series above the
+upgrade bound and, up to it, the mpmath pass greens.upgrade_sum with the
+weights rho(n).  The float terms of
 a shell take one loop over its nonzero rho (_Slice._float_pass) that calls
 no Python function per n: Horner over the coefficients of
 greens._q_float_coeffs, as many as the shell's smallest t needs for 1e-17
-relative (12 on the first shell, at most 4 from t = 400 on), and psi inline
-where t > T/2.  Sum rho per unit of
+relative (12 on the first shell, at most 9 from t = 12.5 on and 4 from
+t = 200 on), and psi inline where t > T/2.  Sum rho per unit of
 t has mean 24 h1 h2 sigma(m)/(w1 w2), the orbit density 6 of the h1 h2 CM
 pairs with sigma(m) Hecke cosets each, times the cycle weight 4/(w1 w2); so
 the tail is that density times the orbit route's tail integral, and equals

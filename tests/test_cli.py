@@ -118,7 +118,7 @@ def test_exit_1_states_its_reason(capsys, monkeypatch):
         f"not converged: n-sum at T = 800.0 after 2 shells, estimate {estimate:.2g} >= tol 1e-15"
     monkeypatch.setattr(G, "MAX_DOUBLINGS", real_max)
     # k = 2 takes the orbit route; every orbit sum after the first runs out
-    # of doublings at T = 800: the reason names the first non-converged pair,
+    # of doublings at T = 50: the reason names the first non-converged pair,
     # its m and its estimate
     cycle[1] = "2"
     real_hecke = G.G_k_hecke

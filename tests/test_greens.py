@@ -4,6 +4,7 @@ import inspect
 import math
 import os
 import random
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -368,8 +369,8 @@ def test_ladder_stops_on_a_geometric_error_at_the_first_rung_below_tol(k):
     stop = next(i for i, e in enumerate(errors) if i >= 2 and ratio * e < tol)
     assert converged and len(history) == stop + 1
     assert value == pytest.approx(-4.0 + errors[stop], rel=0, abs=1e-15)
-    assert calls[:2] == [(400.0, None), (800.0, 400.0)]
-    assert history[0] == {"T": 400.0, "rung": 1, "partial": -7.0 + errors[0], "tail": 3.0,
+    assert calls[:2] == [(25.0, None), (50.0, 25.0)]
+    assert history[0] == {"T": 25.0, "rung": 1, "partial": -7.0 + errors[0], "tail": 3.0,
                           "estimate": None}
     for h, e in zip(history[1:], errors[1:]):
         assert h["estimate"] == pytest.approx(ratio * e, rel=1e-9) and h["estimate"] > e
@@ -409,14 +410,33 @@ def test_ladder_out_of_rungs_returns_its_last_value(monkeypatch):
     monkeypatch.setattr(G, "MAX_DOUBLINGS", 3)
     value, history, converged, _ = _run_ladder([1.0, 0.5, 0.25, 0.125], 1e-3)
     assert not converged and value == pytest.approx(-4.0 + 0.25, rel=0, abs=1e-15)
-    assert [h["T"] for h in history] == [400.0, 800.0, 1600.0]
+    assert [h["T"] for h in history] == [25.0, 50.0, 100.0]
     assert history[-1]["estimate"] >= 1e-3
 
 
 def test_ladder_starts_at_four_times_the_upgrade_bound(monkeypatch):
+    # the first rung is INITIAL_T doubled until it is at least four times
+    # the upgrade bound (4 at tol >= 1e-12, 64 below)
+    assert _run_ladder([0, 0, 0], tol=1e-6)[3][0] == (25.0, None)
+    assert _run_ladder([0, 0, 0], tol=1e-12)[3][0] == (25.0, None)
+    assert _run_ladder([0, 0, 0], tol=9.9e-13)[3][0] == (400.0, None)
     monkeypatch.setattr(G, "INITIAL_T", 100.0)
     assert _run_ladder([0, 0, 0], tol=1e-8)[3][0] == (100.0, None)
-    assert _run_ladder([0, 0, 0], tol=1e-13)[3][0] == (256.0, None)
+    assert _run_ladder([0, 0, 0], tol=1e-13)[3][0] == (400.0, None)
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-13])
+def test_ladder_keeps_every_rung_from_400_to_the_top(tol):
+    # the rungs below 400 are added ones: every 400 * 2^j up to the top rung
+    # 400 * 2^27 is still a rung, so a sum that stopped there still can
+    errors = [(-1.0) ** i for i in range(G.MAX_DOUBLINGS)]
+    _, _, converged, calls = _run_ladder(errors, tol)
+    Ts = [T for T, _ in calls]
+    assert not converged and len(Ts) == G.MAX_DOUBLINGS
+    assert all(b == 2 * a for a, b in zip(Ts, Ts[1:]))
+    assert {400.0 * 2 ** j for j in range(28)} <= set(Ts)
+    if tol >= 1e-12:
+        assert Ts[0] == 25.0 and Ts[-1] == 400.0 * 2 ** 27
 
 
 def test_ladder_history_keys_of_both_routes():
@@ -512,7 +532,7 @@ def _g2_i_z7_closed_form():
 
 
 @pytest.mark.parametrize("k,d1,d2,tol,value,terms", [
-    (4, -7, -23, 1e-10, "-4.1578886127855645082", [9578, 9593, 9593]),
+    (4, -7, -23, 1e-10, "-4.15788861278422523966", [4800, 4808, 4808]),
     (2, -4, -7, 1e-7, "-4.1858195399339313519", [307462]),
 ], ids=["k4", "k2"])
 def test_cycle_values_pinned(k, d1, d2, tol, value, terms):
@@ -624,12 +644,21 @@ def _psi_mp(x):
     return 1 / (1 + mpmath.exp(1 / (1 - s) - 1 / s))
 
 
+def test_taper_rule_pinned():
+    # the 64 nodes and weights, bit for bit as Newton-polishing every root
+    # of P_64 (not only the positive ones) gave them
+    nodes, weights = G._taper_rule()
+    assert len(nodes) == len(weights) == 64
+    digest = hashlib.sha256(struct.pack("<128d", *nodes, *weights)).hexdigest()
+    assert digest == "1e47c38edcf01dbcf115b0af3f910c95a9331aee23fbf79e0bd25260ccafe6c6"
+
+
 def test_taper_integral_matches_quadrature():
     # int_{T/2}^T (1 - psi(t/T)) Q_n(t) dt = T^-n int_{1/2}^1 (1 - psi) T^{n+1} Q_n(T x) dx,
     # the integrand scaled to order one so quad's absolute error is relative
     for n in (1, 3, 5):
         qf = G._q_float_factory(n)
-        for T in (400.0, 25600.0, 1.6e6):
+        for T in (25.0, 50.0, 100.0, 400.0, 25600.0, 1.6e6):
             with mpmath.workdps(30):
                 scale = mpf(T) ** (n + 1)
                 ref = mpmath.quad(lambda x: (1 - _psi_mp(x)) * scale * legendre_Q(n, T * x),
@@ -677,16 +706,15 @@ def test_orbit_sum_loads_no_polynomial_or_scipy():
 def test_coset_bound_exact_at_every_doubling():
     # X = v0 / (y1 (T - sqrt(T^2 - 1))) must not lose the terms near the
     # v-window edge: the float X is at least the exact one (within 1e-12),
-    # and finite at every T the 28 doublings from T = 400 reach
+    # and finite at every T the ladder reaches from its first rung, 25 or 400
     z1, w = _form("0.13", "1.21"), _form("-0.4", "0.9")
     s = G._PairOrbitSum(z1, w, 2, GreenParams())
     with mpmath.workdps(60):
-        for k in range(28):
-            T = 400.0 * 2 ** k
+        for T in sorted({T0 * 2.0 ** j for T0 in (25, 400) for j in range(G.MAX_DOUBLINGS)}):
             X, cmax = s._coset_bound(T)
             exact = mpf(s.vf) / (mpf(s.y1f) * (T - mpmath.sqrt(mpf(T) ** 2 - 1)))
             assert math.isfinite(X) and cmax >= 1
-            assert X >= exact * (1 - mpf(10) ** -12), (k, X, exact)
+            assert X >= exact * (1 - mpf(10) ** -12), (T, X, exact)
 
 
 def test_inverse_table_matches_pow():
@@ -858,5 +886,5 @@ def test_scope_corner_k4_cycle_at_delta_999996():
     val, diag = G_kf_at_cycle(4, {1: Fraction(1)}, -3, -333332, GreenParams(tol=1e-8))
     assert time.perf_counter() - t0 < 10.0
     assert diag["converged"] and diag["pairs"] == 348
-    assert sum(p["terms"] for p in diag["per_pair"]) == 3339210
-    assert abs(val - mpf("-129.358257064396199122504888304")) < 1e-12
+    assert sum(p["terms"] for p in diag["per_pair"]) == 837972
+    assert abs(val - mpf("-129.358257065075104482651039416")) < 1e-12
