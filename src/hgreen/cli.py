@@ -9,9 +9,9 @@ Subcommands
 All output is a single JSON document on stdout (or --output).  Exact fields
 (exponents, kappa) are byte-reproducible; floating fields carry an explicit
 precision entry.  A `greens` or `verify` document that exits 1 ends with
-`failure_reason`: the first non-converged CM pair and its m (orbit route) or
-the last T of an n-sum that did not converge, each with its last error
-estimate against tol, and/or `residual R >= threshold T`.
+`failure_reason`: the route (n-sum or orbit route) whose cycle value did not
+converge, with its last T, its number of shells and its last error estimate
+against tol, and/or `residual R >= threshold T`.
 """
 
 from __future__ import annotations
@@ -114,23 +114,14 @@ def _convergence(diag):
 def _failure_reason(diag, tol, report=None):
     """Why `greens` or `verify` fails (exit 1), or None when it passes."""
     reasons = []
-    if diag["route"] == "nsum":
-        if not diag["converged"]:
-            reasons.append(f"not converged: n-sum at T = {diag['T']} after "
-                           f"{len(diag['history'])} shells, {_against(diag['estimate'], tol)}")
-    else:
-        stuck = next((rec for rec in diag["per_pair"] if not rec["converged"]), None)
-        if stuck:
-            reasons.append(f"not converged: pair {stuck['pair'][0]} x {stuck['pair'][1]},"
-                           f" m = {stuck['m']}, {_against(stuck['estimate'], tol)}")
+    if not diag["converged"]:
+        route = "n-sum" if diag["route"] == "nsum" else "orbit route"
+        reasons.append(f"not converged: {route} at T = {diag['T']} after "
+                       f"{len(diag['history'])} shells, "
+                       f"estimate {diag['estimate']:.2g} >= tol {tol:g}")
     if report is not None and not report.verified:
         reasons.append(f"residual {report.residual} >= threshold {report.residual_threshold}")
     return "; ".join(reasons) or None
-
-
-def _against(estimate, tol) -> str:
-    """The error estimate of a sum that did not converge, against tol."""
-    return f"estimate {estimate:.2g} >= tol {tol:g}"
 
 
 def _close(doc, reason, args) -> int:

@@ -5,14 +5,17 @@ the second variable; Hecke translates sum the same kernel over integral
 matrices of determinant m modulo +-1, organized as upper-triangular coset
 representatives composed with the full PSL_2(Z) sum.
 
-Truncation is adaptive, on the one doubling ladder `_ladder` that the orbit
-sums and the n-sum both climb: T starts at INITIAL_T = 25, doubled until it
-is at least four times the upgrade bound below (so 25 at tol >= 1e-12 and
-400 below), and doubles, over at most MAX_DOUBLINGS = 32 rungs, until the
-error estimate of the corrected sum falls below tol, from the
+Truncation is adaptive, on one doubling ladder `_ladder` per value on both
+routes: T starts at INITIAL_T = 25, doubled until it is at least four times
+the upgrade bound below (so 25 at tol >= 1e-12 and 400 below), and doubles,
+over at most MAX_DOUBLINGS = 32 rungs, until the error estimate of the
+corrected value falls below tol, from the
 third rung on: twice the largest of its last three moves, each carried to
 the current T along the envelope T^-(k - 1/2) of the remainder.  Each route
-supplies one step per rung.  Each doubling enumerates only its new
+supplies one step per rung; the orbit route's steps every orbit sum of the
+value times its coefficient, so tol bounds the cycle value, not each orbit
+sum, and the two routes stop on the same rung and agree to rounding.  Each
+doubling enumerates only its new
 shell T/2 < cosh <= T and adds it to running sums of the term count and the
 float sum; the shells use the same float windows as a full enumeration, so
 the count at every T is the one a full enumeration from cosh = 1 gives.  The
@@ -37,7 +40,7 @@ bound is 4 for tol >= 1e-12, where on [4, 64] the float series is within
 first T is at least four times the bound, so all of these terms lie in the
 first shell and the mpmath pass runs once per orbit sum.
 
-Every orbit sum of a cycle meets the same n, the same doubling ladder of T
+Every orbit sum of a cycle meets the same n, the same rungs of T
 and the same d^-1 mod c, so that work is done once per process: the mpmath
 Q value of each distinct (k, m, Delta, n, digits), the tail at each
 (k, T, digits), the float Q series of each k, and one read-only table of
@@ -563,7 +566,8 @@ class _PairOrbitSum:
     term the cosh distance depends on the coset through u = Re(gamma*w) mod 1
     and v = Im(gamma*w).  Each doubling of the cosh bound enumerates only its
     new shell of terms; the terms up to the upgrade bound, all in the first
-    shell, are summed once by upgrade_sum from n = m sqrt(Delta) cosh.
+    shell, are summed once by upgrade_sum from n = m sqrt(Delta) cosh.  Each
+    call of step adds one rung of the ladder of the value the sum is part of.
     """
 
     def __init__(self, P1: CMPoint, W: CMPoint, k: int, params: GreenParams, m: int = 1):
@@ -579,6 +583,10 @@ class _PairOrbitSum:
         self.x1f, self.y1f = z1.real, z1.imag
         self.uf, self.vf = w.real, w.imag
         self.qf = _q_float_factory(k - 1)
+        # running sums of step, and the value at its last rung
+        self.terms = self.upgraded = 0
+        self.q_up = self.value = None
+        self.qsum = 0.0
 
     # -- coset data ---------------------------------------------------------
     def _coset_bound(self, T: float):
@@ -771,57 +779,72 @@ class _PairOrbitSum:
         return upgrade_sum(self.k, self.m, self.Delta, Counter(upgrades).items(),
                            mpmath.mp.dps)
 
-    # -- adaptive evaluation ---------------------------------------------------
-    def evaluate(self):
-        """(value, diagnostics) of the sum on the doubling ladder (_ladder)."""
-        count = upgraded = 0
-        qsum_f = 0.0
-        q_up = None
-
-        def step(T, T_prev):
-            nonlocal count, upgraded, qsum_f, q_up
-            n, q, qw, upgrades = self._terms_below(T, T_prev)
-            count += n
-            if T_prev is None:
-                # every term with cosh <= upgrade bound lies in the first
-                # shell (_accumulate raises otherwise): one mpmath pass; its
-                # terms lie below T/2, where psi is 1
-                upgraded = len(upgrades)
-                q_up = self._upgrade_sum(upgrades)
-            # psi(cosh/T) is 1 on the earlier shells and weights this one
-            S = -2 * (q_up + (qsum_f + qw))
-            qsum_f += q
-            tail = -2 * ORBIT_DENSITY * _tail_integral(self.k - 1, T, mpmath.mp.dps)
-            return S, tail, {"terms": count}
-
-        value, history, converged = _ladder(step, self.params, self.k)
-        return value, {
-            "pair_T": history[-1]["T"],
-            "terms": count,
-            "upgraded": upgraded,
-            "history": history,
-            "estimate": history[-1]["estimate"],
-            "converged": converged,
-        }
+    # -- one rung of the ladder (_ladder) --------------------------------------
+    def step(self, T: float, T_prev: float | None):
+        """(partial, tail) of the sum at T, after adding the shell T_prev < cosh
+        <= T (every term up to T on the first rung, T_prev None)."""
+        n, q, qw, upgrades = self._terms_below(T, T_prev)
+        self.terms += n
+        if T_prev is None:
+            # every term with cosh <= upgrade bound lies in the first shell
+            # (_accumulate raises otherwise): one mpmath pass; its terms lie
+            # below T/2, where psi is 1
+            self.upgraded = len(upgrades)
+            self.q_up = self._upgrade_sum(upgrades)
+        # psi(cosh/T) is 1 on the earlier shells and weights this one
+        partial = -2 * (self.q_up + (self.qsum + qw))
+        self.qsum += q
+        tail = -2 * ORBIT_DENSITY * _tail_integral(self.k - 1, T, mpmath.mp.dps)
+        self.value = partial + tail
+        return partial, tail
 
 
-def _hecke_cosets(m: int):
-    """Upper-triangular representatives (a, b, d), ad = m, 0 <= b < d."""
+def _hecke_sums(P1: CMPoint, P2: CMPoint, k: int, m: int, params: GreenParams):
+    """[(coset, orbit sum)] of G_k | T_m (z1, z2): a _PairOrbitSum for each
+    upper-triangular coset (a, b, d), ad = m, 0 <= b < d."""
     out = []
     for a in range(1, m + 1):
         if m % a:
             continue
         d = m // a
         for b in range(d):
-            out.append((a, b, d))
+            # the form of (a z2 + b)/d, discriminant m^2 d2
+            W = CMPoint(P2.A * d * d, d * (a * P2.B - 2 * P2.A * b),
+                        P2.A * b * b - a * b * P2.B + a * a * P2.C)
+            out.append(((a, b, d), _PairOrbitSum(P1, W, k, params, m)))
     return out
+
+
+def _orbit_ladder(weighted, params: GreenParams, k: int):
+    """(value, diagnostics) of sum c S over the pairs (c, S) of coefficients
+    and orbit sums, on one ladder (_ladder): every rung steps every orbit sum,
+    and the ladder stops on the error estimate of the weighted sum."""
+    def step(T, T_prev):
+        partial = tail = mpf(0)
+        for c, s in weighted:
+            p, t = s.step(T, T_prev)
+            partial += c * p
+            tail += c * t
+        return partial, tail, {"terms": sum(s.terms for _, s in weighted)}
+
+    value, history, converged = _ladder(step, params, k)
+    return +value, {
+        "T": history[-1]["T"],
+        "terms": history[-1]["terms"],
+        "upgraded": sum(s.upgraded for _, s in weighted),
+        "history": history,
+        "estimate": history[-1]["estimate"],
+        "converged": converged,
+    }
 
 
 def G_k_hecke(P1: CMPoint, P2: CMPoint, k: int, m: int, params: GreenParams | None = None):
     """G_k | T_m (z1, z2) at the roots z1, z2 of P1, P2: the sum over integral
     matrices of determinant m mod +-1.
 
-    Returns (value, diagnostics).  For m = 1 this is G_k(z1, z2).
+    Returns (value, diagnostics).  For m = 1 this is G_k(z1, z2).  The
+    sigma(m) coset sums climb one ladder, which stops on the estimate of
+    their total; `cosets` gives each coset's terms and upgraded terms.
     """
     params = params or GreenParams()
     if k < 2 or k % 2 != 0:
@@ -829,29 +852,11 @@ def G_k_hecke(P1: CMPoint, P2: CMPoint, k: int, m: int, params: GreenParams | No
     if m < 1:
         raise InvalidInputError("Hecke index m must be >= 1")
     with mpmath.mp.workdps(params.digits):
-        total = mpf(0)
-        diag = {"cosets": [], "converged": True}
-        for (a, b, d) in _hecke_cosets(m):
-            # the form of (a z2 + b)/d, discriminant m^2 d2
-            W = CMPoint(P2.A * d * d, d * (a * P2.B - 2 * P2.A * b),
-                        P2.A * b * b - a * b * P2.B + a * a * P2.C)
-            val, pd = _PairOrbitSum(P1, W, k, params, m).evaluate()
-            total += val
-            diag["cosets"].append({"coset": [a, b, d], **pd})
-            diag["converged"] = diag["converged"] and pd["converged"]
-        diag["estimate"] = _estimate_sum((1, cd["estimate"]) for cd in diag["cosets"])
-        return +total, diag
-
-
-def _estimate_sum(terms):
-    """sum |c| e over the pairs (c, e) of coefficients and error estimates;
-    None if any e is None (a ladder of one rung)."""
-    total = 0.0
-    for c, e in terms:
-        if e is None:
-            return None
-        total += abs(c) * e
-    return total
+        sums = _hecke_sums(P1, P2, k, m, params)
+        value, diag = _orbit_ladder([(1, s) for _, s in sums], params, k)
+        diag["cosets"] = [{"coset": list(coset), "terms": s.terms, "upgraded": s.upgraded}
+                          for coset, s in sums]
+        return value, diag
 
 
 def _mirror(P: CMPoint) -> CMPoint:
@@ -869,59 +874,53 @@ def G_kf_at_cycle(k: int, pp, d1: int, d2: int,
 
     pp maps m to c_f(-m), and an m with c_f(-m) = 0 costs no orbit sum; the
     cycle runs over all pairs of reduced CM points of the coprime
-    fundamental discriminants d1, d2 < 0.  G_k | T_m (z1, z2) =
-    G_k | T_m (-conj z1, -conj z2), since conjugating by diag(-1, 1) permutes
-    the matrices of determinant m, so a pair whose mirror pair is already
-    summed reuses that value and its per-pair record, marked "reused".  The
-    records not reused are the G_k | T_m sums evaluated ("orbit_sums"), and
-    their terms add up to the work done.
+    fundamental discriminants d1, d2 < 0.  Every coset sum of every pair
+    climbs one ladder with coefficient 4/(w1 w2) c_f(-m) m^{k-1}, and the
+    ladder stops on the error estimate of the cycle value, as the n-sum's
+    does.  G_k | T_m (z1, z2) = G_k | T_m (-conj z1, -conj z2), since
+    conjugating by diag(-1, 1) permutes the matrices of determinant m, so a
+    pair whose mirror pair is already summed adds its coefficient to that
+    pair's sums; its per-pair record repeats that pair's value and counts
+    and is marked "reused".  The records not reused are the G_k | T_m sums
+    evaluated ("orbit_sums"), and their terms add up to the work done.
     """
     check_cycle_input(k, pp, d1, d2)
     params = params or GreenParams()
     pts1 = cm_points(d1)
     pts2 = cm_points(d2)
-    w1 = unit_weight(d1)
-    w2 = unit_weight(d2)
+    weight = Fraction(4, unit_weight(d1) * unit_weight(d2))
     with mpmath.mp.workdps(params.digits):
-        weight = mpf(4) / (w1 * w2)
-        total = mpf(0)
-        diags = []
-        converged = True
-        done = {}
+        groups = {}     # (P1, P2, m) summed -> [coefficient, its coset sums]
+        pairs = []      # (P1, P2, m, key of its group, reused)
         for P1 in pts1:
             for P2 in pts2:
                 for m, c in sorted(pp.items()):
                     if not c:
                         continue
-                    hit = done.get((_mirror(P1), _mirror(P2), m))
-                    reused = hit is not None
+                    key = (_mirror(P1), _mirror(P2), m)
+                    reused = key in groups
                     if not reused:
-                        val, pd = G_k_hecke(P1, P2, k, m, params)
-                        hit = done[(P1, P2, m)] = val, {
-                            "value": float(val),
-                            "converged": pd["converged"],
-                            "estimate": pd["estimate"],
-                            "terms": sum(cd["terms"] for cd in pd["cosets"]),
-                            "upgraded": sum(cd["upgraded"] for cd in pd["cosets"]),
-                        }
-                    val, rec = hit
-                    cf = Fraction(c)
-                    total += (mpf(cf.numerator) / cf.denominator
-                              * mpf(m) ** (k - 1) * val)
-                    converged = converged and rec["converged"]
-                    diags.append({"pair": [repr(P1), repr(P2)], "m": m, **rec,
-                                  "reused": reused})
-        # each G_k | T_m errs by at most its estimate, times its weight in the value
-        estimate = _estimate_sum(
-            (Fraction(4, w1 * w2) * Fraction(pp[rec["m"]]) * rec["m"] ** (k - 1), rec["estimate"])
-            for rec in diags)
-        return +(weight * total), {
+                        key = (P1, P2, m)
+                        groups[key] = [0, [s for _, s in _hecke_sums(P1, P2, k, m, params)]]
+                    groups[key][0] += weight * Fraction(c) * m ** (k - 1)
+                    pairs.append((P1, P2, m, key, reused))
+        value, diag = _orbit_ladder(
+            [(mpf(c.numerator) / c.denominator, s) for c, sums in groups.values() for s in sums],
+            params, k)
+        per_pair = []
+        for P1, P2, m, key, reused in pairs:
+            sums = groups[key][1]
+            per_pair.append({"pair": [repr(P1), repr(P2)], "m": m,
+                             "value": float(mpmath.fsum(s.value for s in sums)),
+                             "terms": sum(s.terms for s in sums),
+                             "upgraded": sum(s.upgraded for s in sums),
+                             "reused": reused})
+        return value, {
             "pairs": len(pts1) * len(pts2),
-            "orbit_sums": len(done),
+            "orbit_sums": len(groups),
             "weight": float(weight),
-            "converged": converged,
-            "estimate": estimate,
-            "per_pair": diags,
+            **diag,
+            "per_pair": per_pair,
         }
 
 
@@ -953,7 +952,9 @@ def G_kf_at_cycle(k: int, pp, d1: int, d2: int,
 # was measured while the ladder started at T = 400 and stopped on two
 # consecutive moves below tol/10, which stopped both routes on the same rung
 # as the error estimate or a higher one; it is not measured again under the
-# estimate or the first rung T = 25, which shortens both routes.  k = 2
+# estimate or the first rung T = 25, which shortens both routes.  Both
+# routes stop on the same rung with values equal to rounding, so the switch
+# changes only the time, not the value.  k = 2
 # stays on the orbit route: Q_1 decays like t^-2, so T runs to ~1e5 and the
 # n-sum would sieve about as many n as the orbit route sums terms.
 NSUM_MAX_SPAN = 40

@@ -33,7 +33,8 @@ t has mean 24 h1 h2 sigma(m)/(w1 w2), the orbit density 6 of the h1 h2 CM
 pairs with sigma(m) Hecke cosets each, times the cycle weight 4/(w1 w2); so
 the tail is that density times the orbit route's tail integral, and equals
 the sum of the orbit route's tails.  The ladder stops on the error
-estimate of the cycle value, which the diagnostics report as `estimate`.
+estimate of the cycle value (`estimate`), as the orbit route's one ladder
+does, so the two routes stop on the same T and agree to rounding.
 """
 
 from __future__ import annotations
@@ -174,9 +175,10 @@ class _Slice:
 def cycle_nsum(k: int, pp, d1: int, d2: int, params: GreenParams | None = None):
     """(G_{k,f}(Z_chi), diagnostics) from the sum over n.
 
-    The same value as G_kf_at_cycle (its oracle) from no orbit enumeration:
-    on each rung of greens._ladder every principal-part term sums its new
-    shell of n, and the ladder stops on the error estimate of the cycle value.
+    G_kf_at_cycle's value (its oracle) to rounding, on the same last T, from
+    no orbit enumeration: on each rung of greens._ladder every principal-part
+    term sums its new shell of n, and the ladder stops on the error estimate
+    of the cycle value.
     """
     check_cycle_input(k, pp, d1, d2)
     params = params or GreenParams()

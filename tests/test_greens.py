@@ -272,32 +272,45 @@ def test_hecke_value_is_invariant_under_mirror(m):
 
 def test_cycle_sums_each_mirror_pair_once(monkeypatch):
     # cm_points(-23) = CM(1,1,6), CM(2,-1,3), CM(2,1,3); the last two are
-    # mirrors and CM(1,1,2) is its own, so 3 pairs need 2 orbit sums per m
-    calls = []
+    # mirrors and CM(1,1,2) is its own, so 3 pairs need 2 orbit sums per m,
+    # each of sigma(m) coset sums
+    built = []
+    real_init = G._PairOrbitSum.__init__
 
-    def fake(z1, z2, k, m, params):
-        calls.append((z1, z2, m))
-        val = mpf(len(calls))
-        return val, {"converged": True, "estimate": 0.0,
-                     "cosets": [{"terms": len(calls), "upgraded": 1}]}
+    def counted(self, P1, W, k, params, m=1):
+        built.append(m)
+        real_init(self, P1, W, k, params, m)
 
-    monkeypatch.setattr(G, "G_k_hecke", fake)
-    val, diag = G_kf_at_cycle(4, {1: Fraction(1), 2: Fraction(3)}, -7, -23, GreenParams())
-    assert len(calls) == 4
-    assert [(p["pair"][1], p["m"], p["value"], p["terms"]) for p in diag["per_pair"]] == [
-        ("CM(1,1,6)", 1, 1.0, 1), ("CM(1,1,6)", 2, 2.0, 2),
-        ("CM(2,-1,3)", 1, 3.0, 3), ("CM(2,-1,3)", 2, 4.0, 4),
-        ("CM(2,1,3)", 1, 3.0, 3), ("CM(2,1,3)", 2, 4.0, 4),
-    ]
-    assert diag["weight"] == 1.0 and val == (1 + 3 * 8 * 2) + (3 + 3 * 8 * 4) * 2
+    monkeypatch.setattr(G._PairOrbitSum, "__init__", counted)
+    pp = {1: Fraction(1), 2: Fraction(3)}
+    p = GreenParams(tol=1e-8)
+    val, diag = G_kf_at_cycle(4, pp, -7, -23, p)
+    assert sorted(built) == [1] * 2 + [2] * 6 and diag["orbit_sums"] == 4
+    recs = {(rec["pair"][1], rec["m"]): rec for rec in diag["per_pair"]}
+    assert [key for key, rec in recs.items() if rec["reused"]] == \
+        [("CM(2,1,3)", 1), ("CM(2,1,3)", 2)]
+    for m in (1, 2):
+        mirror, reused = recs["CM(2,-1,3)", m], recs["CM(2,1,3)", m]
+        assert {key: reused[key] for key in ("value", "terms", "upgraded")} == \
+            {key: mirror[key] for key in ("value", "terms", "upgraded")}
+    # the mirror pair's coefficient on its partner's sums gives the value of
+    # every pair summed, to rounding
+    built.clear()
+    with monkeypatch.context() as mp:
+        mp.setattr(G, "_mirror", lambda P: P)
+        every, every_diag = G_kf_at_cycle(4, pp, -7, -23, p)
+    assert len(built) == 12 and every_diag["orbit_sums"] == 6
+    assert not any(rec["reused"] for rec in every_diag["per_pair"])
+    assert every_diag["T"] == diag["T"]
+    assert abs(val - every) <= 1e-13 * max(1, abs(every)), (val, every)
     # (h1 h2 + t1 t2)/2 sums for t self-mirrored points among h
     for d1, d2 in [(-7, -23), (-3, -23), (-7, -71), (-15, -23)]:
-        calls.clear()
+        built.clear()
         pts1, pts2 = cm_points(d1), cm_points(d2)
         t1 = sum(G._mirror(P) == P for P in pts1)
         t2 = sum(G._mirror(P) == P for P in pts2)
-        G_kf_at_cycle(4, {1: Fraction(1)}, d1, d2, GreenParams())
-        assert len(calls) == (len(pts1) * len(pts2) + t1 * t2) // 2
+        _, diag = G_kf_at_cycle(4, {1: Fraction(1)}, d1, d2, p)
+        assert len(built) == diag["orbit_sums"] == (len(pts1) * len(pts2) + t1 * t2) // 2
 
 
 def test_reused_pair_records_are_marked():
@@ -440,13 +453,36 @@ def test_ladder_keeps_every_rung_from_400_to_the_top(tol):
 
 
 def test_ladder_history_keys_of_both_routes():
-    _, diag = G_k_hecke(I, _form("0.3", "1.2"), 4, 1, GreenParams(tol=1e-6))
-    keys = {tuple(h) for h in diag["cosets"][0]["history"]}
-    assert keys == {("T", "terms", "partial", "tail", "estimate")}
+    # both routes climb one ladder per value and report the same keys
+    common = {"T", "terms", "upgraded", "history", "estimate", "converged"}
+    _, diag = G_k_hecke(I, _form("0.3", "1.2"), 4, 2, GreenParams(tol=1e-6))
+    assert set(diag) == common | {"cosets"}
+    assert [set(cd) for cd in diag["cosets"]] == [{"coset", "terms", "upgraded"}] * 3
+    assert {tuple(h) for h in diag["history"]} == {("T", "terms", "partial", "tail", "estimate")}
+    _, diag = G.cycle_value(2, {1: Fraction(1)}, -4, -7, GreenParams(tol=1e-6))
+    assert diag["route"] == "orbit"
+    assert set(diag) == common | {"route", "pairs", "orbit_sums", "weight", "per_pair"}
+    assert {tuple(h) for h in diag["history"]} == {("T", "terms", "partial", "tail", "estimate")}
+    assert [set(rec) for rec in diag["per_pair"]] == \
+        [{"pair", "m", "value", "terms", "upgraded", "reused"}]
     _, diag = G.cycle_value(4, {1: Fraction(1)}, -7, -23, GreenParams(tol=1e-6))
     assert diag["route"] == "nsum"
+    assert set(diag) == common | {"route", "n_values"}
     assert {tuple(h) for h in diag["history"]} == \
         {("T", "n_values", "terms", "partial", "tail", "estimate")}
+
+
+def test_hecke_estimate_bounds_the_value_not_each_coset():
+    # with a ladder per coset sum, the coset (1, 1, 3) of this k = 2 sum
+    # stopped at T = 3200 on an estimate of 2.8e-6 while it erred by 3.7e-6,
+    # and the value erred by 3.3e-6, above tol; one ladder for the value
+    # stops on the value's estimate, which covers the error
+    P1, P2 = CMPoint(2, -1, 3), CMPoint(2, 0, 3)
+    val, diag = G_k_hecke(P1, P2, 2, 3, GreenParams(tol=3e-6))
+    ref, ref_diag = G_k_hecke(P1, P2, 2, 3, GreenParams(tol=1e-8))
+    assert diag["converged"] and ref_diag["converged"]
+    err = abs(val - ref)
+    assert err < 3e-6 and err <= diag["estimate"] < 3e-6, (err, diag["estimate"])
 
 
 def test_laplacian_eigenvalue_k4():
@@ -506,22 +542,30 @@ def _brute_counts(z1, w, Ts):
     return [sum(t <= T for t in coshes) for T in Ts]
 
 
+def _climb(z1, z2, k, m, Ts, params):
+    """[(coset, [terms after each rung])] of the coset sums of G_k | T_m
+    (z1, z2), each stepped over the rungs Ts."""
+    out = []
+    for coset, s in G._hecke_sums(z1, z2, k, m, params):
+        counts = []
+        for T, T_prev in zip(Ts, [None] + Ts[:-1]):
+            s.step(T, T_prev)
+            counts.append(s.terms)
+        out.append((coset, counts))
+    return out
+
+
 @pytest.mark.parametrize("z1,z2,m,T0", [
     (I, RHO, 1, 400), (RHO, I, 1, 800), (I, RHO, 2, 400), (RHO, I, 3, 400),
 ], ids=["i-rho-m1", "rho-i-m1", "i-rho-m2", "rho-i-m3"])
-def test_shell_counts_match_brute_force(z1, z2, m, T0, monkeypatch):
-    # tol below reach: every run does all three doublings T0, 2 T0, 4 T0
-    monkeypatch.setattr(G, "INITIAL_T", T0)
-    monkeypatch.setattr(G, "MAX_DOUBLINGS", 3)
-    p = GreenParams(tol=1e-25)
-    _, diag = G_k_hecke(z1, z2, 4, m, p)
-    assert len(diag["cosets"]) == sum(m // a for a in range(1, m + 1) if m % a == 0)
-    for cd in diag["cosets"]:
-        a, b, d = cd["coset"]
+def test_shell_counts_match_brute_force(z1, z2, m, T0):
+    # each coset sum stepped over the rungs T0, 2 T0, 4 T0 (upgrade bound 64)
+    Ts = [T0, 2 * T0, 4 * T0]
+    climbed = _climb(z1, z2, 4, m, Ts, GreenParams(tol=1e-25))
+    assert len(climbed) == sum(m // a for a in range(1, m + 1) if m % a == 0)
+    for (a, b, d), counts in climbed:
         w = (a * z2.z() + b) / d
-        Ts = [h["T"] for h in cd["history"]]
-        assert Ts == [T0, 2 * T0, 4 * T0]
-        assert [h["terms"] for h in cd["history"]] == _brute_counts(z1.z(), w, Ts)
+        assert counts == _brute_counts(z1.z(), w, Ts)
 
 
 def _g2_i_z7_closed_form():
@@ -532,7 +576,7 @@ def _g2_i_z7_closed_form():
 
 
 @pytest.mark.parametrize("k,d1,d2,tol,value,terms", [
-    (4, -7, -23, 1e-10, "-4.15788861278422523966", [4800, 4808, 4808]),
+    (4, -7, -23, 1e-10, "-4.157888612785564504729481", [9578, 9593, 9593]),
     (2, -4, -7, 1e-7, "-4.1858195399339313519", [307462]),
 ], ids=["k4", "k2"])
 def test_cycle_values_pinned(k, d1, d2, tol, value, terms):
@@ -560,9 +604,8 @@ def test_upgrade_pass_runs_once_per_orbit_sum(monkeypatch):
     monkeypatch.setattr(G._PairOrbitSum, "_upgrade_sum", counted)
     _, diag = G_k_hecke(_form("0.13", "1.21"), _form("-0.4", "0.9"), 4, 2,
                         GreenParams(tol=1e-9))
-    assert len(calls) == len(diag["cosets"]) == 3
+    assert len(calls) == len(diag["cosets"]) == 3 and len(diag["history"]) >= 3
     for n, cd in zip(calls, diag["cosets"]):
-        assert len(cd["history"]) >= 3
         assert cd["upgraded"] == n > 0
 
 
@@ -670,20 +713,16 @@ def test_taper_integral_matches_quadrature():
 @pytest.mark.parametrize("z1,z2,m", [
     (I, RHO, 1), (RHO, I, 3), (_form("0.13", "1.21"), _form("-0.4", "0.9"), 2), (I, Z7, 1),
 ], ids=["i-rho-m1", "rho-i-m3", "generic-m2", "i-z7"])
-def test_shell_density_is_six(z1, z2, m, monkeypatch):
+def test_shell_density_is_six(z1, z2, m):
     # every coset's orbit has 6 elements of PSL_2(Z) per unit of cosh, elliptic
     # points included; the tail assumes it, so a shell that strays flags a
     # broken enumeration
-    monkeypatch.setattr(G, "MAX_DOUBLINGS", 8)   # T = 400 ... 51200
-    p = GreenParams(tol=1e-25)
-    _, diag = G_k_hecke(z1, z2, 4, m, p)
-    for cd in diag["cosets"]:
-        hist = cd["history"]
-        assert hist[-1]["T"] == 51200
-        for prev, cur in zip(hist, hist[1:]):
-            if cur["T"] >= 3200:
-                density = (cur["terms"] - prev["terms"]) / (cur["T"] - prev["T"])
-                assert abs(density - 6) <= 0.1, (cd["coset"], cur["T"], density)
+    Ts = [400.0 * 2 ** j for j in range(8)]     # T = 400 ... 51200
+    for coset, counts in _climb(z1, z2, 4, m, Ts, GreenParams(tol=1e-25)):
+        for j in range(1, len(Ts)):
+            if Ts[j] >= 3200:
+                density = (counts[j] - counts[j - 1]) / (Ts[j] - Ts[j - 1])
+                assert abs(density - 6) <= 0.1, (coset, Ts[j], density)
 
 
 def test_orbit_sum_loads_no_polynomial_or_scipy():
@@ -886,5 +925,5 @@ def test_scope_corner_k4_cycle_at_delta_999996():
     val, diag = G_kf_at_cycle(4, {1: Fraction(1)}, -3, -333332, GreenParams(tol=1e-8))
     assert time.perf_counter() - t0 < 10.0
     assert diag["converged"] and diag["pairs"] == 348
-    assert sum(p["terms"] for p in diag["per_pair"]) == 837972
-    assert abs(val - mpf("-129.358257065075104482651039416")) < 1e-12
+    assert diag["terms"] == 844566 and sum(p["terms"] for p in diag["per_pair"]) == 1669944
+    assert abs(val - mpf("-129.358257064366326616349255147")) < 1e-12

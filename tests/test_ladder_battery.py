@@ -6,8 +6,10 @@ Every draw here runs a cycle at its tol and again at a tol 1000 times
 below the smaller of its tol and its estimate, so that the second run stops
 on a deeper rung, and requires the reported estimate to cover the distance
 between the two values.  The two routes sum the same truncated series, term
-for term, so only a deeper truncation is a reference for the truncation
-error; the deep run takes the n-sum wherever that route applies, so that the
+for term, and each stops on the estimate of the cycle value, so at one tol
+they stop on the same rung and agree to rounding (tests/test_nsum.py); only
+a deeper truncation is a reference for the truncation error.  The deep run
+takes the n-sum wherever that route applies, so that the
 forced orbit-route draws are checked against code they share no
 enumeration with.  A second set of draws, at a tol the ladder meets early,
 runs with four rungs (T = 25 ... 200), so each must stop below T = 400.
