@@ -12,15 +12,22 @@ precision entry.  A `greens` or `verify` document that exits 1 ends with
 `failure_reason`: the route (n-sum or orbit route) whose cycle value did not
 converge, with its last T, its number of shells and its last error estimate
 against tol, and/or `residual R >= threshold T`.
+
+Flags are rows of one table, `_FLAGS`, read by one loop, `_parse`: `--flag
+value` or `--flag=value` in any order, the last of a repeated flag counting,
+no abbreviations.  A bad or missing flag exits 2 with the one JSON line of
+every other invalid input, in argparse's words.  argparse itself is not
+imported: building its parser took longer than a large-Delta `factor`.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import random
+import re
 import sys
+import types
 
 import mpmath
 
@@ -35,38 +42,108 @@ EXIT_VERIFY_FAILED = 1
 EXIT_INVALID = 2
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):   # a bad or missing flag: main prints it as JSON
-        raise InvalidInputError(f"{self.prog}: {message}")
+_REQUIRED = object()    # the default of a flag that has none
+
+# {command: {flag: (type, default, help)}}; type bool is a switch, which takes
+# no value; every other flag takes one, converted by its type
+_CYCLE_FLAGS = {
+    "--k": (int, _REQUIRED, "even weight parameter k >= 2"),
+    "--d1": (int, _REQUIRED, "negative fundamental discriminant"),
+    "--d2": (int, _REQUIRED, "negative fundamental discriminant"),
+    "--pp": (str, _REQUIRED, 'principal part "m=c,m=c" with rational c like 3=-2/5'),
+    "--tol": (float, 1e-8, "numeric tolerance"),
+    "--digits": (int, 30, f"working precision in decimal digits, 15 to {G.MAX_DIGITS}"),
+    "--output": (str, None, "write JSON here instead of stdout"),
+}
+_FLAGS = {
+    "greens": _CYCLE_FLAGS,
+    "factor": _CYCLE_FLAGS,
+    "verify": _CYCLE_FLAGS,
+    "selftest": {
+        "--seed": (int, 0, "seed of the suites' random draws"),
+        "--quick": (bool, False, "reduced grid"),
+        "--output": _CYCLE_FLAGS["--output"],
+    },
+}
+_COMMANDS = {
+    "greens": "evaluate G_{k,f} at the CM cycle",
+    "factor": "predict the prime exponents of the invariant",
+    "verify": "run both engines and reconcile",
+    "selftest": "run the seeded property suites",
+}
+
+# argparse's rule: a token that starts with "-" is a flag, not a value,
+# unless it is "-" alone or a negative number such as -7 or -.5
+_FLAG_TOKEN = re.compile(r"-(?!\d+$|\d*\.\d+$).")
 
 
-def _build_parser():
-    ap = _Parser(
-        prog="hgreen",
-        description="Averaged CM values of higher Green's functions and the "
-                    "predicted factorization of the associated invariant.",
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
+def _help(command=None):
+    """Print the usage of the program, or of one command with its flags; exit 0."""
+    if command is None:
+        lines = ["usage: hgreen {" + ",".join(_COMMANDS) + "} [--flag value]...", ""]
+        lines += [f"  {name:<10}{text}" for name, text in _COMMANDS.items()]
+        lines += ["", "hgreen COMMAND --help lists the flags of a command."]
+    else:
+        lines = [f"usage: hgreen {command} [--flag value]...", "", _COMMANDS[command], ""]
+        for flag, (kind, default, text) in _FLAGS[command].items():
+            name = flag if kind is bool else f"{flag} {flag[2:].upper()}"
+            note = "required" if default is _REQUIRED else f"default: {default}"
+            lines.append(f"  {name:<18}{text} ({note})")
+    print("\n".join(lines))
+    raise SystemExit(0)
 
-    for name, text in (("greens", "evaluate G_{k,f} at the CM cycle"),
-                       ("factor", "predict the prime exponents of the invariant"),
-                       ("verify", "run both engines and reconcile")):
-        p = sub.add_parser(name, help=text)
-        p.add_argument("--k", type=int, required=True, help="even weight parameter k >= 2")
-        p.add_argument("--d1", type=int, required=True, help="negative fundamental discriminant")
-        p.add_argument("--d2", type=int, required=True, help="negative fundamental discriminant")
-        p.add_argument("--pp", type=str, required=True,
-                       help='principal part "m=c,m=c" with rational c like 3=-2/5')
-        p.add_argument("--tol", type=float, default=1e-8, help="numeric tolerance")
-        p.add_argument("--digits", type=int, default=30,
-                       help=f"working precision in decimal digits (15 to "
-                            f"{G.MAX_DIGITS}; default 30)")
-        p.add_argument("--output", type=str, default=None, help="write JSON here instead of stdout")
-    ps = sub.add_parser("selftest", help="run the seeded property suites")
-    ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--quick", action="store_true", help="reduced grid")
-    ps.add_argument("--output", type=str, default=None)
-    return ap
+
+def _parse(argv=None):
+    """The command and its flag values from argv (default sys.argv[1:]).
+
+    Refusals raise InvalidInputError in the words argparse used for them.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if not argv:
+        raise InvalidInputError("hgreen: the following arguments are required: command")
+    command, *tokens = argv
+    if command in ("-h", "--help"):
+        _help()
+    if command not in _FLAGS:
+        choices = ", ".join(map(repr, _COMMANDS))
+        raise InvalidInputError(f"hgreen: argument command: invalid choice: "
+                                f"{command!r} (choose from {choices})")
+    flags, prog = _FLAGS[command], f"hgreen {command}"
+    values, unknown = {}, []
+    tokens.reverse()
+    while tokens:
+        token = tokens.pop()
+        if token in ("-h", "--help"):
+            _help(command)
+        flag, eq, value = token.partition("=")
+        if flag not in flags:
+            unknown.append(token)
+            continue
+        kind = flags[flag][0]
+        if kind is bool:
+            if eq:
+                raise InvalidInputError(f"{prog}: argument {flag}: "
+                                        f"ignored explicit argument {value!r}")
+            values[flag] = True
+            continue
+        if not eq:
+            if not tokens or _FLAG_TOKEN.match(tokens[-1]):
+                raise InvalidInputError(f"{prog}: argument {flag}: expected one argument")
+            value = tokens.pop()
+        try:
+            values[flag] = kind(value)
+        except ValueError:
+            raise InvalidInputError(f"{prog}: argument {flag}: invalid "
+                                    f"{kind.__name__} value: {value!r}") from None
+    missing = [flag for flag, (_, default, _) in flags.items()
+               if default is _REQUIRED and flag not in values]
+    if missing:
+        raise InvalidInputError(f"{prog}: the following arguments are required: "
+                                f"{', '.join(missing)}")
+    if unknown:
+        raise InvalidInputError(f"hgreen: unrecognized arguments: {' '.join(unknown)}")
+    return types.SimpleNamespace(command=command, **{
+        flag[2:]: values.get(flag, default) for flag, (_, default, _) in flags.items()})
 
 
 def _emit(doc, args) -> None:
@@ -234,7 +311,7 @@ def main(argv=None) -> int:
     # and where the passes fell during the import moves no work into it
     gc.freeze()
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse(argv)
         if args.command == "greens":
             return cmd_greens(args)
         if args.command == "factor":

@@ -245,21 +245,57 @@ def test_invalid_hgreen_digits_is_invalid(capsys, monkeypatch):
     ("--tol", "small", "argument --tol: invalid float value: 'small'"),
     ("--digits", "abc", "argument --digits: invalid int value: 'abc'"),
     ("--d2", None, "the following arguments are required: --d2"),
+    ("--foo", "1", "unrecognized arguments: --foo 1"),
+    ("--output", "", "argument --output: expected one argument"),
+    ("--tol", "--k 4", "argument --tol: expected one argument"),
+    ("--quick=1", "", "argument --quick: ignored explicit argument '1'"),
 ])
 def test_argument_errors_are_json(capsys, flag, value, reason):
-    # a value argparse cannot convert, or a missing flag, exits 2 with the one
-    # JSON line of every other invalid input, not argparse's usage text
+    # a value that does not convert, a missing flag, an unknown one, a flag
+    # without its value or a switch given one exits 2 with the one JSON line
+    # of every other invalid input, in the words argparse used; `value` is
+    # the tokens after the flag, and only unknown tokens are refused in the
+    # name of the whole program
     args = {"--k": "4", "--d1": "-7", "--d2": "-23", "--pp": "1=1", "--tol": "1e-6"}
+    commands = ("greens", "verify", "factor")
+    if flag.startswith("--quick"):
+        args, commands = {}, ("selftest",)
     if value is None:
         del args[flag]
     else:
         args[flag] = value
-    for command in ("greens", "verify", "factor"):
-        argv = [command] + [x for kv in args.items() for x in kv]
+    for command in commands:
+        argv = [command] + [x for f, v in args.items() for x in (f, *v.split())]
+        prog = "hgreen" if reason.startswith("unrecognized") else f"hgreen {command}"
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert json.loads(captured.err) == {"error": f"hgreen {command}: {reason}"}
+        assert json.loads(captured.err) == {"error": f"{prog}: {reason}"}
+
+
+@pytest.mark.parametrize("argv, reason", [
+    ([], "the following arguments are required: command"),
+    (["solve"], "argument command: invalid choice: 'solve' "
+                "(choose from 'greens', 'factor', 'verify', 'selftest')"),
+])
+def test_command_errors_are_json(capsys, argv, reason):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": f"hgreen: {reason}"}
+
+
+def test_flag_forms_give_one_document(capsys):
+    # --flag=value, any order, a repeated flag (the last one counts) and
+    # negative values read as the plain long form does
+    plain = ["--k", "4", "--d1", "-7", "--d2", "-23", "--pp", "1=1", "--tol", "1e-6"]
+    assert main(["greens"] + plain) == 0
+    expected = capsys.readouterr().out
+    for argv in (["--k=4", "--d1=-7", "--d2=-23", "--pp=1=1", "--tol=1e-6"],
+                 ["--tol", "1e-6", "--pp", "1=1", "--d2", "-23", "--d1", "-7", "--k", "4"],
+                 ["--k", "6", "--d1", "-4"] + plain):
+        assert main(["greens"] + argv) == 0
+        assert capsys.readouterr().out == expected
 
 
 def test_help_still_prints_usage(capsys):
@@ -315,7 +351,8 @@ for command, k in (("factor", "4"), ("greens", "4"), ("verify", "4"), ("greens",
     with contextlib.redirect_stdout(io.StringIO()):
         code = main([command, "--k", k, "--d1", "-7", "--d2", "-23", "--pp", "1=1",
                      "--tol", "1e-6"])
-    loaded = sorted(m for m in ("hgreen.thetacoef", "hgreen.properties", "numpy")
+    loaded = sorted(m for m in ("hgreen.thetacoef", "hgreen.properties", "numpy",
+                                "argparse", "gettext", "locale")
                     if m in sys.modules)
     print(command, code, loaded)
 """
@@ -326,3 +363,30 @@ for command, k in (("factor", "4"), ("greens", "4"), ("verify", "4"), ("greens",
                          text=True, timeout=120, check=True).stdout
     assert out.split("\n")[:4] == ["factor 0 []", "greens 0 []", "verify 0 []",
                                     "greens 0 ['numpy']"]
+
+
+def test_module_entry_point_reads_sys_argv(capsys):
+    # `python -m hgreen.cli` is main(None), which reads its flags from sys.argv
+    import subprocess
+    import sys
+    from pathlib import Path
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "hgreen.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    cycle = ["factor", "--k", "4", "--d1", "-7", "--d2", "-23", "--pp", "1=1"]
+    proc = run(*cycle)
+    assert main(cycle) == 0
+    assert proc.returncode == 0 and proc.stdout == capsys.readouterr().out
+    proc = run("greens", "--help")
+    assert proc.returncode == 0
+    assert all(flag in proc.stdout for flag in
+               ("--k", "--d1", "--d2", "--pp", "--tol", "--digits", "--output"))
+    proc = run()
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert json.loads(proc.stderr) == \
+        {"error": "hgreen: the following arguments are required: command"}
