@@ -25,7 +25,6 @@ from __future__ import annotations
 import gc
 import json
 import random
-import re
 import sys
 import types
 
@@ -71,10 +70,6 @@ _COMMANDS = {
     "verify": "run both engines and reconcile",
     "selftest": "run the seeded property suites",
 }
-
-# argparse's rule: a token that starts with "-" is a flag, not a value,
-# unless it is "-" alone or a negative number such as -7 or -.5
-_FLAG_TOKEN = re.compile(r"-(?!\d+$|\d*\.\d+$).")
 
 
 def _help(command=None):
@@ -127,7 +122,9 @@ def _parse(argv=None):
             values[flag] = True
             continue
         if not eq:
-            if not tokens or _FLAG_TOKEN.match(tokens[-1]):
+            # the next token is the value unless it is a flag, and every flag
+            # but -h starts with "--": -7, -1e-8 and -inf are values
+            if not tokens or tokens[-1].startswith("--") or tokens[-1] == "-h":
                 raise InvalidInputError(f"{prog}: argument {flag}: expected one argument")
             value = tokens.pop()
         try:

@@ -152,7 +152,10 @@ class _Primes:
 
     At a split p, chi_p = (d1/p) = (d2/p) (prime_character), and the Kronecker
     symbol (d/.) of a fundamental d is a character mod |d|, so chi_p is read
-    from the table chi_mod over the residues mod the smaller |d|.
+    from the table chi_mod over the residues mod the smaller |d|.  An odd p
+    prime to Delta splits exactly where (d1/p) = (d2/p); once an extension
+    tests at least 8 |d| numbers for the other d, a table of (d/.) for it
+    (other_mod) rejects the inert p without a modular square root.
     """
 
     def __init__(self, chi: GenusChar):
@@ -161,6 +164,7 @@ class _Primes:
         self.limit = 2
         d = max(chi.Delta1, chi.Delta2)
         self.chi_mod = [kronecker(d, r) for r in range(-d)]
+        self.other_mod = None
 
     def upto(self, bound: int):
         if bound > self.limit:
@@ -171,12 +175,23 @@ class _Primes:
         D = self.chi.Delta
         chi_mod, split = self.chi_mod, self.split
         mod = len(chi_mod)
+        other = min(self.chi.Delta1, self.chi.Delta2)
+        if self.other_mod is None and 8 * -other <= new - self.limit:
+            self.other_mod = [kronecker(other, r) for r in range(-other)]
+        other_mod = self.other_mod
         once = {x: rho_factor(1, x, 1, 0) for x in (1, -1)}
         for p in primes_upto(new, self.limit):
-            root = sqrt_mod(D, p) if D % p else None
-            if root is not None:
-                x = chi_mod[p % mod]
-                split.append((p, root, x, once[x]))
+            x = chi_mod[p % mod]
+            if other_mod is None:
+                root = sqrt_mod(D, p) if D % p else None
+                if root is None:
+                    continue
+            elif other_mod[p % len(other_mod)] == x:
+                root = sqrt_mod(D, p)
+            else:
+                # inert, or p | Delta, where exactly one symbol is 0
+                continue
+            split.append((p, root, x, once[x]))
         self.limit = new
 
 

@@ -27,26 +27,32 @@ point PSL_2(Z) has 6 = 2 pi / (pi/3) elements per unit of cosh distance
 6 [int_{T/2}^T (1 - psi(t/T)) Q_{k-1}(t) dt + int_T^oo Q_{k-1}].  The count
 strays from 6T by O(T^{2/3}) at a sharp cutoff; against the smooth weight
 that fluctuation averages out.  The first integral is a fixed 64-node
-Gauss-Legendre rule in floats, the second the exact series.
+Gauss-Legendre rule in floats, the second the exact series, summed in
+integer fixed point (q_tail_fixed).
 
 Arithmetic is hybrid: orbit enumeration and the bulk of the sum run in IEEE
 doubles (descending-series evaluation of Q, no cancellation for cosh > 2),
-while every term with cosh distance up to an upgrade bound is summed in
-mpmath by upgrade_sum from the integer n = m sqrt(Delta) cosh d (points are
-roots of integral forms; Gross-Zagier, "On singular moduli", 1985).  The
-bound is 4 for tol >= 1e-12, where on [4, 64] the float series is within
-1.8e-14 relative of Q_n for n <= 7, 4.6e-14 at n = 9 and 1.1e-13 at n = 11
-(at most 1.4e-17 absolute, reached at n = 1), and 64 below that tol.  The
-first T is at least four times the bound, so all of these terms lie in the
-first shell and the mpmath pass runs once per orbit sum.
+while every term with cosh distance up to an upgrade bound is summed at the
+working precision by upgrade_sum from the integer n = m sqrt(Delta) cosh d
+(points are roots of integral forms; Gross-Zagier, "On singular moduli",
+1985).  Since t = cosh d = n/(m sqrt(Delta)), that pass runs on Python
+integers (q_fixed; Brent-Zimmermann, "Modern Computer Arithmetic", 2010,
+ch. 4): rational arithmetic in x = m^2 Delta/n^2 for t > 2, and for t <= 2
+the closed form with one logarithm per n.  legendre_Q stays the mpmath
+reference at any real t, for g_k and the tests.  The bound is 4 for
+tol >= 1e-12, where on [4, 64] the float series is within 1.8e-14 relative
+of Q_n for n <= 7, 4.6e-14 at n = 9 and 1.1e-13 at n = 11 (at most 1.4e-17
+absolute, reached at n = 1), and 64 below that tol.  The first T is at least
+four times the bound, so all of these terms lie in the first shell and the
+upgrade pass runs once per orbit sum.
 
 Every orbit sum of a cycle meets the same n, the same rungs of T
-and the same d^-1 mod c, so that work is done once per process: the mpmath
-Q value of each distinct (k, m, Delta, n, digits), the tail at each
-(k, T, digits), the float Q series of each k, and one read-only table of
-d^-1 mod c that grows with the largest c seen.  The cosets of one T come from
-whole-array numpy passes: the d-ranges of every c at once, expanded with
-repeat/cumsum and gathered from the flat inverse table.  They stream in
+and the same d^-1 mod c, so that work is done once per process: the
+fixed-point Q value of each distinct (k, m, Delta, n, digits), the tail at
+each (k, T, digits), the float Q series of each k, and one read-only table
+of d^-1 mod c that grows with the largest c seen.  The cosets of one T come
+from whole-array numpy passes: the d-ranges of every c at once, expanded
+with repeat/cumsum and gathered from the flat inverse table.  They stream in
 blocks of consecutive c, each reduced to its plain and psi-weighted Q sums
 before the next is built, so memory is bounded by one block, not by a shell.
 
@@ -67,10 +73,11 @@ from fractions import Fraction
 from math import gcd
 
 import mpmath
-from mpmath import mpf, mpc
+from mpmath import libmp, mpf, mpc
 
 from .qfield import InvalidInputError, is_fundamental_discriminant
 from .mforms import check_cycle_input
+from .factor import _slice_g
 
 
 class SingularConfigurationError(ValueError):
@@ -173,16 +180,22 @@ def _q_lead(n: int) -> Fraction:
     return Fraction(2 ** n * math.factorial(n) ** 2, math.factorial(2 * n + 1))
 
 
+def _q_series_upto(n: int, bound: int):
+    """_q_series_coeffs(n, 16 * 2^i) for the least i whose last a_j has
+    a_j T_SWITCH^{-2j} < 1/bound."""
+    exact = _q_series_coeffs(n, 16)
+    # the last a_j = p/q against the bound, with T_SWITCH^2 = 4
+    while exact[-1][0] * bound >= exact[-1][1] * 4 ** (len(exact) - 1):
+        exact = _q_series_coeffs(n, 2 * len(exact))
+    return exact
+
+
 @functools.cache
 def _q_coeffs_mpf(n: int, dps: int):
     """(coeffs, lead): the series coefficients a_j of Q_n as mpf at dps digits,
     on to a j with a_j T_SWITCH^{-2j} < 10^-(dps+5) a_0 (a_0 = 1): all that
     legendre_Q and legendre_Q_integral take at any t, T > T_SWITCH."""
-    bound = 10 ** (dps + 5)
-    exact = _q_series_coeffs(n, 16)
-    # the last a_j = p/q against the bound, with T_SWITCH^2 = 4
-    while exact[-1][0] * bound >= exact[-1][1] * 4 ** (len(exact) - 1):
-        exact = _q_series_coeffs(n, 2 * len(exact))
+    exact = _q_series_upto(n, 10 ** (dps + 5))
     lead = _q_lead(n)
     with mpmath.mp.workdps(dps):
         return [mpf(p) / q for p, q in exact], mpf(lead.numerator) / lead.denominator
@@ -234,6 +247,94 @@ def legendre_Q_integral(n: int, T):
         if abs(term) < eps * abs(acc):
             return +(lead * acc)
     raise RuntimeError("Q tail integral did not converge")
+
+
+def _fixed_bits(dps: int) -> int:
+    """Working bits of the fixed-point Q at dps digits: the digits and 64 guard bits."""
+    return math.ceil(dps * math.log2(10)) + 64
+
+
+def _to_bits(num: int, den: int, e: int, bits: int):
+    """(man, e') with man 2^e' = (num/den) 2^e, man the floor to about bits bits."""
+    shift = bits - num.bit_length() + den.bit_length()
+    if shift >= 0:
+        return (num << shift) // den, e - shift
+    return num // (den << -shift), e - shift
+
+
+@functools.cache
+def _q_coeffs_fixed(n: int, bits: int):
+    """A_j = floor(a_j 2^bits) of the series of Q_n, on to a j with
+    a_j 4^-j < 2^-(bits+4), and the bits of the largest a_j (at least 1):
+    what a sum over x = 1/t^2 < 1/4 takes to 2^-bits."""
+    coeffs = tuple((p << bits) // q for p, q in _q_series_upto(n, 1 << (bits + 4)))
+    return coeffs, max(coeffs).bit_length() - bits
+
+
+def _series_fixed(coeffs, head: int, num: int, den: int, bits: int) -> int:
+    """floor(2^bits sum c_j x^j) to a few units, c_j = coeffs[j] 2^-bits, by
+    Horner in fixed point over x = num/den < 1/4, as many terms as 2^-bits of
+    relative error needs (c_j below 2^head)."""
+    x = (num << bits) // den
+    steps = min(len(coeffs), int((bits + head + 4) / math.log2(den / num)) + 1)
+    acc = 0
+    for c in reversed(coeffs[:steps]):
+        acc = (acc * x >> bits) + c
+    return acc
+
+
+@functools.lru_cache(maxsize=1 << 8)
+def _sqrt_mpf(y2: int, prec: int):
+    """sqrt(y2) as a raw mpf at prec bits, once per (m, Delta) of a cycle."""
+    return libmp.mpf_sqrt(libmp.from_int(y2), prec)
+
+
+def q_fixed(k: int, n: int, y2: int, bits: int):
+    """(man, e) with man 2^e = Q_{k-1}(n / sqrt(y2)) to about 2^-bits relative,
+    for even k and integers n, y2 > 0 with n^2 > y2, on Python integers.
+
+    t > 2: lead t^-k sum a_j x^j over x = y2/n^2 (_series_fixed), the factor
+    lead x^(k/2) exact.  1 < t <= 2: the closed form of legendre_Q times
+    (k-1)! y2^((k-2)/2), which is G_{k-1} L/(2s) - sum_{j=1}^{k-1}
+    C(k-1, j) G_{j-1} G_{k-1-j} with s = sqrt(y2), L = log((n+s)/(n-s)) and
+    the integers G_j = j! y2^(j/2) P_j(t) of the slice weights
+    (factor._slice_g).  The two parts cancel to Q, by up to 3.8 (k - 1) bits
+    at t = 2 (41 at k = 12), so L/(2s) carries 4k + 64 more bits.
+    """
+    nn = n * n
+    if nn <= y2:
+        raise SingularConfigurationError(f"Q needs n^2 > y2, got n = {n}, y2 = {y2}")
+    if nn > 4 * y2:
+        coeffs, head = _q_coeffs_fixed(k - 1, bits)
+        acc = _series_fixed(coeffs, head, y2, nn, bits)
+        lead = _q_lead(k - 1)
+        return _to_bits(acc * lead.numerator * y2 ** (k // 2),
+                        lead.denominator * n ** k, -bits, bits)
+    g = [1] + [_slice_g(j + 1, n, y2) for j in range(1, k)]
+    rest = sum(math.comb(k - 1, j) * g[j - 1] * g[k - 1 - j] for j in range(1, k))
+    prec = bits + 4 * k + 64
+    s = _sqrt_mpf(y2, prec)
+    # (n + s)/(n - s) = (n + s)^2/(n^2 - y2), without the difference n - s
+    ns = libmp.mpf_add(libmp.from_int(n), s, prec)
+    ratio = libmp.mpf_div(libmp.mpf_mul(ns, ns, prec), libmp.from_int(nn - y2), prec)
+    _, man, e, _ = libmp.mpf_div(libmp.mpf_log(ratio, prec), libmp.mpf_shift(s, 1), prec)
+    return _to_bits(g[k - 1] * man - (rest << -e),
+                    math.factorial(k - 1) * y2 ** (k // 2 - 1), e, bits)
+
+
+def q_tail_fixed(n: int, T, bits: int):
+    """(man, e) with man 2^e = int_T^oo Q_n to about 2^-bits relative, for
+    T > 2 a float or Fraction: lead T^-n sum a_j/(n + 2j) T^-2j, the sum by
+    _series_fixed over floor(a_j 2^bits)/(n + 2j), the factor exact."""
+    T = Fraction(T)
+    if not T > T_SWITCH:
+        raise ValueError(f"Q tail integral needs T > {T_SWITCH}, got {T}")
+    coeffs, head = _q_coeffs_fixed(n, bits)
+    p, q = T.numerator, T.denominator
+    acc = _series_fixed([c // (n + 2 * j) for j, c in enumerate(coeffs)], head,
+                        q * q, p * p, bits)
+    lead = _q_lead(n)
+    return _to_bits(acc * lead.numerator * q ** n, lead.denominator * p ** n, -bits, bits)
 
 
 @functools.cache
@@ -299,28 +400,54 @@ def _psi(x):
         return 1 / (1 + np.exp((2 * s - 1) / (s * (1 - s))))
 
 
+# The 32 positive roots x of P_64 and their Gauss-Legendre weights
+# 2 / ((1 - x^2) P_64'(x)^2), Newton-polished in floats from the guesses
+# cos(pi (i - 1/4) / 64.5), i = 1 .. 32 (the tests repeat the polish)
+_GL64 = (
+    ("0x1.ffa4e911f7533p-1", "0x1.d379f18460134p-10"),
+    ("0x1.fe204ab274eccp-1", "0x1.0fc7ac3ac326cp-8"),
+    ("0x1.fb661ac8c85a9p-1", "0x1.aa46b24145a08p-8"),
+    ("0x1.f777d976cfadap-1", "0x1.21e400109d472p-7"),
+    ("0x1.f257e4db5aabcp-1", "0x1.6df524de84e06p-7"),
+    ("0x1.ec09586b58faap-1", "0x1.b9283b35dfad2p-7"),
+    ("0x1.e490081f2891bp-1", "0x1.01a7c0a5c9893p-6"),
+    ("0x1.dbf07d935a5afp-1", "0x1.261ef40a7a2e5p-6"),
+    ("0x1.d22ff5221288ap-1", "0x1.49e391bd21462p-6"),
+    ("0x1.c7545aa8c0dadp-1", "0x1.6cdfe10bba3b4p-6"),
+    ("0x1.bb6445eadae2dp-1", "0x1.8efea346845c5p-6"),
+    ("0x1.ae66f68eedbc7p-1", "0x1.b02b2071c0c29p-6"),
+    ("0x1.a0644fb6d8db8p-1", "0x1.d05133c3af930p-6"),
+    ("0x1.9164d335425e2p-1", "0x1.ef5d57d53b493p-6"),
+    ("0x1.81719c62ec68ep-1", "0x1.069e593b92378p-5"),
+    ("0x1.70945a96f12c4p-1", "0x1.14ee9010d92c9p-5"),
+    ("0x1.5ed74b4532f83p-1", "0x1.22969f7b5c8c5p-5"),
+    ("0x1.4c4533c68b412p-1", "0x1.2f8e3ca7574e0p-5"),
+    ("0x1.38e95ace7b3c3p-1", "0x1.3bcd87e50de18p-5"),
+    ("0x1.24cf81925487fp-1", "0x1.474d117092816p-5"),
+    ("0x1.1003dca600f34p-1", "0x1.5205ddf5a36dep-5"),
+    ("0x1.f52619257c3a1p-2", "0x1.5bf16accdf433p-5"),
+    ("0x1.c9142c5898fc5p-2", "0x1.6509b1efb8df1p-5"),
+    ("0x1.9becb55272c9dp-2", "0x1.6d492da0c2512p-5"),
+    ("0x1.6dcb1f0620fffp-2", "0x1.74aadbc614fb0p-5"),
+    ("0x1.3ecb6c46c76cbp-2", "0x1.7b2a40f3ccdd7p-5"),
+    ("0x1.0f0a26c56e49cp-2", "0x1.80c36b24bdd15p-5"),
+    ("0x1.bd489b79ec83bp-3", "0x1.8572f41fbb52ep-5"),
+    ("0x1.5b6e88ad5c00ep-3", "0x1.89360387fe3acp-5"),
+    ("0x1.f182ff48e8a27p-4", "0x1.8c0a5097676b2p-5"),
+    ("0x1.2afad5ee95ad0p-4", "0x1.8dee238192ccbp-5"),
+    ("0x1.8ef487a8cbc33p-6", "0x1.8ee0567ee2e53p-5"),
+)
+
+
 @functools.cache
 def _taper_rule():
     """Nodes x in (1/2, 1) and weights w with sum w f(x) ~ int_{1/2}^1 (1 - psi) f.
 
-    64-node Gauss-Legendre, 1 - psi folded into the weights; relative error
-    ~1e-15 for f = Q_n(T x), n <= 5.  The nodes are Newton-polished roots of
-    P_64, in floats: the 32 positive ones, and their mirror images (P_64 is
-    even, and the recurrence in floats is odd in x bit for bit).
+    64-node Gauss-Legendre (_GL64 and the mirror images of its roots, P_64
+    being even), 1 - psi folded into the weights; relative error ~1e-15 for
+    f = Q_n(T x), n <= 5.
     """
-    n = 64
-    roots = []
-    for i in range(1, n // 2 + 1):
-        x = math.cos(math.pi * (i - 0.25) / (n + 0.5))
-        # from this guess Newton reaches rounding level in 4 steps; a step
-        # that leaves x unchanged would repeat itself
-        for _ in range(6):
-            p = _legendre_p_values(n, x)
-            dp = n * (x * p[n] - p[n - 1]) / (x * x - 1)
-            x, x_prev = x - p[n] / dp, x
-            if x == x_prev:
-                break
-        roots.append((x, 2 / ((1 - x * x) * dp * dp)))
+    roots = [(float.fromhex(x), float.fromhex(w)) for x, w in _GL64]
     nodes, weights = [], []
     # descending: the positive roots, then their negatives
     for x, w in roots + [(-x, w) for x, w in reversed(roots)]:
@@ -353,9 +480,11 @@ def g_k(z1, z2, k: int):
 # orbit sums
 # ---------------------------------------------------------------------------
 
-# Largest working precision accepted, in decimal digits.  The mpmath work
-# grows faster than the digits: on a 2-core Xeon with Python 3.11 the
-# (-7, -23) k = 4 `greens` takes 0.9 s at 1000 digits and 29 s at 4000.
+# Largest working precision accepted, in decimal digits.  The work of the
+# upgrade pass and the tail grows faster than the digits: on a 2-core Xeon
+# with Python 3.11 the (-7, -23) k = 4 `greens` takes 0.25-0.27 s at 1000
+# digits in a fresh process (0.37-0.41 s with the mpmath pass that q_fixed
+# replaced, which took 29 s at 4000).
 MAX_DIGITS = 1000
 
 
@@ -382,7 +511,8 @@ class GreenParams:
 
     @property
     def upgrade_cosh(self) -> float:
-        """Terms with cosh at most this are summed in mpmath, the rest in floats."""
+        """Terms with cosh at most this are summed at the working precision
+        (upgrade_sum), the rest in floats."""
         return 4.0 if self.tol >= 1e-12 else 64.0
 
 
@@ -462,17 +592,21 @@ ORBIT_DENSITY = 6
 
 # a cycle at Delta ~ 1e6, m <= 2 and the upgrade bound 64 has ~94,500 n
 @functools.lru_cache(maxsize=1 << 17)
-def _q_at(k: int, m: int, Delta: int, n: int, dps: int):
-    """Q_{k-1}(n / (m sqrt(Delta))) at dps digits."""
-    with mpmath.workdps(dps):
-        return legendre_Q(k - 1, mpf(n) / (m * mpmath.sqrt(Delta)), dps)
+def _q_term(k: int, m: int, Delta: int, n: int, dps: int):
+    """Q_{k-1}(n / (m sqrt(Delta))) as (man, e) at dps digits (q_fixed)."""
+    return q_fixed(k, n, m * m * Delta, _fixed_bits(dps))
 
 
 def upgrade_sum(k: int, m: int, Delta: int, weights, dps: int):
     """sum w Q_{k-1}(n / (m sqrt(Delta))) over the pairs (n, w) of weights at dps
-    digits, each Q once per distinct (k, m, Delta, n, dps) in the process."""
+    digits, each Q once per distinct (k, m, Delta, n, dps) in the process: one
+    integer over the smallest exponent of the terms, rounded to an mpf once."""
+    terms = [(w, *_q_term(k, m, Delta, n, dps)) for n, w in weights]
+    if not terms:
+        return mpf(0)
+    low = min(e for _, _, e in terms)
     with mpmath.workdps(dps):
-        return mpmath.fsum(w * _q_at(k, m, Delta, n, dps) for n, w in weights)
+        return mpf((sum((w * man) << (e - low) for w, man, e in terms), low))
 
 
 @functools.lru_cache(maxsize=1 << 10)
@@ -484,7 +618,8 @@ def _tail_integral(n: int, T: float, dps: int):
     of T, so the integrals repeat.
     """
     with mpmath.workdps(dps):
-        return _taper_integral(_q_float_factory(n), T) + legendre_Q_integral(n, T)
+        series = mpf(q_tail_fixed(n, T, _fixed_bits(dps)))
+        return _taper_integral(_q_float_factory(n), T) + series
 
 
 # d^-1 mod c for every c <= _inv_rows, shared by all orbit sums; see _inverse_table
@@ -704,7 +839,7 @@ class _PairOrbitSum:
         A coset marked `inner` was enumerated at T_lo, so only its translates
         outside that window are new.  Returns the term count and the float
         array of the cosh values above the upgrade threshold; the terms at or
-        below it are recorded by their integer n for the mpmath pass.
+        below it are recorded by their integer n for the upgrade pass.
         """
         np = self.np
         x1, y1 = self.x1f, self.y1f
@@ -750,7 +885,7 @@ class _PairOrbitSum:
         small = t <= up
         if small.any():
             if T_lo is not None:
-                # the single mpmath pass sees the first shell only
+                # the single upgrade pass sees the first shell only
                 raise RuntimeError(
                     f"shell ({T_lo}, {T}] holds a term with cosh "
                     f"{float(t[small].min())} <= upgrade bound {up}"
@@ -775,7 +910,7 @@ class _PairOrbitSum:
         return total, t
 
     def _upgrade_sum(self, upgrades):
-        """The mpmath sum over the upgrade set, a list of n: Q once per distinct n."""
+        """The sum over the upgrade set, a list of n: Q once per distinct n."""
         return upgrade_sum(self.k, self.m, self.Delta, Counter(upgrades).items(),
                            mpmath.mp.dps)
 
@@ -787,7 +922,7 @@ class _PairOrbitSum:
         self.terms += n
         if T_prev is None:
             # every term with cosh <= upgrade bound lies in the first shell
-            # (_accumulate raises otherwise): one mpmath pass; its terms lie
+            # (_accumulate raises otherwise): one upgrade pass; its terms lie
             # below T/2, where psi is 1
             self.upgraded = len(upgrades)
             self.q_up = self._upgrade_sum(upgrades)

@@ -23,8 +23,8 @@ MAX_PP_INDEX = 100
 # takes 0.02 s at k = 24 and 0.1 s at k = 48).  The numeric engine does: the
 # accuracy of its float Q_{k-1} series is measured only for k - 1 <= 11 (up
 # to 1.1e-13 relative at k - 1 = 11, see the `greens` docstring), so a
-# larger k needs that measurement, the upgrade bound and mpmath legendre_Q at
-# each new k - 1 first.
+# larger k needs that measurement, the upgrade bound and the guard bits of
+# the fixed-point Q (greens.q_fixed) at each new k - 1 first.
 MAX_K = 12
 
 

@@ -22,8 +22,8 @@ mu0 >> 0 makes chi_q = +1 wherever rho is not already 0.
 The numerics are the orbit route's: the one doubling ladder greens._ladder
 (T from 25 at tol >= 1e-12 and from 400 below, at most MAX_DOUBLINGS
 rungs), psi(t/T) weights on the newest shell, the float series above the
-upgrade bound and, up to it, the mpmath pass greens.upgrade_sum with the
-weights rho(n).  The float terms of
+upgrade bound and, up to it, the fixed-point pass greens.upgrade_sum with
+the weights rho(n).  The float terms of
 a shell take one loop over its nonzero rho (_Slice._float_pass) that calls
 no Python function per n: Horner over the coefficients of
 greens._q_float_coeffs, as many as the shell's smallest t needs for 1e-17
@@ -109,7 +109,7 @@ class _Slice:
     def shell(self, primes: _Primes, T: float):
         """(n values, nonzero terms, sum of psi(t/T) rho Q_{k-1}(t)) over the
         new n with t = n/(m sqrt(Delta)) <= T; the terms with t up to the
-        upgrade bound are summed in mpmath, the rest in floats."""
+        upgrade bound are summed at the working precision, the rest in floats."""
         Tf = Fraction(T)
         n_hi = isqrt(Tf.numerator ** 2 * self.mmD // Tf.denominator ** 2)
         first = self.next_n

@@ -273,6 +273,23 @@ def test_argument_errors_are_json(capsys, flag, value, reason):
         assert json.loads(captured.err) == {"error": f"{prog}: {reason}"}
 
 
+@pytest.mark.parametrize("value, reason", [
+    ("-1e-8", "tolerance must be positive, got -1e-08"),
+    ("-inf", "tolerance must be finite, got -inf"),
+])
+def test_negative_value_after_a_space_is_a_value(capsys, value, reason):
+    # only a token that starts with "--" (or -h) is a flag, so a negative
+    # value in any float syntax reaches the tolerance check after a space as
+    # after "="
+    argv = ["--k", "4", "--d1", "-7", "--d2", "-23", "--pp", "1=1"]
+    for command in ("greens", "verify"):
+        for tol in (["--tol", value], [f"--tol={value}"]):
+            assert main([command] + argv + tol) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert json.loads(captured.err) == {"error": reason}
+
+
 @pytest.mark.parametrize("argv, reason", [
     ([], "the following arguments are required: command"),
     (["solve"], "argument command: invalid choice: 'solve' "

@@ -14,6 +14,8 @@ from hgreen.qfield import (
     factorint,
     field,
     is_fundamental_discriminant,
+    primes_upto,
+    sqrt_mod,
 )
 from hgreen.finquad import GenusChar, genus_characters, prime_character, rho_factor
 from hgreen.greens import _legendre_p_values
@@ -456,6 +458,28 @@ def test_prime_table_grown_in_steps_equals_one_built_at_once():
     assert whole.upto(10150) == grown.upto(10150) == grown.split
     assert grown.limit == whole.limit == 10150
     assert [p for p, *_ in grown.upto(20)] == [5, 17, 19]
+
+
+@pytest.mark.parametrize("d1, d2, bound", [
+    (-7, -23, 10150), (-4, -15, 2000), (-3, -1912, 40000), (-8, -331, 5000),
+    (-3, -333332, 20000),
+], ids=["7-23", "4-15", "3-1912", "8-331", "no-table"])
+def test_prime_table_skips_inert_primes_by_the_other_character(d1, d2, bound):
+    # the table of (d/.) for the larger |d| rejects inert primes once an
+    # extension spans 8 |d| numbers; the split list is the one the square
+    # roots give, and the one a table grown in steps too short for it gives
+    chi = GenusChar(d1, d2)
+    whole = _Primes(chi)
+    got = whole.upto(bound)
+    assert (whole.other_mod is None) == (8 * max(-d1, -d2) > bound - 2)
+    stepped = _Primes(chi)
+    for b in [*range(2, bound, 8 * max(-d1, -d2) - 1), bound]:
+        stepped.upto(b)
+    assert stepped.other_mod is None
+    assert got == stepped.upto(bound)
+    D = d1 * d2
+    want = [p for p in primes_upto(bound) if p > 2 and D % p and sqrt_mod(D, p) is not None]
+    assert [p for p, *_ in got] == want
 
 
 def _rho_by_factorint(chi, m, n):

@@ -661,6 +661,51 @@ def test_q_series_coefficients_match_fraction_recurrence(n):
         assert [v._mpf_ for v in vals[:60]] == [w._mpf_ for w in want]
 
 
+def _kernel_ns(y2, rng):
+    """n in both regimes of q_fixed at y2: the ends t -> 1 and t = 2 of the
+    closed form, the first n of the series, and seeded t in (1, 2], (2, 64]."""
+    s, two = isqrt(y2), isqrt(4 * y2)
+    ns = {s + 1, two, two + 1}
+    for lo, hi in ((s + 1, two), (two + 1, isqrt(4096 * y2))):
+        ns.update(rng.randint(lo, hi) for _ in range(2))
+    return sorted(ns)
+
+
+@pytest.mark.parametrize("dps", [30, 40, 100, 1000])
+def test_q_fixed_matches_legendre_q(dps):
+    # the integer kernel of the upgrade pass at dps digits against the mpmath
+    # reference, every even k the package admits; the reference takes 10
+    # more digits, since t - 1 of the mpf t loses digits as t -> 1 (2e-27
+    # relative at n = 1000, Delta = 999996 and 30 digits)
+    rng = random.Random(dps)
+    bits = G._fixed_bits(dps)
+    bound = mpf(10) ** (2 - dps)
+    for k in range(2, MAX_K + 1, 2):
+        for m in (1, 2):
+            for Delta in (28, 161, 999996):
+                y2 = m * m * Delta
+                for n in _kernel_ns(y2, rng):
+                    with mpmath.workdps(dps):
+                        got = mpf(G.q_fixed(k, n, y2, bits))
+                    with mpmath.workdps(dps + 10):
+                        ref = legendre_Q(k - 1, mpf(n) / mpmath.sqrt(y2))
+                        assert abs(got - ref) <= bound * ref, (k, m, Delta, n)
+    with pytest.raises(SingularConfigurationError):
+        G.q_fixed(4, 12, 161, bits)
+
+
+@pytest.mark.parametrize("dps", [30, 40, 100, 1000])
+def test_q_tail_fixed_matches_legendre_q_integral(dps):
+    bits = G._fixed_bits(dps)
+    bound = mpf(10) ** (2 - dps)
+    with mpmath.workdps(dps):
+        for n in range(1, MAX_K, 2):
+            for T in (25.0, 400.0, 51200.0, 1.6e6):
+                ref = legendre_Q_integral(n, T)
+                got = mpf(G.q_tail_fixed(n, T, bits))
+                assert abs(got - ref) <= bound * ref, (n, T)
+
+
 def test_legendre_q_outputs_pinned():
     # both regimes of legendre_Q and the tail integral at 30, 40 and 100
     # digits, pinned by a digest of the values before the mpf coefficient
@@ -694,6 +739,24 @@ def test_taper_rule_pinned():
     assert len(nodes) == len(weights) == 64
     digest = hashlib.sha256(struct.pack("<128d", *nodes, *weights)).hexdigest()
     assert digest == "1e47c38edcf01dbcf115b0af3f910c95a9331aee23fbf79e0bd25260ccafe6c6"
+
+
+def test_taper_rule_constants_are_the_newton_polish():
+    # the 32 positive roots of P_64 and their weights, bit for bit as Newton
+    # polishing in floats gives them: 4 steps from cos(pi (i - 1/4) / 64.5)
+    # reach rounding level, and a step that leaves x unchanged would repeat
+    n = 64
+    polished = []
+    for i in range(1, n // 2 + 1):
+        x = math.cos(math.pi * (i - 0.25) / (n + 0.5))
+        for _ in range(6):
+            p = G._legendre_p_values(n, x)
+            dp = n * (x * p[n] - p[n - 1]) / (x * x - 1)
+            x, x_prev = x - p[n] / dp, x
+            if x == x_prev:
+                break
+        polished.append((x.hex(), (2 / ((1 - x * x) * dp * dp)).hex()))
+    assert [(float.fromhex(x).hex(), float.fromhex(w).hex()) for x, w in G._GL64] == polished
 
 
 def test_taper_integral_matches_quadrature():
@@ -796,10 +859,11 @@ def test_cached_values_keep_their_precision():
 
 def test_one_q_per_distinct_n(monkeypatch):
     # the upgrade sets of a cycle's pairs and cosets repeat their n; each
-    # distinct (m, n) costs one mpmath Q
+    # distinct (m, n) costs one fixed-point Q, and the cycle value calls the
+    # mpmath reference legendre_Q (and its tail integral) not at all
     seen = set()
     upgraded = []
-    real_sum, real_q = G._PairOrbitSum._upgrade_sum, G.legendre_Q
+    real_sum, real_q = G._PairOrbitSum._upgrade_sum, G.q_fixed
     q_calls = []
 
     def recorded(self, upgrades):
@@ -811,8 +875,13 @@ def test_one_q_per_distinct_n(monkeypatch):
         q_calls.append(args)
         return real_q(*args)
 
+    def refused(*args, **kwargs):
+        raise AssertionError("the mpmath reference on the cycle value path")
+
     monkeypatch.setattr(G._PairOrbitSum, "_upgrade_sum", recorded)
-    monkeypatch.setattr(G, "legendre_Q", counted)
+    monkeypatch.setattr(G, "q_fixed", counted)
+    monkeypatch.setattr(G, "legendre_Q", refused)
+    monkeypatch.setattr(G, "legendre_Q_integral", refused)
     _clear_caches()
     _, diag = G_kf_at_cycle(6, {1: Fraction(24), 2: Fraction(1)}, -7, -23)
     assert diag["converged"]

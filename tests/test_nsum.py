@@ -3,7 +3,7 @@
 cycle_nsum reads rho_{K/F}((mu0)) from a sieve of Nm(mu0) and sums
 rho Q_{k-1}(n/(m sqrt(Delta))) over n; G_kf_at_cycle sums g_k over the
 PSL_2(Z)-orbits of the CM pairs.  The two share only the Q evaluators (the
-mpmath pass greens.upgrade_sum among them), the taper and the tail integral,
+fixed-point pass greens.upgrade_sum among them), the taper and the tail integral,
 so their agreement checks the identity, the sieve and the enumeration at once.
 """
 
