@@ -28,8 +28,6 @@ import random
 import sys
 import types
 
-import mpmath
-
 from .qfield import InvalidInputError
 from .mforms import parse_principal_part
 from . import greens as G
@@ -214,7 +212,7 @@ def cmd_greens(args) -> int:
         **_header(args, pp),
         "precision": params.digits,
         "tol": args.tol,
-        "value": mpmath.nstr(value, params.digits),
+        "value": f"{value:.{params.digits}g}",
         **_convergence(diag),
     }
     return _close(doc, _failure_reason(diag, args.tol), args)
@@ -248,7 +246,7 @@ def cmd_verify(args) -> int:
         "Delta": report.Delta,
         "precision": params.digits,
         "tol": args.tol,
-        "lhs": mpmath.nstr(value, params.digits),
+        "lhs": f"{value:.{params.digits}g}",
         "kappa": report.kappa,
         "exponents": _exponent_entries(report),
         "unit_power": report.unit_power,

@@ -27,13 +27,12 @@ tests compare against live with the tests.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import accumulate
 from math import factorial, gcd, isqrt, lcm
-
-import mpmath
-from mpmath import mpf
+from types import SimpleNamespace
 
 from .qfield import (
     FieldElem,
@@ -54,17 +53,14 @@ from .mforms import check_cycle_input
 # trace slices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TraceSlice:
+class TraceSlice(namedtuple("TraceSlice", "m Delta elements")):
     """mu0 in O_F with tr(mu0/sqrt(Delta)) = m and mu0/sqrt(Delta) >> 0.
 
     Exactly the elements (n + m*sqrt(Delta))/2 over integers n with
     |n| < m*sqrt(Delta) and the parity making mu0 integral.
     """
 
-    m: int
-    Delta: int
-    elements: tuple
+    __slots__ = ()
 
 
 def trace_slice(m: int, Delta: int) -> TraceSlice:
@@ -83,22 +79,24 @@ def trace_slice(m: int, Delta: int) -> TraceSlice:
 # exponent engine
 # ---------------------------------------------------------------------------
 
-@dataclass
-class FactorReport:
-    """Predicted factorization data for gamma, plus the reconciliation fields."""
+class FactorReport(SimpleNamespace):
+    """Predicted factorization data for gamma, plus the reconciliation fields
+    that reconcile fills in (None until then).
 
-    Delta: int
-    k: int
-    chi: GenusChar
-    exponents: dict          # (ell, hnf b) -> Fraction, conjugate-cleared
-    raw_exponents: dict      # (ell, hnf b) -> Fraction, antisymmetric slice sums
-    kappa: int
-    unit_power: float | None = None
-    unit_power_rational: Fraction | None = None
-    residual: float | None = None
-    rhs_value: float | None = None
-    verified: bool | None = None
-    residual_threshold: float | None = None
+    exponents maps (ell, hnf b) to a Fraction, conjugate-cleared;
+    raw_exponents holds the antisymmetric slice sums on the same keys.
+    """
+
+    def __init__(self, Delta: int, k: int, chi: GenusChar, exponents: dict,
+                 raw_exponents: dict, kappa: int, unit_power: float | None = None,
+                 unit_power_rational: Fraction | None = None,
+                 residual: float | None = None, rhs_value: float | None = None,
+                 verified: bool | None = None, residual_threshold: float | None = None):
+        super().__init__(Delta=Delta, k=k, chi=chi, exponents=exponents,
+                         raw_exponents=raw_exponents, kappa=kappa, unit_power=unit_power,
+                         unit_power_rational=unit_power_rational, residual=residual,
+                         rhs_value=rhs_value, verified=verified,
+                         residual_threshold=residual_threshold)
 
 
 def _slice_g(k: int, n: int, y2: int) -> int:
@@ -155,7 +153,9 @@ class _Primes:
     from the table chi_mod over the residues mod the smaller |d|.  An odd p
     prime to Delta splits exactly where (d1/p) = (d2/p); once an extension
     tests at least 8 |d| numbers for the other d, a table of (d/.) for it
-    (other_mod) rejects the inert p without a modular square root.
+    (other_mod) rejects the inert p without a modular square root.  Where
+    chi_mod reads -1, its d is a non-residue mod p, which sqrt_mod takes in
+    place of a search.
     """
 
     def __init__(self, chi: GenusChar):
@@ -182,12 +182,13 @@ class _Primes:
         once = {x: rho_factor(1, x, 1, 0) for x in (1, -1)}
         for p in primes_upto(new, self.limit):
             x = chi_mod[p % mod]
+            z = -mod % p if x < 0 else None     # d = -mod
             if other_mod is None:
-                root = sqrt_mod(D, p) if D % p else None
+                root = sqrt_mod(D, p, z) if D % p else None
                 if root is None:
                     continue
             elif other_mod[p % len(other_mod)] == x:
-                root = sqrt_mod(D, p)
+                root = sqrt_mod(D, p, z)
             else:
                 # inert, or p | Delta, where exactly one symbol is 0
                 continue
@@ -384,8 +385,8 @@ def gamma_exponents(k: int, pp, d1: int, d2: int) -> FactorReport:
 # reconciliation against the numeric side
 # ---------------------------------------------------------------------------
 
-def _log_ratio(F: QuadField, e: FieldElem) -> mpf:
-    """log |e / e'| at the current mpmath precision.
+def _log_ratio(F: QuadField, e: FieldElem) -> Decimal:
+    """log |e / e'| in the current decimal context.
 
     For e = (a + b sqrt(Delta))/n,
     |e/e'| = (|a| + |b| sqrt(Delta))^2 / |a^2 - b^2 Delta|; only the larger of
@@ -395,9 +396,9 @@ def _log_ratio(F: QuadField, e: FieldElem) -> mpf:
     a, b = e.a, e.b
     sign = (a * b > 0) - (a * b < 0)
     if not sign:
-        return mpf(0)
-    big = mpf(abs(a)) + mpf(abs(b)) * mpmath.sqrt(F.D)
-    return sign * (2 * mpmath.log(big) - mpmath.log(abs(a * a - b * b * F.D)))
+        return Decimal(0)
+    big = abs(a) + abs(b) * Decimal(F.D).sqrt()
+    return sign * (2 * big.ln() - Decimal(abs(a * a - b * b * F.D)).ln())
 
 
 def reconcile(report: FactorReport, lhs, tol: float, digits: int = 30) -> FactorReport:
@@ -407,14 +408,19 @@ def reconcile(report: FactorReport, lhs, tol: float, digits: int = 30) -> Factor
     with mu_l a fixed generator of l^{h_F} (conjugate-compatibly); then
     r = (-kappa Delta^{(k-1)/2} lhs - S) / log|eps/eps'| is the fitted power of
     eps_F, reported with its nearest rational of denominator <= 2 h_F kappa.
-    Success means residual < 10 * tol * Delta^{(k-1)/2}.
+    Success means residual < 10 * tol * Delta^{(k-1)/2}.  lhs is any value
+    whose str() is a decimal number (a Decimal, a float, an mpmath mpf); the
+    sums run in the decimal context of a cycle value at digits.
     """
+    from .greens import _context      # greens imports this module
+
     F = field(report.Delta)
     hF = F.narrow_class_group().class_number_wide()
-    with mpmath.mp.workdps(digits):
-        lhs = mpf(lhs)
-        target = -report.kappa * mpf(report.Delta) ** Fraction(report.k - 1, 2) * lhs
-        S = mpf(0)
+    with localcontext(_context(digits)):
+        lhs = Decimal(str(lhs))
+        scale = report.kappa * Decimal(report.Delta ** (report.k - 1)).sqrt()
+        target = -scale * lhs
+        S = Decimal(0)
         eps = F.fundamental_unit()
         gens = {}
         for (ell, b) in report.exponents:
@@ -431,23 +437,19 @@ def reconcile(report: FactorReport, lhs, tol: float, digits: int = 30) -> Factor
                 gens[(ell, pr.b)] = mu
                 gens[(ell, prc.b)] = mu.conj()
         for key, e in report.exponents.items():
-            mu = gens[key]
-            S += (mpf((report.kappa * e).numerator) / (report.kappa * e).denominator
-                  / hF * _log_ratio(F, mu))
+            c = report.kappa * e / hF
+            S += Decimal(c.numerator) / c.denominator * _log_ratio(F, gens[key])
         Leps = _log_ratio(F, eps)
         r = (target - S) / Leps
         max_den = 2 * hF * report.kappa
         r_rat = Fraction(float(r)).limit_denominator(max_den)
-        residual = abs(target - S - (mpf(r_rat.numerator) / r_rat.denominator) * Leps)
+        fit = S + Decimal(r_rat.numerator) / r_rat.denominator * Leps
+        residual = abs(target - fit)
         report.unit_power = float(r)
         report.unit_power_rational = r_rat
         report.residual = float(residual)
-        report.rhs_value = float(
-            -(S + (mpf(r_rat.numerator) / r_rat.denominator) * Leps)
-            / (report.kappa * mpf(report.Delta) ** Fraction(report.k - 1, 2))
-        )
+        report.rhs_value = float(-fit / scale)
         threshold = 10 * tol * float(report.Delta) ** ((report.k - 1) / 2)
         report.verified = float(residual) < threshold
         report.residual_threshold = threshold
     return report
-

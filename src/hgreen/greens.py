@@ -38,8 +38,12 @@ working precision by upgrade_sum from the integer n = m sqrt(Delta) cosh d
 1985).  Since t = cosh d = n/(m sqrt(Delta)), that pass runs on Python
 integers (q_fixed; Brent-Zimmermann, "Modern Computer Arithmetic", 2010,
 ch. 4): rational arithmetic in x = m^2 Delta/n^2 for t > 2, and for t <= 2
-the closed form with one logarithm per n.  legendre_Q stays the mpmath
-reference at any real t, for g_k and the tests.  The bound is 4 for
+the closed form with one integer logarithm per n (_log_fixed).  The sums
+of a value are decimal.Decimal, in one context per value at the working
+digits and GUARD_DIGITS more (_context); a float term enters them only
+through Decimal(float), which is exact.  legendre_Q stays the mpmath
+reference at any real t, for g_k and the tests, and imports mpmath on call,
+as do g_k and CMPoint.z: no cycle value loads it.  The bound is 4 for
 tol >= 1e-12, where on [4, 64] the float series is within 1.8e-14 relative
 of Q_n for n <= 7, 4.6e-14 at n = 9 and 1.1e-13 at n = 11 (at most 1.4e-17
 absolute, reached at n = 1), and 64 below that tol.  The first T is at least
@@ -67,13 +71,10 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
-from math import gcd
-
-import mpmath
-from mpmath import libmp, mpf, mpc
+from math import gcd, isqrt
 
 from .qfield import InvalidInputError, is_fundamental_discriminant
 from .mforms import check_cycle_input
@@ -88,27 +89,35 @@ class SingularConfigurationError(ValueError):
 # CM points
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CMPoint:
+class CMPoint(namedtuple("CMPoint", "A B C")):
     """Integral positive definite form (A, B, C), root z = (-B + i sqrt|d|)/(2A)."""
 
-    A: int
-    B: int
-    C: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.A <= 0 or self.disc >= 0:
+    def __new__(cls, A: int, B: int, C: int):
+        self = super().__new__(cls, A, B, C)
+        if A <= 0 or self.disc >= 0:
             raise InvalidInputError(f"{self!r} is not positive definite")
+        return self
 
     @property
     def disc(self) -> int:
         return self.B * self.B - 4 * self.A * self.C
 
-    def z(self) -> mpc:
-        return mpc(-self.B, mpmath.sqrt(-self.disc)) / (2 * self.A)
+    def z(self):
+        """The root as an mpmath mpc at the current mpmath precision."""
+        import mpmath
+
+        return mpmath.mpc(-self.B, mpmath.sqrt(-self.disc)) / (2 * self.A)
 
     def __repr__(self):
         return f"CM({self.A},{self.B},{self.C})"
+
+
+def _float_root(P: CMPoint) -> complex:
+    """The root of P in floats, each part correctly rounded from integers:
+    -B/(2A) is one int division, sqrt|d|/(2A) one of isqrt(|d| 4^128)."""
+    return complex(-P.B / (2 * P.A), isqrt(-P.disc << 256) / (2 * P.A << 128))
 
 
 def unit_weight(d: int) -> int:
@@ -195,9 +204,11 @@ def _q_coeffs_mpf(n: int, dps: int):
     """(coeffs, lead): the series coefficients a_j of Q_n as mpf at dps digits,
     on to a j with a_j T_SWITCH^{-2j} < 10^-(dps+5) a_0 (a_0 = 1): all that
     legendre_Q and legendre_Q_integral take at any t, T > T_SWITCH."""
+    from mpmath import mp, mpf
+
     exact = _q_series_upto(n, 10 ** (dps + 5))
     lead = _q_lead(n)
-    with mpmath.mp.workdps(dps):
+    with mp.workdps(dps):
         return [mpf(p) / q for p, q in exact], mpf(lead.numerator) / lead.denominator
 
 
@@ -208,16 +219,17 @@ def legendre_Q(n: int, t, dps: int | None = None):
     for t <= 2; descending series in 1/t^2 beyond (the closed form cancels
     catastrophically for large t while the series loses accuracy near 1).
     """
+    from mpmath import log, mp as ctx, mpc, mpf
+
     if n < 0:
         raise InvalidInputError("legendre_Q needs n >= 0")
-    ctx = mpmath.mp
     with ctx.workdps(dps or ctx.dps):
         t = mpf(t) if not isinstance(t, (mpf, mpc)) else t
         if t <= 1:
             raise SingularConfigurationError(f"legendre_Q needs t > 1, got {t}")
         if t <= T_SWITCH:
             pv = _legendre_p_values(n, t)
-            s = pv[n] / 2 * mpmath.log((t + 1) / (t - 1))
+            s = pv[n] / 2 * log((t + 1) / (t - 1))
             for m in range(1, n + 1):
                 s -= pv[m - 1] * pv[n - m] / m
             return +s
@@ -233,7 +245,9 @@ def legendre_Q(n: int, t, dps: int | None = None):
 
 def legendre_Q_integral(n: int, T):
     """Integral of Q_n over [T, infinity) for T > T_SWITCH, by termwise series."""
-    dps = mpmath.mp.dps
+    from mpmath import mp, mpf
+
+    dps = mp.dps
     T = mpf(T)
     if not T > T_SWITCH:
         raise ValueError(f"Q tail integral needs T > {T_SWITCH}, got {T}")
@@ -283,43 +297,65 @@ def _series_fixed(coeffs, head: int, num: int, den: int, bits: int) -> int:
     return acc
 
 
-@functools.lru_cache(maxsize=1 << 8)
-def _sqrt_mpf(y2: int, prec: int):
-    """sqrt(y2) as a raw mpf at prec bits, once per (m, Delta) of a cycle."""
-    return libmp.mpf_sqrt(libmp.from_int(y2), prec)
+def _log_fixed(num: int, den: int, bits: int) -> int:
+    """log(num/den) 2^bits to a few units, for integers num >= den > 0.
+
+    After j square roots, with j 8 more than the bits of log2(num/den), the
+    root x is below 2^(1/256), and log = 2^(j+1) atanh(z) with z =
+    (x - 1)/(x + 1) < 2^-9.5, so each term of the series sum z^(2i+1)/(2i+1)
+    gains 19 bits; j + 16 guard bits absorb the floors.
+    """
+    j = 8 + (num.bit_length() - den.bit_length()).bit_length()
+    g = bits + j + 16
+    x = (num << g) // den
+    for _ in range(j):
+        x = isqrt(x << g)
+    z = ((x - (1 << g)) << g) // (x + (1 << g))
+    z2 = z * z >> g
+    acc, term, i = 0, z, 1
+    while term:
+        acc += term // i
+        term = term * z2 >> g
+        i += 2
+    return acc << (j + 1) >> (g - bits)
 
 
 def q_fixed(k: int, n: int, y2: int, bits: int):
-    """(man, e) with man 2^e = Q_{k-1}(n / sqrt(y2)) to about 2^-bits relative,
-    for even k and integers n, y2 > 0 with n^2 > y2, on Python integers.
+    """(man, e) with man 2^e = Q_{k-1}(n / y) to about 2^-bits relative, for
+    k >= 1 and integers n, y2 = y^2 > 0 with n^2 > y2, on Python integers;
+    an odd k needs y itself an integer (a square y2).
 
     t > 2: lead t^-k sum a_j x^j over x = y2/n^2 (_series_fixed), the factor
-    lead x^(k/2) exact.  1 < t <= 2: the closed form of legendre_Q times
-    (k-1)! y2^((k-2)/2), which is G_{k-1} L/(2s) - sum_{j=1}^{k-1}
-    C(k-1, j) G_{j-1} G_{k-1-j} with s = sqrt(y2), L = log((n+s)/(n-s)) and
-    the integers G_j = j! y2^(j/2) P_j(t) of the slice weights
-    (factor._slice_g).  The two parts cancel to Q, by up to 3.8 (k - 1) bits
-    at t = 2 (41 at k = 12), so L/(2s) carries 4k + 64 more bits.
+    lead y^k/n^k exact.  1 < t <= 2: the closed form of legendre_Q times
+    (k-1)! y^k, which is G_{k-1} y L/2 - y2 sum_{j=1}^{k-1} C(k-1, j)
+    G_{j-1} G_{k-1-j} with L = log((n+y)/(n-y)) (_log_fixed) and the
+    integers G_j = j! y^j P_j(t) of the slice weights (factor._slice_g).  The
+    two parts cancel to Q, by up to 3.8 (k - 1) bits at t = 2 (41 at
+    k = 12), so y and L carry p = bits + 4k + 64 bits.
     """
     nn = n * n
     if nn <= y2:
         raise SingularConfigurationError(f"Q needs n^2 > y2, got n = {n}, y2 = {y2}")
+    yk = y2 ** (k // 2)
+    if k % 2:
+        y = isqrt(y2)
+        if y * y != y2:
+            raise ValueError(f"odd k = {k} needs a square y2, got {y2}")
+        yk *= y
     if nn > 4 * y2:
         coeffs, head = _q_coeffs_fixed(k - 1, bits)
         acc = _series_fixed(coeffs, head, y2, nn, bits)
         lead = _q_lead(k - 1)
-        return _to_bits(acc * lead.numerator * y2 ** (k // 2),
-                        lead.denominator * n ** k, -bits, bits)
+        return _to_bits(acc * lead.numerator * yk, lead.denominator * n ** k, -bits, bits)
     g = [1] + [_slice_g(j + 1, n, y2) for j in range(1, k)]
     rest = sum(math.comb(k - 1, j) * g[j - 1] * g[k - 1 - j] for j in range(1, k))
-    prec = bits + 4 * k + 64
-    s = _sqrt_mpf(y2, prec)
-    # (n + s)/(n - s) = (n + s)^2/(n^2 - y2), without the difference n - s
-    ns = libmp.mpf_add(libmp.from_int(n), s, prec)
-    ratio = libmp.mpf_div(libmp.mpf_mul(ns, ns, prec), libmp.from_int(nn - y2), prec)
-    _, man, e, _ = libmp.mpf_div(libmp.mpf_log(ratio, prec), libmp.mpf_shift(s, 1), prec)
-    return _to_bits(g[k - 1] * man - (rest << -e),
-                    math.factorial(k - 1) * y2 ** (k // 2 - 1), e, bits)
+    p = bits + 4 * k + 64
+    s = isqrt(y2 << 2 * p)                  # y 2^p
+    # (n + y)/(n - y) = (n + y)^2/(n^2 - y2), without the difference n - y
+    ns = (n << p) + s
+    L = _log_fixed(ns * ns, (nn - y2) << 2 * p, p)
+    return _to_bits(g[k - 1] * s * L - ((y2 * rest) << (2 * p + 1)),
+                    (math.factorial(k - 1) * yk) << (2 * p + 1), 0, bits)
 
 
 def q_tail_fixed(n: int, T, bits: int):
@@ -469,6 +505,8 @@ def _taper_integral(qf, T: float) -> float:
 
 def g_k(z1, z2, k: int):
     """g_k(z1, z2) = -2 Q_{k-1}(cosh d(z1, z2)); symmetric, singular on z1=z2."""
+    from mpmath import mpc, mpf
+
     z1, z2 = mpc(z1), mpc(z2)
     t = 1 + abs(z1 - z2) ** 2 / (2 * z1.imag * z2.imag)
     if t <= 1 + mpf(10) ** -10:
@@ -482,20 +520,20 @@ def g_k(z1, z2, k: int):
 
 # Largest working precision accepted, in decimal digits.  The work of the
 # upgrade pass and the tail grows faster than the digits: on a 2-core Xeon
-# with Python 3.11 the (-7, -23) k = 4 `greens` takes 0.25-0.27 s at 1000
-# digits in a fresh process (0.37-0.41 s with the mpmath pass that q_fixed
-# replaced, which took 29 s at 4000).
+# with Python 3.11 the (-7, -23) k = 4 `greens` takes 0.23-0.25 s at 1000
+# digits in a fresh process (0.25-0.27 s with the mpmath logarithm and sums
+# that _log_fixed and Decimal replaced; 0.37-0.41 s with the mpmath pass that
+# q_fixed replaced, which took 29 s at 4000).
 MAX_DIGITS = 1000
 
 
-@dataclass
-class GreenParams:
+class GreenParams(namedtuple("GreenParams", "tol digits", defaults=(1e-8, 30))):
     """Evaluation parameters; tolerance must respect the working precision."""
 
-    tol: float = 1e-8
-    digits: int = 30
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.digits < 15:
             raise InvalidInputError("working precision must be >= 15 digits")
         if self.digits > MAX_DIGITS:
@@ -508,6 +546,7 @@ class GreenParams:
             raise InvalidInputError(f"tolerance must be positive, got {self.tol}")
         if self.tol < 10.0 ** (1 - self.digits):
             raise InvalidInputError("tolerance below working precision")
+        return self
 
     @property
     def upgrade_cosh(self) -> float:
@@ -597,16 +636,30 @@ def _q_term(k: int, m: int, Delta: int, n: int, dps: int):
     return q_fixed(k, n, m * m * Delta, _fixed_bits(dps))
 
 
-def upgrade_sum(k: int, m: int, Delta: int, weights, dps: int):
+# digits a value carries beyond its working precision
+GUARD_DIGITS = 5
+
+
+def _context(dps: int) -> Context:
+    """The decimal context of a value at dps digits, with the default traps."""
+    return Context(prec=dps + GUARD_DIGITS)
+
+
+def _from_bits(man: int, e: int) -> Decimal:
+    """man 2^e as a Decimal, rounded once to the current context."""
+    return +Decimal(man << e) if e >= 0 else Decimal(man) / (1 << -e)
+
+
+def upgrade_sum(k: int, m: int, Delta: int, weights, dps: int) -> Decimal:
     """sum w Q_{k-1}(n / (m sqrt(Delta))) over the pairs (n, w) of weights at dps
     digits, each Q once per distinct (k, m, Delta, n, dps) in the process: one
-    integer over the smallest exponent of the terms, rounded to an mpf once."""
+    integer over the smallest exponent of the terms, rounded to a Decimal once."""
     terms = [(w, *_q_term(k, m, Delta, n, dps)) for n, w in weights]
     if not terms:
-        return mpf(0)
+        return Decimal(0)
     low = min(e for _, _, e in terms)
-    with mpmath.workdps(dps):
-        return mpf((sum((w * man) << (e - low) for w, man, e in terms), low))
+    with localcontext(_context(dps)):
+        return _from_bits(sum((w * man) << (e - low) for w, man, e in terms), low)
 
 
 @functools.lru_cache(maxsize=1 << 10)
@@ -617,9 +670,9 @@ def _tail_integral(n: int, T: float, dps: int):
     Every orbit sum, and every m of the n-sum, climbs the same doubling ladder
     of T, so the integrals repeat.
     """
-    with mpmath.workdps(dps):
-        series = mpf(q_tail_fixed(n, T, _fixed_bits(dps)))
-        return _taper_integral(_q_float_factory(n), T) + series
+    with localcontext(_context(dps)):
+        series = _from_bits(*q_tail_fixed(n, T, _fixed_bits(dps)))
+        return Decimal(_taper_integral(_q_float_factory(n), T)) + series
 
 
 # d^-1 mod c for every c <= _inv_rows, shared by all orbit sums; see _inverse_table
@@ -714,7 +767,7 @@ class _PairOrbitSum:
         self.params = params
         self.Delta = P1.disc * W.disc // (m * m)
         self.msD = m * math.sqrt(self.Delta)
-        z1, w = complex(P1.z()), complex(W.z())
+        z1, w = _float_root(P1), _float_root(W)
         self.x1f, self.y1f = z1.real, z1.imag
         self.uf, self.vf = w.real, w.imag
         self.qf = _q_float_factory(k - 1)
@@ -912,7 +965,7 @@ class _PairOrbitSum:
     def _upgrade_sum(self, upgrades):
         """The sum over the upgrade set, a list of n: Q once per distinct n."""
         return upgrade_sum(self.k, self.m, self.Delta, Counter(upgrades).items(),
-                           mpmath.mp.dps)
+                           self.params.digits)
 
     # -- one rung of the ladder (_ladder) --------------------------------------
     def step(self, T: float, T_prev: float | None):
@@ -927,9 +980,9 @@ class _PairOrbitSum:
             self.upgraded = len(upgrades)
             self.q_up = self._upgrade_sum(upgrades)
         # psi(cosh/T) is 1 on the earlier shells and weights this one
-        partial = -2 * (self.q_up + (self.qsum + qw))
+        partial = -2 * (self.q_up + Decimal(self.qsum + qw))
         self.qsum += q
-        tail = -2 * ORBIT_DENSITY * _tail_integral(self.k - 1, T, mpmath.mp.dps)
+        tail = -2 * ORBIT_DENSITY * _tail_integral(self.k - 1, T, self.params.digits)
         self.value = partial + tail
         return partial, tail
 
@@ -955,7 +1008,7 @@ def _orbit_ladder(weighted, params: GreenParams, k: int):
     and orbit sums, on one ladder (_ladder): every rung steps every orbit sum,
     and the ladder stops on the error estimate of the weighted sum."""
     def step(T, T_prev):
-        partial = tail = mpf(0)
+        partial = tail = Decimal(0)
         for c, s in weighted:
             p, t = s.step(T, T_prev)
             partial += c * p
@@ -963,7 +1016,7 @@ def _orbit_ladder(weighted, params: GreenParams, k: int):
         return partial, tail, {"terms": sum(s.terms for _, s in weighted)}
 
     value, history, converged = _ladder(step, params, k)
-    return +value, {
+    return value, {
         "T": history[-1]["T"],
         "terms": history[-1]["terms"],
         "upgraded": sum(s.upgraded for _, s in weighted),
@@ -977,16 +1030,19 @@ def G_k_hecke(P1: CMPoint, P2: CMPoint, k: int, m: int, params: GreenParams | No
     """G_k | T_m (z1, z2) at the roots z1, z2 of P1, P2: the sum over integral
     matrices of determinant m mod +-1.
 
-    Returns (value, diagnostics).  For m = 1 this is G_k(z1, z2).  The
-    sigma(m) coset sums climb one ladder, which stops on the estimate of
-    their total; `cosets` gives each coset's terms and upgraded terms.
+    Returns (value, diagnostics), the value a Decimal.  For m = 1 this is
+    G_k(z1, z2).  The sigma(m) coset sums climb one ladder, which stops on
+    the estimate of their total; `cosets` gives each coset's terms and
+    upgraded terms.  No command calls it (cycle values group the pairs
+    themselves), but it stays public API: the benchmark tracer wraps it and
+    the tests call it at 29 places, for values at single pairs of points.
     """
     params = params or GreenParams()
     if k < 2 or k % 2 != 0:
         raise InvalidInputError("k must be an even integer >= 2")
     if m < 1:
         raise InvalidInputError("Hecke index m must be >= 1")
-    with mpmath.mp.workdps(params.digits):
+    with localcontext(_context(params.digits)):
         sums = _hecke_sums(P1, P2, k, m, params)
         value, diag = _orbit_ladder([(1, s) for _, s in sums], params, k)
         diag["cosets"] = [{"coset": list(coset), "terms": s.terms, "upgraded": s.upgraded}
@@ -1018,13 +1074,14 @@ def G_kf_at_cycle(k: int, pp, d1: int, d2: int,
     pair's sums; its per-pair record repeats that pair's value and counts
     and is marked "reused".  The records not reused are the G_k | T_m sums
     evaluated ("orbit_sums"), and their terms add up to the work done.
+    Returns (value, diagnostics), the value a Decimal.
     """
     check_cycle_input(k, pp, d1, d2)
     params = params or GreenParams()
     pts1 = cm_points(d1)
     pts2 = cm_points(d2)
     weight = Fraction(4, unit_weight(d1) * unit_weight(d2))
-    with mpmath.mp.workdps(params.digits):
+    with localcontext(_context(params.digits)):
         groups = {}     # (P1, P2, m) summed -> [coefficient, its coset sums]
         pairs = []      # (P1, P2, m, key of its group, reused)
         for P1 in pts1:
@@ -1040,13 +1097,14 @@ def G_kf_at_cycle(k: int, pp, d1: int, d2: int,
                     groups[key][0] += weight * Fraction(c) * m ** (k - 1)
                     pairs.append((P1, P2, m, key, reused))
         value, diag = _orbit_ladder(
-            [(mpf(c.numerator) / c.denominator, s) for c, sums in groups.values() for s in sums],
+            [(Decimal(c.numerator) / c.denominator, s) for c, sums in groups.values()
+             for s in sums],
             params, k)
         per_pair = []
         for P1, P2, m, key, reused in pairs:
             sums = groups[key][1]
             per_pair.append({"pair": [repr(P1), repr(P2)], "m": m,
-                             "value": float(mpmath.fsum(s.value for s in sums)),
+                             "value": float(sum(s.value for s in sums)),
                              "terms": sum(s.terms for s in sums),
                              "upgraded": sum(s.upgraded for s in sums),
                              "reused": reused})
@@ -1096,7 +1154,8 @@ NSUM_MAX_SPAN = 40
 
 
 def cycle_value(k: int, pp, d1: int, d2: int, params: GreenParams | None = None):
-    """G_{k,f}(Z_chi) and its diagnostics from the route that suits the input.
+    """G_{k,f}(Z_chi), a Decimal, and its diagnostics from the route that suits
+    the input.
 
     k >= 4 with sum_m m sqrt(Delta) <= NSUM_MAX_SPAN, over the m with
     c(-m) != 0, takes the sum over n (nsum.cycle_nsum): its cost grows with

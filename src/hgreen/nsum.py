@@ -40,17 +40,16 @@ does, so the two routes stop on the same T and agree to rounding.
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import chain, compress
 from math import isqrt
-
-import mpmath
-from mpmath import mpf
 
 from .factor import BLOCK, _Primes, _sieve_block
 from .finquad import GenusChar
 from .greens import (
     GreenParams,
+    _context,
     _ladder,
     _q_float_coeffs,
     _tail_integral,
@@ -84,25 +83,28 @@ def _q_horner(n: int, t: float):
 
 
 class _Slice:
-    """The n-sum of one principal-part term c(-m) q^-m, shell by shell."""
+    """The n-sum of one principal-part term c(-m) q^-m, shell by shell, at
+    dps digits; built and stepped in the decimal context of the value."""
 
     def __init__(self, m: int, cf: Fraction, k: int, D: int, cycle_density: Fraction,
-                 upgrade_cosh: float):
+                 params: GreenParams):
         self.m = m
         self.k = k
         self.D = D
+        self.dps = params.digits
         self.mmD = m * m * D
         self.msD = m * math.sqrt(D)
-        self.coeff = -2 * mpf(cf.numerator) / cf.denominator * mpf(m) ** (k - 1)
+        coeff = -2 * cf * m ** (k - 1)
+        self.coeff = Decimal(coeff.numerator) / coeff.denominator
         # sum rho per unit of t: sigma(m) Hecke cosets per CM pair
         density = cycle_density * sum(a for a in range(1, m + 1) if m % a == 0)
-        self.density = mpf(density.numerator) / density.denominator
-        up = Fraction(upgrade_cosh)
+        self.density = Decimal(density.numerator) / density.denominator
+        up = Fraction(params.upgrade_cosh)
         # n <= n_up: the terms with t up to the upgrade bound
         self.n_up = isqrt(up.numerator ** 2 * self.mmD // up.denominator ** 2)
         n = isqrt(self.mmD) + 1
         self.next_n = n + (n - m * D) % 2     # n > m sqrt(D), n = m D mod 2
-        self.q_up = mpf(0)
+        self.q_up = Decimal(0)
         self.qsum = 0.0
         self.upgraded = 0
 
@@ -116,10 +118,10 @@ class _Slice:
         count = max(0, (n_hi - first) // 2 + 1)
         self.next_n = first + 2 * count
         upgrades, terms, plain, weighted = self._float_pass(primes, first, count, T)
-        self.q_up += upgrade_sum(self.k, self.m, self.D, upgrades, mpmath.mp.dps)
+        self.q_up += upgrade_sum(self.k, self.m, self.D, upgrades, self.dps)
         self.upgraded += len(upgrades)
         # psi(t/T) is 1 on the earlier shells and weights this one
-        S = self.q_up + (self.qsum + weighted)
+        S = self.q_up + Decimal(self.qsum + weighted)
         self.qsum += plain
         return count, len(upgrades) + terms, S
 
@@ -173,7 +175,7 @@ class _Slice:
 
 
 def cycle_nsum(k: int, pp, d1: int, d2: int, params: GreenParams | None = None):
-    """(G_{k,f}(Z_chi), diagnostics) from the sum over n.
+    """(G_{k,f}(Z_chi), diagnostics) from the sum over n, the value a Decimal.
 
     G_kf_at_cycle's value (its oracle) to rounding, on the same last T, from
     no orbit enumeration: on each rung of greens._ladder every principal-part
@@ -187,16 +189,15 @@ def cycle_nsum(k: int, pp, d1: int, d2: int, params: GreenParams | None = None):
     # orbit density 6 over the h1 h2 CM pairs, times the weight 4/(w1 w2)
     cycle_density = Fraction(24 * len(cm_points(d1)) * len(cm_points(d2)),
                              unit_weight(d1) * unit_weight(d2))
-    with mpmath.mp.workdps(params.digits):
-        dps = mpmath.mp.dps
-        slices = [_Slice(m, Fraction(c), k, D, cycle_density, params.upgrade_cosh)
+    with localcontext(_context(params.digits)):
+        slices = [_Slice(m, Fraction(c), k, D, cycle_density, params)
                   for m, c in sorted(pp.items()) if c]
         n_values = nonzero = 0
 
         def step(T, T_prev):
             nonlocal n_values, nonzero
-            partial = tail = mpf(0)
-            tail_integral = _tail_integral(k - 1, T, dps)
+            partial = tail = Decimal(0)
+            tail_integral = _tail_integral(k - 1, T, params.digits)
             for s in slices:
                 count, nz, S = s.shell(primes, T)
                 n_values += count
@@ -206,7 +207,7 @@ def cycle_nsum(k: int, pp, d1: int, d2: int, params: GreenParams | None = None):
             return partial, tail, {"n_values": n_values, "terms": nonzero}
 
         value, history, converged = _ladder(step, params, k)
-        return +value, {
+        return value, {
             "route": "nsum",
             "T": history[-1]["T"],
             "n_values": n_values,

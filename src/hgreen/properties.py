@@ -9,10 +9,10 @@ suites in the same order reproduces the same draws.
 
 from __future__ import annotations
 
-import mpmath
+from fractions import Fraction
 
 from .finquad import GDelta, d0, genus_characters, ramified_product, rho_KF
-from .greens import legendre_Q
+from .greens import _fixed_bits, q_fixed
 from .qfield import FracIdeal, field
 from .thetacoef import C_chi, ideal_route, lattice_route
 
@@ -100,22 +100,27 @@ def slice_identity(top: int):
 def legendre_recurrence(n_max: int, ts):
     """(n+1) Q_{n+1} - (2n+1) t Q_n + n Q_{n-1} = 0 to 1e-12 at 30 digits, 1 <= n <= n_max.
 
-    ts are mpf-convertible points, strings for exact decimals; the grid spans
-    both regimes of Q and their overlap.
+    ts are Fraction-convertible points, strings for exact decimals; the grid
+    spans both regimes of Q and their overlap.  Q_j(a/b) is the integer
+    kernel of the cycle values, greens.q_fixed(j + 1, a, b^2), at every
+    index 0 .. n_max + 1, and the residual is exact.
     """
     failures = []
     checks = 0
-    with mpmath.mp.workdps(30):
-        bound = mpmath.mpf(10) ** -12
-        ts = [mpmath.mpf(t) for t in ts]
-        for n in range(1, n_max + 1):
-            for t in ts:
-                r = ((n + 1) * legendre_Q(n + 1, t)
-                     - (2 * n + 1) * t * legendre_Q(n, t)
-                     + n * legendre_Q(n - 1, t))
-                checks += 1
-                if abs(r) > bound:
-                    failures.append({"n": n, "t": float(t), "residual": float(abs(r))})
+    bits = _fixed_bits(30)
+    bound = Fraction(1, 10 ** 12)
+    grid = []       # (t, [Q_0(t), ..., Q_{n_max+1}(t)])
+    for t in map(Fraction, ts):
+        a, b = t.numerator, t.denominator
+        q = [man * Fraction(2) ** e
+             for man, e in (q_fixed(j + 1, a, b * b, bits) for j in range(n_max + 2))]
+        grid.append((t, q))
+    for n in range(1, n_max + 1):
+        for t, q in grid:
+            r = (n + 1) * q[n + 1] - (2 * n + 1) * t * q[n] + n * q[n - 1]
+            checks += 1
+            if abs(r) > bound:
+                failures.append({"n": n, "t": float(t), "residual": float(abs(r))})
     return checks, failures
 
 

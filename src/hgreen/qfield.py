@@ -113,11 +113,12 @@ def factorint(n: int) -> dict:
     return dict(sorted(out.items()))
 
 
-def sqrt_mod(a: int, p: int):
+def sqrt_mod(a: int, p: int, nonresidue: int | None = None):
     """Smallest r >= 0 with r^2 = a mod the prime p, or None.
 
     One power for p = 3 mod 4 and Atkin's formula for p = 5 mod 8, each
-    checked by squaring; Euler's test, then Tonelli-Shanks, for p = 1 mod 8.
+    checked by squaring; Euler's test, then Tonelli-Shanks, for p = 1 mod 8,
+    from the quadratic non-residue mod p given, or else the least one.
     """
     a %= p
     if p == 2 or a == 0:
@@ -135,7 +136,7 @@ def sqrt_mod(a: int, p: int):
         while q % 2 == 0:
             q //= 2
             s += 1
-        z = 2
+        z = nonresidue or 2
         while pow(z, (p - 1) // 2, p) != p - 1:
             z += 1
         c, r, t = pow(z, q, p), pow(a, (q + 1) // 2, p), pow(a, q, p)

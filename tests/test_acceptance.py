@@ -108,7 +108,7 @@ def test_criterion_4_k2_crosscheck():
         z7 = CMPoint(1, 1, 2)       # (-1 + sqrt(-7))/2
         for tol in (1e-6, 1e-9):
             val, diag = G_k_hecke(z1, z7, 2, 1, GreenParams(tol=tol, digits=30))
-            err = abs(val - closed)
+            err = abs(mpf(str(val)) - closed)
             report(
                 f"criterion 4a: G_2(i, z_7) matches -(8/sqrt28) log((8+3sqrt7)/(8-3sqrt7))"
                 f" at tol {tol:g}",
@@ -183,7 +183,7 @@ def test_criterion_7c_laplacian_eigenvalue():
             r = x * x + y * y
             A = math.lcm((2 * x).denominator, r.denominator)
             v, _ = G_k_hecke(CMPoint(A, int(-2 * A * x), int(A * r)), z2, 4, 1, p)
-            return v
+            return mpf(str(v))
 
         center = val(x0, y0)
         lap = (val(x0 + dx, y0) + val(x0 - dx, y0) + val(x0, y0 + dx)

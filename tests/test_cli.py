@@ -382,6 +382,47 @@ for command, k in (("factor", "4"), ("greens", "4"), ("verify", "4"), ("greens",
                                     "greens 0 ['numpy']"]
 
 
+def test_cli_paths_load_only_the_standard_library():
+    # no command imports mpmath, dataclasses or inspect; a k = 2 verify, the
+    # orbit route, adds numpy and what numpy itself imports, nothing else
+    import subprocess
+    import sys
+    from pathlib import Path
+    script = """
+import contextlib, io, sys
+WATCH = ("mpmath", "dataclasses", "inspect")
+import hgreen.cli
+print("import", [m for m in WATCH if m in sys.modules])
+cycle = ["--d1", "-7", "--d2", "-23", "--pp", "1=1", "--tol", "1e-6"]
+for argv in (["factor", "--k", "4", *cycle], ["greens", "--k", "4", *cycle],
+             ["verify", "--k", "4", *cycle], ["selftest", "--quick"]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = hgreen.cli.main(argv)
+    print(argv[0], code, [m for m in WATCH if m in sys.modules])
+before = set(sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = hgreen.cli.main(["verify", "--k", "2", "--d1", "-4", "--d2", "-7", "--pp", "1=1",
+                            "--tol", "1e-4"])
+print("verify-k2", code, "mpmath" in sys.modules, " ".join(sorted(set(sys.modules) - before)))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+
+    def run(code):
+        return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120, check=True).stdout.split("\n")
+
+    out = run(script)
+    assert out[:5] == ["import []", "factor 0 []", "greens 0 []", "verify 0 []",
+                       "selftest 0 []"]
+    name, code, mpmath_loaded, *added = out[5].split(" ")
+    numpy_own = set(run("import sys; b = set(sys.modules); import numpy; "
+                        "print(' '.join(set(sys.modules) - b))")[0].split(" "))
+    assert (name, code, mpmath_loaded) == ("verify-k2", "0", "False")
+    assert "numpy" in added and set(added) <= numpy_own, set(added) - numpy_own
+
+
 def test_module_entry_point_reads_sys_argv(capsys):
     # `python -m hgreen.cli` is main(None), which reads its flags from sys.argv
     import subprocess

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import time
+from decimal import Context, localcontext
 from fractions import Fraction
 from math import comb, factorial, gcd, isqrt, prod
 
@@ -482,6 +483,22 @@ def test_prime_table_skips_inert_primes_by_the_other_character(d1, d2, bound):
     assert [p for p, *_ in got] == want
 
 
+@pytest.mark.parametrize("d1,d2", [(-7, -23), (-43, -115), (-3, -333332)])
+def test_split_roots_take_the_known_nonresidue(d1, d2):
+    # at a split p with chi_p = -1 both d are non-residues mod p, and the
+    # table passes one to sqrt_mod instead of its search for one; the roots
+    # stay the search's, the smaller of the two, on every split p <= 1e5
+    D = d1 * d2
+    split = _Primes(GenusChar(d1, d2)).upto(10 ** 5)
+    assert [root for _, root, _, _ in split] == [sqrt_mod(D, p) for p, *_ in split]
+    tonelli = 0
+    for p, root, x, _ in split:
+        if x < 0:
+            assert sqrt_mod(D, p, d1 % p) == sqrt_mod(D, p, d2 % p) == root, p
+            tonelli += p % 8 == 1
+    assert tonelli > 100
+
+
 def _rho_by_factorint(chi, m, n):
     """rho_{K/F}((mu0)), mu0 = (n + m sqrt(Delta))/2, one factor per p | Nm."""
     D = chi.Delta
@@ -564,9 +581,9 @@ def test_log_ratio_large_unit_does_not_cancel():
     # eps_F ~ 2.6e19 at Delta = 4945: x - y sqrt(Delta) cancels at 30 digits
     F = field(4945)
     eps = F.fundamental_unit()
-    with mpmath.mp.workdps(30):
+    with mpmath.mp.workdps(30), localcontext(Context(prec=30)):
         L = _log_ratio(F, eps)
-        assert abs(L - 2 * mpmath.log(float(eps))) < 1e-12
+        assert abs(mpmath.mpf(str(L)) - 2 * mpmath.log(float(eps))) < 1e-12
         assert _log_ratio(F, eps.conj()) == -L
         assert _log_ratio(F, F.elem(5, 0)) == 0 and _log_ratio(F, F.sqrtD) == 0
 

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import inspect
 import math
@@ -8,6 +7,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -64,6 +64,26 @@ def test_cm_points_examples():
         cm_points(-12)  # not fundamental
     with pytest.raises(InvalidInputError):
         cm_points(5)
+
+
+def test_float_root_is_the_mpmath_root_bit_for_bit():
+    # the orbit route's root from integers against complex(z()) at 30 digits,
+    # the precision of a default cycle value: every reduced form with
+    # |d| <= 3000, and the Hecke translates of index 2 and 3 of those with
+    # |d| <= 300 (the forms _hecke_sums builds)
+    forms = [CMPoint(A, B, C) for A in range(1, 32) for B in range(1 - A, A + 1)
+             for C in range(A, (3000 + B * B) // (4 * A) + 1) if B >= 0 or A < C]
+    assert len(forms) == 28005
+    for P in [P for P in forms if P.disc >= -300]:
+        for m in (2, 3):
+            for a in (1, m):
+                d = m // a
+                forms += [CMPoint(P.A * d * d, d * (a * P.B - 2 * P.A * b),
+                                  P.A * b * b - a * b * P.B + a * a * P.C) for b in range(d)]
+    with mpmath.workdps(30):
+        for P in forms:
+            got, want = G._float_root(P), complex(P.z())
+            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), P
 
 
 def test_cmpoint_is_any_positive_definite_form():
@@ -199,7 +219,7 @@ def test_green_k2_closed_form_quick():
     closed = -(8 / mpmath.sqrt(28)) * mpmath.log((8 + 3 * mpmath.sqrt(7)) / (8 - 3 * mpmath.sqrt(7)))
     val, diag = G_k_hecke(z1, z7, 2, 1, GreenParams(tol=1e-5))
     assert diag["converged"]
-    assert abs(val - closed) < 1e-6
+    assert abs(mpf(str(val)) - closed) < 1e-6
 
 
 def test_truncation_stability():
@@ -237,7 +257,7 @@ def test_hecke_m1_reduces_to_plain_green():
         seen.add((a, b, c, d))
         acc += g_k(z1.z(), (a * z2.z() + b) / (c * z2.z() + d), 4)
     # the brute partial sum must be within the tail of the full value
-    assert abs(val - acc) < 0.05
+    assert abs(mpf(str(val)) - acc) < 0.05
 
 
 def test_cycle_value_linearity_in_pp():
@@ -302,7 +322,7 @@ def test_cycle_sums_each_mirror_pair_once(monkeypatch):
     assert len(built) == 12 and every_diag["orbit_sums"] == 6
     assert not any(rec["reused"] for rec in every_diag["per_pair"])
     assert every_diag["T"] == diag["T"]
-    assert abs(val - every) <= 1e-13 * max(1, abs(every)), (val, every)
+    assert abs(val - every) <= 1e-13 * max(1, abs(float(every))), (val, every)
     # (h1 h2 + t1 t2)/2 sums for t self-mirrored points among h
     for d1, d2 in [(-7, -23), (-3, -23), (-7, -71), (-15, -23)]:
         built.clear()
@@ -339,7 +359,7 @@ def test_params_validation():
     for k in (3, 0, -2):
         with pytest.raises(InvalidInputError, match="k must be an even integer"):
             G_k_hecke(I, _form("0.3", "1.2"), k, 1)
-    assert [f.name for f in dataclasses.fields(GreenParams)] == ["tol", "digits"]
+    assert GreenParams._fields == ("tol", "digits")
     with pytest.raises(InvalidInputError):
         GreenParams(digits=10)
     with pytest.raises(InvalidInputError):
@@ -495,7 +515,7 @@ def test_laplacian_eigenvalue_k4():
 
     def val(x, y):
         v, _ = G_k_hecke(_form(x, y), z2, 4, 1, p)
-        return v
+        return mpf(str(v))
 
     center = val(x0, y0)
     lap = (val(x0 + dx, y0) + val(x0 - dx, y0) + val(x0, y0 + dx)
@@ -575,22 +595,22 @@ def _g2_i_z7_closed_form():
     return -(4 / mpmath.sqrt(28)) * mpmath.log((8 + 3 * s7) / (8 - 3 * s7))
 
 
-@pytest.mark.parametrize("k,d1,d2,tol,value,terms", [
-    (4, -7, -23, 1e-10, "-4.157888612785564504729481", [9578, 9593, 9593]),
-    (2, -4, -7, 1e-7, "-4.1858195399339313519", [307462]),
+@pytest.mark.parametrize("k,d1,d2,tol,value,terms,T", [
+    (4, -7, -23, 1e-10, "-4.157888612785564504729481", [9578, 9593, 9593], 1600),
+    (2, -4, -7, 1e-7, "-4.1858195399339313519", [307462], 51200),
 ], ids=["k4", "k2"])
-def test_cycle_values_pinned(k, d1, d2, tol, value, terms):
+def test_cycle_values_pinned(k, d1, d2, tol, value, terms, T):
     # value and term counts of the ladder that stops on its error estimate.
     # Each is within its reported estimate of an independent reference: at
     # k = 4 the value the orbit route and the n-sum agree on at tol 1e-12 (to
     # 3e-18), at k = 2 the closed form
     got, diag = G_kf_at_cycle(k, {1: Fraction(1)}, d1, d2, GreenParams(tol=tol))
-    assert diag["converged"]
-    assert abs(got - mpf(value)) < 1e-12
-    assert [p["terms"] for p in diag["per_pair"]] == terms
+    assert diag["converged"] and isinstance(got, Decimal)
+    assert abs(mpf(str(got)) - mpf(value)) < 1e-12
+    assert [p["terms"] for p in diag["per_pair"]] == terms and diag["T"] == T
     assert all(0 < p["upgraded"] < p["terms"] for p in diag["per_pair"])
     reference = mpf("-4.15788861278509761") if k == 4 else _g2_i_z7_closed_form()
-    assert abs(got - reference) <= diag["estimate"]
+    assert abs(mpf(str(got)) - reference) <= diag["estimate"]
 
 
 def test_upgrade_pass_runs_once_per_orbit_sum(monkeypatch):
@@ -611,7 +631,7 @@ def test_upgrade_pass_runs_once_per_orbit_sum(monkeypatch):
 
 def test_later_shell_below_upgrade_bound_is_an_error():
     # a shell starting below upgrade_cosh (4 at this tol) would hold terms the
-    # mpmath pass skips; this pair has terms with cosh in (2, 4]
+    # upgrade pass skips; this pair has terms with cosh in (2, 4]
     s = G._PairOrbitSum(I, _form("0.3", "1.2"), 4, GreenParams())
     count, _, _, upgrades = s._terms_below(400.0)
     assert count > 0 and upgrades
@@ -620,7 +640,7 @@ def test_later_shell_below_upgrade_bound_is_an_error():
 
 
 def test_float_q_accurate_above_upgrade_bound():
-    # above the upgrade bound the float series stands in for mpmath
+    # above the upgrade bound the float series stands in for q_fixed
     assert GreenParams(tol=1e-12).upgrade_cosh == 4.0
     assert GreenParams(tol=1e-13).upgrade_cosh == 64.0
     # relative error bound per n = k - 1 up to MAX_K - 1; measured maxima on
@@ -692,6 +712,36 @@ def test_q_fixed_matches_legendre_q(dps):
                         assert abs(got - ref) <= bound * ref, (k, m, Delta, n)
     with pytest.raises(SingularConfigurationError):
         G.q_fixed(4, 12, 161, bits)
+
+
+@pytest.mark.parametrize("dps", [30, 100])
+def test_q_fixed_odd_k_at_rational_t(dps):
+    # the even indices Q_0 .. Q_10 that selftest's recurrence takes at t = a/b
+    # with y2 = b^2, in both regimes, against the mpmath reference
+    bits = G._fixed_bits(dps)
+    bound = mpf(10) ** (2 - dps)
+    for k in range(1, MAX_K, 2):
+        for a, b in ((1001, 1000), (101, 100), (3, 2), (19, 10), (2, 1), (21, 10),
+                     (5, 1), (50, 1)):
+            with mpmath.workdps(dps):
+                got = mpf(G.q_fixed(k, a, b * b, bits))
+            with mpmath.workdps(dps + 10):
+                ref = legendre_Q(k - 1, mpf(a) / b)
+                assert abs(got - ref) <= bound * ref, (k, a, b)
+    with pytest.raises(ValueError, match="square"):
+        G.q_fixed(3, 26, 161, bits)
+
+
+def test_log_fixed_matches_decimal_ln():
+    # log(num/den) 2^bits within 4 units, from num = den up to ratios of 2^400
+    rng = random.Random(7)
+    for bits in (64, 244, 1000):
+        for _ in range(60):
+            den = rng.randrange(1, 1 << rng.randrange(1, 300))
+            num = den + rng.randrange(1 << rng.randrange(1, 400)) * rng.randrange(2)
+            with localcontext(Context(prec=bits // 3 + 20)):
+                want = int((Decimal(num) / den).ln() * (1 << bits))
+            assert abs(G._log_fixed(num, den, bits) - want) <= 4, (num, den, bits)
 
 
 @pytest.mark.parametrize("dps", [30, 40, 100, 1000])
@@ -844,7 +894,7 @@ def _clear_caches():
 
 def test_cached_values_keep_their_precision():
     # dyadic points: the translates with c = 0 have cosh values that are the
-    # same mpf at 30 and at 50 digits, and every T on the ladder is too, so a
+    # same at 30 and at 50 digits, and every T on the ladder is too, so a
     # cache keyed without the precision would serve 30-digit values at 50
     z1, z2 = I, _form("0.25", "0.5")
     p30 = GreenParams(tol=1e-8, digits=30)
@@ -995,4 +1045,4 @@ def test_scope_corner_k4_cycle_at_delta_999996():
     assert time.perf_counter() - t0 < 10.0
     assert diag["converged"] and diag["pairs"] == 348
     assert diag["terms"] == 844566 and sum(p["terms"] for p in diag["per_pair"]) == 1669944
-    assert abs(val - mpf("-129.358257064366326616349255147")) < 1e-12
+    assert abs(mpf(str(val)) - mpf("-129.358257064366326616349255147")) < 1e-12

@@ -67,7 +67,7 @@ def test_nsum_matches_orbit_route(case):
     # one ladder on the cycle value each: the same rungs, the same terms
     # grouped by n, so the two values differ by rounding only
     assert diag["T"] == odiag["T"] and len(diag["history"]) == len(odiag["history"])
-    assert abs(got - want) <= 1e-13 * max(1, abs(want)), (case, got, want)
+    assert abs(got - want) <= 1e-13 * max(1, abs(float(want))), (case, got, want)
 
 
 @pytest.mark.parametrize("d1,d2,m", [(-7, -23, 1), (-7, -23, 2), (-7, -23, 4), (-4, -15, 2),
