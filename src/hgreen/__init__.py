@@ -17,7 +17,7 @@ from .qfield import (
 )
 from .finquad import FQM, GenusChar, genus_characters, rho_KF
 from .mforms import check_principal_part, cusp_basis, delta_form, eisenstein
-from .greens import CMPoint, GreenParams, G_k_hecke, G_kf_at_cycle, cm_points, g_k, legendre_Q
+from .greens import CMPoint, GreenParams, G_k_hecke, G_kf_at_cycle, cm_points
 from .factor import FactorReport, gamma_exponents, reconcile, trace_slice
 
 __all__ = [
@@ -25,8 +25,7 @@ __all__ = [
     "is_fundamental_discriminant", "kronecker",
     "FQM", "GenusChar", "genus_characters", "rho_KF",
     "check_principal_part", "cusp_basis", "delta_form", "eisenstein",
-    "CMPoint", "GreenParams", "G_k_hecke", "G_kf_at_cycle", "cm_points", "g_k",
-    "legendre_Q",
+    "CMPoint", "GreenParams", "G_k_hecke", "G_kf_at_cycle", "cm_points",
     "FactorReport", "gamma_exponents", "reconcile", "trace_slice",
 ]
 

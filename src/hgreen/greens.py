@@ -11,11 +11,11 @@ the upgrade bound below (so 25 at tol >= 1e-12 and 400 below), and doubles,
 over at most MAX_DOUBLINGS = 32 rungs, until the error estimate of the
 corrected value falls below tol, from the
 third rung on: twice the largest of its last three moves, each carried to
-the current T along the envelope T^-(k - 1/2) of the remainder.  Each route
-supplies one step per rung; the orbit route's steps every orbit sum of the
-value times its coefficient, so tol bounds the cycle value, not each orbit
-sum, and the two routes stop on the same rung and agree to rounding.  Each
-doubling enumerates only its new
+the current T along the envelope T^-(k - 1/2) of the remainder.  One driver,
+_weighted_ladder, steps every summand of a value times its coefficient on
+each rung (the orbit sums, or the n-sum's slices), so tol bounds the cycle
+value, not each summand; the two routes stop on the same rung and agree to
+rounding.  Each doubling enumerates only its new
 shell T/2 < cosh <= T and adds it to running sums of the term count and the
 float sum; the shells use the same float windows as a full enumeration, so
 the count at every T is the one a full enumeration from cosh = 1 gives.  The
@@ -77,7 +77,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from .qfield import InvalidInputError, is_fundamental_discriminant
-from .mforms import check_cycle_input
+from .mforms import check_cycle_input, check_weight
 from .factor import _slice_g
 
 
@@ -1003,22 +1003,26 @@ def _hecke_sums(P1: CMPoint, P2: CMPoint, k: int, m: int, params: GreenParams):
     return out
 
 
-def _orbit_ladder(weighted, params: GreenParams, k: int):
+def _weighted_ladder(weighted, params: GreenParams, k: int, counters=("terms",)):
     """(value, diagnostics) of sum c S over the pairs (c, S) of coefficients
-    and orbit sums, on one ladder (_ladder): every rung steps every orbit sum,
-    and the ladder stops on the error estimate of the weighted sum."""
+    and summands, on one ladder (_ladder): every rung steps every summand,
+    and the ladder stops on the error estimate of the weighted sum.  A
+    summand, an orbit sum or an n-sum slice (nsum._Slice), returns (partial,
+    tail) from step(T, T_prev) and keeps running counts, `upgraded` and the
+    `counters` that each rung's record and the diagnostics total."""
     def step(T, T_prev):
         partial = tail = Decimal(0)
         for c, s in weighted:
             p, t = s.step(T, T_prev)
             partial += c * p
             tail += c * t
-        return partial, tail, {"terms": sum(s.terms for _, s in weighted)}
+        return partial, tail, {key: sum(getattr(s, key) for _, s in weighted)
+                               for key in counters}
 
     value, history, converged = _ladder(step, params, k)
     return value, {
         "T": history[-1]["T"],
-        "terms": history[-1]["terms"],
+        **{key: history[-1][key] for key in counters},
         "upgraded": sum(s.upgraded for _, s in weighted),
         "history": history,
         "estimate": history[-1]["estimate"],
@@ -1030,7 +1034,8 @@ def G_k_hecke(P1: CMPoint, P2: CMPoint, k: int, m: int, params: GreenParams | No
     """G_k | T_m (z1, z2) at the roots z1, z2 of P1, P2: the sum over integral
     matrices of determinant m mod +-1.
 
-    Returns (value, diagnostics), the value a Decimal.  For m = 1 this is
+    Returns (value, diagnostics), the value a Decimal; k is even with
+    2 <= k <= mforms.MAX_K, as for a cycle value.  For m = 1 this is
     G_k(z1, z2).  The sigma(m) coset sums climb one ladder, which stops on
     the estimate of their total; `cosets` gives each coset's terms and
     upgraded terms.  No command calls it (cycle values group the pairs
@@ -1038,13 +1043,12 @@ def G_k_hecke(P1: CMPoint, P2: CMPoint, k: int, m: int, params: GreenParams | No
     the tests call it at 29 places, for values at single pairs of points.
     """
     params = params or GreenParams()
-    if k < 2 or k % 2 != 0:
-        raise InvalidInputError("k must be an even integer >= 2")
+    check_weight(k)
     if m < 1:
         raise InvalidInputError("Hecke index m must be >= 1")
     with localcontext(_context(params.digits)):
         sums = _hecke_sums(P1, P2, k, m, params)
-        value, diag = _orbit_ladder([(1, s) for _, s in sums], params, k)
+        value, diag = _weighted_ladder([(1, s) for _, s in sums], params, k)
         diag["cosets"] = [{"coset": list(coset), "terms": s.terms, "upgraded": s.upgraded}
                           for coset, s in sums]
         return value, diag
@@ -1096,7 +1100,7 @@ def G_kf_at_cycle(k: int, pp, d1: int, d2: int,
                         groups[key] = [0, [s for _, s in _hecke_sums(P1, P2, k, m, params)]]
                     groups[key][0] += weight * Fraction(c) * m ** (k - 1)
                     pairs.append((P1, P2, m, key, reused))
-        value, diag = _orbit_ladder(
+        value, diag = _weighted_ladder(
             [(Decimal(c.numerator) / c.denominator, s) for c, sums in groups.values()
              for s in sums],
             params, k)

@@ -13,11 +13,11 @@ from math import gcd
 
 from .qfield import InvalidInputError, QuadField, is_fundamental_discriminant
 
-# Largest principal-part index m accepted.  Both engines grow with m.  On a
-# 2-core Xeon with Python 3.11, at m = 100 `factor` on Delta = 999996 takes
-# 24 s (a trace slice of ~m*sqrt(Delta) = 1e5 elements), while
-# check_principal_part(k, {m: 1}) takes 0.002 s at k = 6 and 0.005 s at
-# k = 12; at m = 1000 the check takes 0.3 s and 0.7 s.
+# Largest principal-part index m accepted.  On a 2-core Xeon with Python
+# 3.11, gamma_exponents(4, {m: 1}, -3, -333332) takes 0.018 s at m = 10 and
+# 0.21 s at m = 100 (17,967 primes), and check_principal_part(k, {100: 1})
+# 0.001 s at k = 6 and 0.003 s at k = 12 (0.07 s and 0.29 s at m = 1000).
+# The numeric side limits m: pp {100: 1} at Delta = 9993 took 62 s for the value.
 MAX_PP_INDEX = 100
 # Largest k accepted.  The obstruction check does not limit k (at m = 100 it
 # takes 0.02 s at k = 24 and 0.1 s at k = 48).  The numeric engine does: the
@@ -155,6 +155,14 @@ def check_principal_part(k: int, pp):
     return None
 
 
+def check_weight(k: int) -> None:
+    """Raise InvalidInputError unless k is even with 2 <= k <= MAX_K."""
+    if k < 2 or k % 2 != 0:
+        raise InvalidInputError("k must be an even integer >= 2")
+    if k > MAX_K:
+        raise InvalidInputError(f"k = {k} beyond supported range {MAX_K}")
+
+
 def check_cycle_input(k: int, pp, d1: int, d2: int) -> None:
     """Validate the input of a CM-cycle computation; the one check for both engines.
 
@@ -164,10 +172,7 @@ def check_cycle_input(k: int, pp, d1: int, d2: int) -> None:
     MAX_PP_INDEX and is unobstructed.  The ranges are checked before anything
     is factored or expanded, so oversized input fails at once.
     """
-    if k < 2 or k % 2 != 0:
-        raise InvalidInputError("k must be an even integer >= 2")
-    if k > MAX_K:
-        raise InvalidInputError(f"k = {k} beyond supported range {MAX_K}")
+    check_weight(k)
     if d1 >= 0 or d2 >= 0:
         raise InvalidInputError(f"d1 = {d1}, d2 = {d2}: both must be negative")
     if d1 * d2 > QuadField.MAX_DELTA:

@@ -19,22 +19,22 @@ The cofactor it leaves, 1 or a split prime q || Nm, has the factor 1 + chi_q
 with chi_q read from the table _Primes.chi_mod, as on the trace slice; here
 mu0 >> 0 makes chi_q = +1 wherever rho is not already 0.
 
-The numerics are the orbit route's: the one doubling ladder greens._ladder
-(T from 25 at tol >= 1e-12 and from 400 below, at most MAX_DOUBLINGS
-rungs), psi(t/T) weights on the newest shell, the float series above the
-upgrade bound and, up to it, the fixed-point pass greens.upgrade_sum with
-the weights rho(n).  The float terms of
-a shell take one loop over its nonzero rho (_Slice._float_pass) that calls
-no Python function per n: Horner over the coefficients of
-greens._q_float_coeffs, as many as the shell's smallest t needs for 1e-17
-relative (12 on the first shell, at most 9 from t = 12.5 on and 4 from
-t = 200 on), and psi inline where t > T/2.  Sum rho per unit of
-t has mean 24 h1 h2 sigma(m)/(w1 w2), the orbit density 6 of the h1 h2 CM
-pairs with sigma(m) Hecke cosets each, times the cycle weight 4/(w1 w2); so
-the tail is that density times the orbit route's tail integral, and equals
-the sum of the orbit route's tails.  The ladder stops on the error
-estimate of the cycle value (`estimate`), as the orbit route's one ladder
-does, so the two routes stop on the same T and agree to rounding.
+The numerics are the orbit route's: each principal-part term is one summand
+(_Slice) of greens._weighted_ladder, which steps the orbit sums too, with
+coefficient -2 c(-m) m^(k-1); so one doubling ladder greens._ladder (T from
+25 at tol >= 1e-12 and from 400 below, at most MAX_DOUBLINGS rungs) stops
+on the error estimate of the cycle value, the two routes stop on the same T
+and agree to rounding, and one function writes the diagnostics of both.  A
+slice's step adds its new shell of n with psi(t/T) weights on it, the float
+series above the upgrade bound and, up to it, the fixed-point pass
+greens.upgrade_sum with the weights rho(n): one loop over the nonzero rho
+(_Slice._float_pass) that calls no Python function per n, Horner over the
+coefficients of greens._q_float_coeffs, as many as the shell's smallest t
+needs for 1e-17 relative (12 on the first shell, at most 9 from t = 12.5 on
+and 4 from t = 200 on), and psi inline where t > T/2.  Sum rho per unit of t
+has mean ORBIT_DENSITY h1 h2 sigma(m) 4/(w1 w2), the orbit density of the
+h1 h2 CM pairs with sigma(m) Hecke cosets each times the cycle weight; so the
+tail, that density times the orbit route's tail integral, is the sum of its tails.
 """
 
 from __future__ import annotations
@@ -48,16 +48,17 @@ from math import isqrt
 from .factor import BLOCK, _Primes, _sieve_block
 from .finquad import GenusChar
 from .greens import (
+    ORBIT_DENSITY,
     GreenParams,
     _context,
-    _ladder,
     _q_float_coeffs,
     _tail_integral,
+    _weighted_ladder,
     cm_points,
     unit_weight,
     upgrade_sum,
 )
-from .mforms import check_cycle_input
+from .mforms import _sigma, check_cycle_input
 
 def _rho_block(primes: _Primes, m: int, n0: int, count: int):
     """[rho_{K/F}((mu0)) for mu0 = (n + m sqrt(Delta))/2, n = n0, n0 + 2, ...]:
@@ -83,21 +84,19 @@ def _q_horner(n: int, t: float):
 
 
 class _Slice:
-    """The n-sum of one principal-part term c(-m) q^-m, shell by shell, at
-    dps digits; built and stepped in the decimal context of the value."""
+    """The n-sum of one principal-part term c(-m) q^-m, shell by shell, at dps
+    digits: a summand of greens._weighted_ladder of coefficient -2 c(-m)
+    m^(k-1), built and stepped in the decimal context of the value."""
 
-    def __init__(self, m: int, cf: Fraction, k: int, D: int, cycle_density: Fraction,
+    def __init__(self, m: int, k: int, D: int, primes: _Primes, density: Fraction,
                  params: GreenParams):
         self.m = m
         self.k = k
         self.D = D
+        self.primes = primes
         self.dps = params.digits
         self.mmD = m * m * D
         self.msD = m * math.sqrt(D)
-        coeff = -2 * cf * m ** (k - 1)
-        self.coeff = Decimal(coeff.numerator) / coeff.denominator
-        # sum rho per unit of t: sigma(m) Hecke cosets per CM pair
-        density = cycle_density * sum(a for a in range(1, m + 1) if m % a == 0)
         self.density = Decimal(density.numerator) / density.denominator
         up = Fraction(params.upgrade_cosh)
         # n <= n_up: the terms with t up to the upgrade bound
@@ -106,24 +105,29 @@ class _Slice:
         self.next_n = n + (n - m * D) % 2     # n > m sqrt(D), n = m D mod 2
         self.q_up = Decimal(0)
         self.qsum = 0.0
-        self.upgraded = 0
+        # running counts of step
+        self.n_values = self.terms = self.upgraded = 0
 
-    def shell(self, primes: _Primes, T: float):
-        """(n values, nonzero terms, sum of psi(t/T) rho Q_{k-1}(t)) over the
-        new n with t = n/(m sqrt(Delta)) <= T; the terms with t up to the
-        upgrade bound are summed at the working precision, the rest in floats."""
+    def step(self, T: float, T_prev: float | None):
+        """(partial, tail) at T, after adding the new n with t = n/(m sqrt(Delta))
+        <= T: the sum of psi(t/T) rho Q_{k-1}(t), with the terms up to the
+        upgrade bound at the working precision and the rest in floats, and
+        the density times the tail integral.  The slice resumes at the n after
+        its last shell, so T_prev is not needed."""
         Tf = Fraction(T)
         n_hi = isqrt(Tf.numerator ** 2 * self.mmD // Tf.denominator ** 2)
         first = self.next_n
         count = max(0, (n_hi - first) // 2 + 1)
         self.next_n = first + 2 * count
-        upgrades, terms, plain, weighted = self._float_pass(primes, first, count, T)
+        upgrades, terms, plain, weighted = self._float_pass(self.primes, first, count, T)
         self.q_up += upgrade_sum(self.k, self.m, self.D, upgrades, self.dps)
+        self.n_values += count
+        self.terms += len(upgrades) + terms
         self.upgraded += len(upgrades)
         # psi(t/T) is 1 on the earlier shells and weights this one
-        S = self.q_up + Decimal(self.qsum + weighted)
+        partial = self.q_up + Decimal(self.qsum + weighted)
         self.qsum += plain
-        return count, len(upgrades) + terms, S
+        return partial, self.density * _tail_integral(self.k - 1, T, self.dps)
 
     def _float_pass(self, primes: _Primes, first: int, count: int, T: float):
         """(upgrades, terms, plain, weighted) over n = first, first + 2, ...,
@@ -178,42 +182,24 @@ def cycle_nsum(k: int, pp, d1: int, d2: int, params: GreenParams | None = None):
     """(G_{k,f}(Z_chi), diagnostics) from the sum over n, the value a Decimal.
 
     G_kf_at_cycle's value (its oracle) to rounding, on the same last T, from
-    no orbit enumeration: on each rung of greens._ladder every principal-part
-    term sums its new shell of n, and the ladder stops on the error estimate
-    of the cycle value.
+    no orbit enumeration: one _Slice per principal-part term climbs the
+    ladder of greens._weighted_ladder, each rung adding its new shell of n,
+    and the ladder stops on the error estimate of the cycle value.
     """
     check_cycle_input(k, pp, d1, d2)
     params = params or GreenParams()
     D = d1 * d2
     primes = _Primes(GenusChar(d1, d2))
-    # orbit density 6 over the h1 h2 CM pairs, times the weight 4/(w1 w2)
-    cycle_density = Fraction(24 * len(cm_points(d1)) * len(cm_points(d2)),
+    # the orbit density over the h1 h2 CM pairs, times the weight 4/(w1 w2)
+    cycle_density = Fraction(4 * ORBIT_DENSITY * len(cm_points(d1)) * len(cm_points(d2)),
                              unit_weight(d1) * unit_weight(d2))
     with localcontext(_context(params.digits)):
-        slices = [_Slice(m, Fraction(c), k, D, cycle_density, params)
-                  for m, c in sorted(pp.items()) if c]
-        n_values = nonzero = 0
-
-        def step(T, T_prev):
-            nonlocal n_values, nonzero
-            partial = tail = Decimal(0)
-            tail_integral = _tail_integral(k - 1, T, params.digits)
-            for s in slices:
-                count, nz, S = s.shell(primes, T)
-                n_values += count
-                nonzero += nz
-                partial += s.coeff * S
-                tail += s.coeff * s.density * tail_integral
-            return partial, tail, {"n_values": n_values, "terms": nonzero}
-
-        value, history, converged = _ladder(step, params, k)
-        return value, {
-            "route": "nsum",
-            "T": history[-1]["T"],
-            "n_values": n_values,
-            "terms": nonzero,
-            "upgraded": sum(s.upgraded for s in slices),
-            "history": history,
-            "estimate": history[-1]["estimate"],
-            "converged": converged,
-        }
+        weighted = []
+        for m, c in sorted(pp.items()):
+            if c:
+                coeff = -2 * Fraction(c) * m ** (k - 1)
+                density = cycle_density * _sigma(1, m)     # sigma(m) cosets per pair
+                weighted.append((Decimal(coeff.numerator) / coeff.denominator,
+                                 _Slice(m, k, D, primes, density, params)))
+        value, diag = _weighted_ladder(weighted, params, k, ("n_values", "terms"))
+        return value, {"route": "nsum", **diag}

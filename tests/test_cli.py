@@ -423,6 +423,27 @@ print("verify-k2", code, "mpmath" in sys.modules, " ".join(sorted(set(sys.module
     assert "numpy" in added and set(added) <= numpy_own, set(added) - numpy_own
 
 
+def test_public_functions_import_no_mpmath():
+    # the public API runs on the declared dependencies: no function named in
+    # hgreen.__all__ imports mpmath, a test-only dependency, in its body
+    import ast
+    import inspect
+    import textwrap
+
+    import hgreen
+
+    for name in hgreen.__all__:
+        obj = getattr(hgreen, name)
+        if not inspect.isfunction(obj):
+            continue
+        tree = ast.parse(textwrap.dedent(inspect.getsource(obj)))
+        modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                   for alias in node.names]
+        modules += [node.module or "" for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom)]
+        assert not [m for m in modules if m.split(".")[0] == "mpmath"], name
+
+
 def test_module_entry_point_reads_sys_argv(capsys):
     # `python -m hgreen.cli` is main(None), which reads its flags from sys.argv
     import subprocess

@@ -366,6 +366,18 @@ def test_params_validation():
         GreenParams(tol=1e-40, digits=20)
 
 
+def test_G_k_hecke_refuses_k_beyond_MAX_K():
+    # the float Q series is measured for k - 1 <= 11 only: at k = 14 it errs
+    # by 2.4e-13 relative at t = 4, so G_k_hecke refuses k = 14 as a cycle
+    # value does, and still runs at k = 12
+    P1, P2 = CMPoint(1, 0, 1), CMPoint(1, 1, 2)
+    for k in (MAX_K + 2, 100):
+        with pytest.raises(InvalidInputError, match=f"k = {k} beyond supported range"):
+            G_k_hecke(P1, P2, k, 1)
+    _, diag = G_k_hecke(P1, P2, MAX_K, 1)
+    assert diag["converged"]
+
+
 @pytest.mark.parametrize("route, k, d1, d2", [("nsum", 4, -7, -23), ("orbit", 2, -4, -7)])
 def test_params_without_a_doubling_or_finite_start_refused(route, k, d1, d2, monkeypatch):
     # the ladder's start and length are constants now, so nothing is left to

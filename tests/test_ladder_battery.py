@@ -110,3 +110,31 @@ def test_estimate_covers_the_error_below_T_400(draw, monkeypatch):
         mp.setattr(G, "MAX_DOUBLINGS", 4)
         value, diag = _value(*draw)
     _assert_estimate_covers_the_error(draw, value, diag)
+
+
+# k = 2 draws whose ladder, with its estimate cut to a tenth, stops at
+# T = 1600 or 3200, where against deep runs the error comes to 0.12 - 0.46
+# of the estimate; the draws above let such a cut pass on all but one.
+# (-11, -24) at 3e-6 stops there with the estimate cut to a third.
+CROSSING = [("orbit", 2, {1: Fraction(1)}, d1, d2, tol) for d1, d2, tol in
+            [(-11, -19, 1e-6), (-19, -24, 1e-6), (-3, -7, 3e-7), (-11, -24, 1e-6),
+             (-11, -24, 3e-6)]]
+
+
+@pytest.mark.parametrize("draw", CROSSING, ids=_id)
+def test_estimate_covers_the_error_near_T_3200(draw):
+    _assert_estimate_covers_the_error(draw, *_value(*draw))
+
+
+def test_hecke_estimate_covers_the_error_near_T_3200():
+    # the sum whose coset (1, 1, 3) erred 1.32 times its own estimate at
+    # T = 3200 (greens.ESTIMATE_WINDOW); the value's ladder covers the error,
+    # and with its estimate cut to a tenth stops at T = 1600, 0.12 of the way
+    P1, P2 = G.CMPoint(2, -1, 3), G.CMPoint(2, 0, 3)
+    value, diag = G.G_k_hecke(P1, P2, 2, 3, GreenParams(tol=1e-6))
+    assert diag["converged"]
+    deep = min(1e-6, diag["estimate"]) / 1000
+    reference, ref_diag = G.G_k_hecke(P1, P2, 2, 3, GreenParams(tol=deep))
+    assert ref_diag["converged"]
+    err = abs(float(value - reference))
+    assert err <= diag["estimate"], (err, diag["estimate"])

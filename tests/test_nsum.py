@@ -174,6 +174,36 @@ def test_cycle_value_selects_the_route(monkeypatch):
     assert calls == ["nsum", "orbit", "orbit"]
 
 
+def test_one_driver_writes_the_diagnostics_of_every_value(monkeypatch):
+    # greens._weighted_ladder alone steps the summands and writes the
+    # diagnostics: one call per value from each route and from G_k_hecke,
+    # and the value and history it returns are the ones reported
+    driver = G._weighted_ladder
+    calls = []
+
+    def spy(weighted, params, k, *args):
+        out = driver(weighted, params, k, *args)
+        calls.append(({type(s).__name__ for _, s in weighted}, out))
+        return out
+
+    monkeypatch.setattr(G, "_weighted_ladder", spy)
+    monkeypatch.setattr(NS, "_weighted_ladder", spy)
+    params = GreenParams(tol=1e-6)
+    one = {1: Fraction(1)}
+    hecke = {1: Fraction(24), 2: Fraction(1)}
+    for run, summand in [
+            (lambda: cycle_nsum(6, hecke, -7, -23, params), "_Slice"),
+            (lambda: G_kf_at_cycle(4, one, -7, -23, params), "_PairOrbitSum"),
+            (lambda: G.G_k_hecke(cm_points(-7)[0], cm_points(-23)[1], 4, 2, params),
+             "_PairOrbitSum")]:
+        calls.clear()
+        value, diag = run()
+        assert [kinds for kinds, _ in calls] == [{summand}]
+        want, wdiag = calls[0][1]
+        assert value is want and diag["history"] is wdiag["history"]
+        assert {key: diag[key] for key in wdiag} == wdiag
+
+
 def test_zero_coefficient_costs_nothing():
     # a term c(-m) = 0 widens neither the span that picks the route nor the
     # orbit route's work: {1: 1, 3: 0} is {1: 1}
