@@ -22,7 +22,6 @@ from .qfield import (
     QuadField,
     _ideal,
     _ord,
-    _xgcd,
     factorint,
     field,
     is_fundamental_discriminant,
@@ -96,11 +95,8 @@ class FQM:
             while n % p == 0:
                 n //= p
                 pk *= p
-            # CRT: e = 1 mod pk, 0 mod n
-            g, u, v = _xgcd(pk, n)
-            if g != 1:
-                raise RuntimeError(f"CRT moduli {pk} and {n} are not coprime")
-            self._idem[p] = (v * n) % (pk * n)
+            # CRT: e = 1 mod pk, 0 mod n, and pk is prime to n
+            self._idem[p] = n * pow(n, -1, pk) % (pk * n)
         return self._idem[p]
 
     def p_part(self, h, p: int):

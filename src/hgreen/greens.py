@@ -576,7 +576,11 @@ MAX_DOUBLINGS = 32
 # ladders from T = 400 a second rung, with one move behind it, erred by up
 # to 31 times its estimate at k = 2 and 8.7 times at k = 4, where the error
 # at T = 800 had hardly moved from T = 400; so the ladder stops from the
-# third rung on.
+# third rung on.  That third rung can under-cover a cycle value, though:
+# G_kf_at_cycle(2, {1: 1}, -8, -15, GreenParams(tol=5e-4)) stops converged at
+# T = 100 with estimate 4.10e-4 and errs by 5.03e-4 (1.23 times, and above
+# tol) against the same cycle at tol estimate/1000.  ROADMAP item 4, the
+# estimate's calibration, owns the fix.
 ESTIMATE_WINDOW = 3
 ESTIMATE_SAFETY = 2.0
 
@@ -680,43 +684,18 @@ _inv_flat = None
 _inv_rows = 0
 
 
-def _inverse_rows(c_lo: int, c_hi: int):
-    """Rows c_lo..c_hi of the inverse table as one int64 array.
-
-    Vectorized extended Euclid over every pair (c, r), r > 0, at once:
-    a = x r and b = y r mod c throughout, a pair leaves when b reaches 0 with
-    a = gcd(c, r), and all values stay within c in size.
-    """
-    import numpy as np
-
-    cs = np.arange(c_lo, c_hi + 1, dtype=np.int64)
-    c = np.repeat(cs, cs)
-    r = np.arange(c.size, dtype=np.int64) - np.repeat(np.cumsum(cs) - cs, cs)
-    out = np.zeros_like(c)
-    live = np.flatnonzero(r)
-    a, b = c.take(live), r.take(live)
-    x, y = np.zeros_like(a), np.ones_like(a)
-    while live.size:
-        q = a // b
-        a, b = b, a - q * b
-        x, y = y, x - q * y
-        going = b != 0
-        if not going.all():
-            done = np.flatnonzero(~going)
-            done = done[a.take(done) == 1]      # units: x = r^-1 mod c
-            out[live.take(done)] = x.take(done)
-            keep = np.flatnonzero(going)
-            live, a, b, x, y = (v.take(keep) for v in (live, a, b, x, y))
-    out %= c
-    return out
-
-
 def _inverse_table(cmax: int):
     """Read-only int32 array whose entry c(c-1)/2 + r is r^-1 mod c for the
     units r, 0 elsewhere (row c holds r = 0 .. c-1), for at least c <= cmax.
 
-    One table serves every orbit sum of the process and grows only when cmax
-    does; the new rows are built about 2^15 entries at a time.
+    Row c is built from the rows before it.  For 1 <= r < c, row r holds
+    y = (c mod r)^-1 mod r, so c y = 1 mod r and x = (1 - c y)/r is an
+    integer with r x = 1 mod c: x mod c is r^-1 mod c.  As gcd(c, r) =
+    gcd(c mod r, r), r is a unit mod c exactly when y != 0 or r = 1, and a
+    non-unit r >= 2 has y = 0 and (1 - 0) // r = 0.  So each entry costs one
+    step of Euclid, in int64 (c y < 2^62); the earlier steps are the earlier
+    rows.  One table serves every orbit sum of the process and grows only
+    when cmax does.
     """
     import numpy as np
 
@@ -724,14 +703,16 @@ def _inverse_table(cmax: int):
     if not 1 <= cmax < 2 ** 31:
         raise ValueError(f"inverse table needs 1 <= cmax < 2^31, got {cmax}")
     if cmax > _inv_rows:
-        parts = [] if _inv_flat is None else [_inv_flat]
-        c = _inv_rows + 1
-        while c <= cmax:
-            # rows c .. last hold at most 2^15 entries, or the one row c
-            last = max(c, min(cmax, math.isqrt(c * c + 2 ** 16)))
-            parts.append(_inverse_rows(c, last).astype(np.int32))
-            c = last + 1
-        flat = np.concatenate(parts)
+        flat = np.zeros(cmax * (cmax + 1) // 2, dtype=np.int32)
+        if _inv_flat is not None:
+            flat[:_inv_flat.size] = _inv_flat
+        r = np.arange(1, cmax, dtype=np.int64)
+        row_r = r * (r - 1) // 2
+        for c in range(_inv_rows + 1, cmax + 1):
+            rs = r[:c - 1]
+            y = flat.take(row_r[:c - 1] + c % rs).astype(np.int64)
+            start = c * (c - 1) // 2
+            flat[start + 1:start + c] = (1 - c * y) // rs % c
         flat.flags.writeable = False
         _inv_flat, _inv_rows = flat, cmax
     return _inv_flat
@@ -1123,35 +1104,26 @@ def G_kf_at_cycle(k: int, pp, d1: int, d2: int,
 
 # The n-sum (nsum.cycle_nsum) serves k >= 4 while its span
 # sum_{m in pp} m sqrt(Delta) is at most this.  Its work is the number of n,
-# about span * T/2, where the orbit route pays the numpy import and then
-# counts terms in whole arrays.  Measured: time of one cycle value in a fresh
-# process after `import hgreen.cli`, best of 5, the two routes alternating,
-# n-sum / orbit route, 2-core Xeon, Python 3.11, pp {1: 1} at k = 4,
-# {1: 24, 2: 1} at k = 6, {1: -216, 2: 1} at k = 8:
-#   span  k  Delta   tol 1e-10   tol 1e-8
-#   12.7  4    161     0.24        0.16
-#   17.3  4    301     0.17        0.18
-#   32.4  4   1048     0.48        0.25
-#   32.9  4   1081     0.46        0.51
-#   38.1  6    161     0.29        0.27     k = 8: 0.64, 0.48
-#   45.1  4   2033     1.29        0.70
-#   52.0  6    301     0.70        0.70     k = 8: 0.49, 0.69
-#   56.5  4   3193     0.75        0.81
-#   67.8  4   4601     1.82        1.05
-#   77.3  4   5969     1.59        0.94
-#   97.1  6   1048     1.05        1.01     k = 8: 0.96, 1.01
-#  100.2  4  10033     4.51        1.23
-#  107.6  4  11573     5.59        1.37
-#  135.3  6   2033     1.47        1.43     k = 8: 1.46, 1.45
-# Up to 40 the n-sum takes at most 0.64 of the orbit route's time; at 45.1
-# (k = 4, tol 1e-10) it takes 1.29, the nearest point above 40, and beyond
-# 60 it is slower at most points, up to 5.6 times at span 107.6.  The table
-# was measured while the ladder started at T = 400 and stopped on two
-# consecutive moves below tol/10, which stopped both routes on the same rung
-# as the error estimate or a higher one; it is not measured again under the
-# estimate or the first rung T = 25, which shortens both routes.  Both
-# routes stop on the same rung with values equal to rounding, so the switch
-# changes only the time, not the value.  k = 2
+# about span * T/2, while the orbit route pays about 0.1 s up front (the
+# numpy import and the inverse table) and then counts terms in whole arrays:
+# the n-sum wins at short T, and loses at deep T by more with each doubling.
+# Both routes stop on the same rung with values equal to rounding, so the
+# switch changes only the time, not the value.  Measured at b71ee90 (ROADMAP
+# item 5, which is to replace this constant by a cost model): one call of
+# the route, each in a fresh process, 2-core Xeon, Python 3.11, k = 4 with
+# pp {1: 1}, or k = 6 with the Hecke part {1: 24, 2: 1}:
+#   cycle          k  span   tol     n-sum        orbit route
+#   (-7, -23)      4  12.7   1e-10   0.015 s      0.111 s
+#   (-4, -311)     4  35.3   1e-10   0.062 s      0.173 s
+#   (-7, -431)     4  54.9   1e-10   0.061 s      0.114 s
+#   (-3, -3331)    4  100    1e-10   0.160 s      0.174 s
+#   (-3, -30011)   4  300    1e-8    0.263 s      0.169 s
+#   (-3, -333332)  4  1000   1e-8    0.89 s       0.56 s
+#   (-3, -333332)  6  3000   1e-8    0.48-0.66 s  1.13-2.09 s
+#   (-3, -333332)  4  1000   1e-11   8.1 s        1.55 s
+# So 40 is too low for short ladders: spans 54.9 and 100 at 1e-10 and the
+# k = 6 corner take the orbit route, though the n-sum is faster there; from
+# span 300 at 1e-8 the orbit route is faster, and more so at 1e-11.  k = 2
 # stays on the orbit route: Q_1 decays like t^-2, so T runs to ~1e5 and the
 # n-sum would sieve about as many n as the orbit route sums terms.
 NSUM_MAX_SPAN = 40

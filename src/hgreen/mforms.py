@@ -168,7 +168,7 @@ def check_cycle_input(k: int, pp, d1: int, d2: int) -> None:
 
     Raises InvalidInputError unless k is even with 2 <= k <= MAX_K, d1 and d2
     are coprime negative fundamental discriminants with Delta = d1*d2 inside
-    the supported range, and the principal part pp has indices up to
+    the supported range, and the principal part pp has indices from 1 to
     MAX_PP_INDEX and is unobstructed.  The ranges are checked before anything
     is factored or expanded, so oversized input fails at once.
     """
@@ -182,6 +182,8 @@ def check_cycle_input(k: int, pp, d1: int, d2: int) -> None:
             raise InvalidInputError(f"{d} is not a negative fundamental discriminant")
     if gcd(d1, d2) != 1:
         raise InvalidInputError("d1 and d2 must be coprime")
+    if min(pp, default=1) < 1:
+        raise InvalidInputError("principal part indices must be >= 1")
     if max(pp, default=0) > MAX_PP_INDEX:
         raise InvalidInputError(
             f"principal part index {max(pp)} beyond supported range {MAX_PP_INDEX}"

@@ -214,6 +214,22 @@ def _xgcd(a: int, b: int):
     return old_r, old_u, old_v
 
 
+def _power(x, n: int, one):
+    """x^n by square-and-multiply: one for n = 0, x.inverse()^-n for n < 0."""
+    if n == 0:
+        return one
+    if n < 0:
+        x, n = x.inverse(), -n
+    out = None
+    while True:
+        if n & 1:
+            out = x if out is None else out * x
+        n >>= 1
+        if not n:
+            return out
+        x = x * x
+
+
 # ---------------------------------------------------------------------------
 # field elements
 # ---------------------------------------------------------------------------
@@ -319,16 +335,7 @@ class FieldElem:
         return self * self._coerce(o).inverse()
 
     def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = _elem(self.D, 1, 0, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, _elem(self.D, 1, 0, 1))
 
     def conj(self) -> "FieldElem":
         return _elem(self.D, self.a, -self.b, self.n)
@@ -560,18 +567,7 @@ class FracIdeal:
         return FracIdeal.from_hnf_rows(D, rows, self.num * o.num, self.den * o.den)
 
     def __pow__(self, n: int):
-        if n == 0:
-            return _ideal(self.D, 1, 1, 1, 0)
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = None
-        base = self
-        while n:
-            if n & 1:
-                out = base if out is None else out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, _ideal(self.D, 1, 1, 1, 0))
 
     def conj(self) -> "FracIdeal":
         # omega' = Delta - omega, so (b + omega)' = -((-b - Delta) + omega)

@@ -889,6 +889,22 @@ def test_inverse_table_matches_pow():
             assert row[r] == (pow(r, -1, c) if gcd(r, c) == 1 else 0), (c, r)
 
 
+def test_inverse_table_grows_from_its_earlier_rows(monkeypatch):
+    # rows built by an earlier call are read by the rows of a later one
+    monkeypatch.setattr(G, "_inv_flat", None)
+    monkeypatch.setattr(G, "_inv_rows", 0)
+    for cmax in (1, 7, 600):
+        grown = G._inverse_table(cmax)
+    tab = grown.tolist()
+    for c in range(1, 601):
+        row = tab[c * (c - 1) // 2:c * (c + 1) // 2]
+        for r in range(c):
+            assert row[r] == (pow(r, -1, c) if gcd(r, c) == 1 else 0), (c, r)
+    monkeypatch.setattr(G, "_inv_flat", None)
+    monkeypatch.setattr(G, "_inv_rows", 0)
+    assert np.array_equal(G._inverse_table(600), grown)
+
+
 def test_inverse_table_is_shared_and_read_only():
     tab = G._inverse_table(50)
     assert not tab.flags.writeable

@@ -192,3 +192,16 @@ def test_parse_principal_part():
         parse_principal_part("1=0")
     with pytest.raises(InvalidInputError):
         parse_principal_part("nonsense")
+
+
+@pytest.mark.parametrize("pp", [{1: 1, -1: 1}, {1: 1, -2: 3}, {1: 1, 0: 5}])
+def test_cycle_engines_refuse_indices_below_one(pp):
+    # check_principal_part pairs such indices to 0, but the engines would read
+    # them as Hecke indices: both must refuse them as parse_principal_part does
+    from hgreen.factor import gamma_exponents
+    from hgreen.greens import G_kf_at_cycle, cycle_value
+    from hgreen.nsum import cycle_nsum
+
+    for engine in (gamma_exponents, G_kf_at_cycle, cycle_nsum, cycle_value):
+        with pytest.raises(InvalidInputError, match="indices must be >= 1"):
+            engine(4, pp, -7, -23)
